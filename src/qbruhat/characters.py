@@ -173,9 +173,13 @@ def cell_translate_character(group, w, depth):
         roots.append(gamma)
     roots.sort()
     wrho = w.act(datum.rho())
+    # budget(mu) = -(w rho, mu) is linear, so each root has an integer
+    # cost and every partial sum carries its budget along.
+    costs = []
     for gamma in roots:
         f = -datum.inner(wrho, gamma)
         assert f.denominator == 1 and f > 0
+        costs.append(int(f))
     per_simple = []
     for i in range(datum.rank):
         f = datum.inner(wrho, datum.simple_root(i))
@@ -186,15 +190,18 @@ def cell_translate_character(group, w, depth):
     budget_cap = depth * max(per_simple)
 
     counts = {datum.zero(): 1}
-    for gamma in roots:
+    budget = {datum.zero(): 0}
+    for gamma, cost in zip(roots, costs):
         new = dict(counts)
         cur = counts
         while True:
             nxt = {}
             for mu, c in cur.items():
-                mu2 = datum.add(mu, gamma)
-                if -datum.inner(wrho, mu2) > budget_cap:
+                b = budget[mu] + cost
+                if b > budget_cap:
                     continue
+                mu2 = datum.add(mu, gamma)
+                budget[mu2] = b
                 nxt[mu2] = nxt.get(mu2, 0) + c
             if not nxt:
                 break

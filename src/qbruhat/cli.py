@@ -6,7 +6,7 @@ graded ideal pieces and saturated strata, ``centre`` for centre
 dimensions, ``verify`` for the self-check suites.
 
 Exit codes: 0 on success, 1 when a computation violates an invariant,
-2 on unusable arguments.  Output for a fixed invocation is
+2 on unusable or out-of-scope arguments.  Output for a fixed invocation is
 byte-identical across runs.
 """
 
@@ -25,6 +25,7 @@ from .characters import cell_translate_character, character_to_json
 from .coordring import CoordinateModel
 from .exactalg import format_scalar
 from .strata import DiamondPoset
+from .uqmodules import ModuleScopeError
 from .verify import SUITES, run_suites
 from .weyl import WeylGroup, format_word
 
@@ -345,6 +346,9 @@ def verify_cmd(suites):
 def main():
     try:
         cli(standalone_mode=True)
+    except ModuleScopeError as err:
+        click.echo("out of scope: %s" % err, err=True)
+        sys.exit(2)
     except (AssertionError, RuntimeError) as err:
         click.echo("invariant violation: %s" % err, err=True)
         sys.exit(1)

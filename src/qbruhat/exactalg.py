@@ -143,7 +143,7 @@ class Laurent:
     def __truediv__(self, other):
         other = coerce_scalar(other)
         if isinstance(other, RatFun):
-            return RatFun(self, ONE) / other
+            return _make_ratfun(self * other.den, other.num)
         if not other:
             raise ZeroDivisionError("division by zero scalar")
         if not self:
@@ -263,7 +263,7 @@ def _make_ratfun(num, den):
     shift = sn - sd
     if max(pd) == 0:
         return Laurent({e + shift: c for e, c in pn.items()})
-    rf = RatFun.__new__(RatFun)
+    rf = object.__new__(RatFun)
     rf.num = Laurent({e + shift: c for e, c in pn.items()})
     rf.den = Laurent(pd)
     rf._hash = None
@@ -282,17 +282,10 @@ class RatFun:
 
     __slots__ = ("num", "den", "_hash")
 
-    def __init__(self, num, den):
-        made = _make_ratfun(coerce_scalar(num), coerce_scalar(den))
-        if isinstance(made, Laurent):
-            # wrap anyway? no: keep canonical: raise to signal misuse
-            self.num = made
-            self.den = ONE
-            self._hash = None
-        else:
-            self.num = made.num
-            self.den = made.den
-            self._hash = None
+    def __new__(cls, num, den):
+        """``RatFun(num, den)`` is num/den in canonical form: a ``Laurent``
+        when the quotient is one."""
+        return _make_ratfun(coerce_scalar(num), coerce_scalar(den))
 
     def _pair(self):
         return self.num, self.den

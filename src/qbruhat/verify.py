@@ -94,7 +94,8 @@ def suite_weyl():
                 for z in group.elements:
                     if group.bruhat_leq(y, z) != ((y.idx, z.idx) in reach):
                         raise AssertionError((label, y.word, z.word))
-        return "subword order equals reflection-chain order on A2, B2"
+        return ("descent-recursion order equals reflection-chain order "
+                "on A2, B2")
 
     return [_check("weyl-orders-and-rank-split", orders),
             _check("weyl-bruhat-two-ways", bruhat_reflection_oracle)]

@@ -1,17 +1,18 @@
 """Finite Weyl groups acting on fundamental-weight coordinates.
 
-Elements are integer matrices.  The whole group is materialized eagerly,
-which is the honest choice at the scales this package targets (orders in
-the hundreds).  Lengths are computed by counting positive roots sent
-negative, canonical reduced words are the lexicographically least ones,
-and Bruhat order comes from the subword property; an independent
-reflection-cover oracle lives in the test suite.
+Elements are integer matrices.  The whole group is materialized eagerly
+by a breadth-first search from the identity, after its known order has
+been checked against a cap (``group_order``).  The search keeps, for each
+simple generator s_i, the table of left multiplication by s_i, and an
+element's length is the depth at which the search first reaches it.
+Canonical reduced words are the lexicographically least ones, and Bruhat
+order comes from Deodhar's descent recursion on the table.  The subword
+test and a reflection-chain closure live in the test suite as oracles.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import combinations
+from math import factorial
 
 from .exactalg import Laurent, Subspace, kernel, rref
 from .cartan import build_cartan
@@ -82,6 +83,21 @@ def parse_word(text, rank):
     return tuple(letters)
 
 
+def group_order(family, rank):
+    """Order of the Weyl group of a type, known before enumeration."""
+    if family == "A":
+        return factorial(rank + 1)
+    if family in ("B", "C"):
+        return 2 ** rank * factorial(rank)
+    if family == "D":
+        return 2 ** (rank - 1) * factorial(rank)
+    return _EXCEPTIONAL_ORDERS[(family, rank)]
+
+
+_EXCEPTIONAL_ORDERS = {("E", 6): 51840, ("E", 7): 2903040,
+                       ("E", 8): 696729600, ("F", 4): 1152, ("G", 2): 12}
+
+
 class WeylGroup:
     """A finite Weyl group with its Bruhat combinatorics."""
 
@@ -90,38 +106,49 @@ class WeylGroup:
     def __init__(self, datum, max_order=500000):
         self.datum = datum
         self.rank = datum.rank
-        gens_mats = [self._simple_matrix(i) for i in range(self.rank)]
+        expected = group_order(datum.family, datum.rank)
+        if expected > max_order:
+            raise ValueError("the Weyl group of %s has order %d, over the "
+                             "cap %d" % (datum.label, expected, max_order))
+        # g_i . m changes only the rows k with a[k][i] != 0:
+        # row_k -= a[k][i] * row_i.
+        a = datum.cartan
+        columns = [[(k, a[k][i]) for k in range(self.rank) if a[k][i]]
+                   for i in range(self.rank)]
         ident = tuple(tuple(1 if i == j else 0 for j in range(self.rank))
                       for i in range(self.rank))
-        mats = {ident: 0}
+        index = {ident: 0}
         order = [ident]
-        frontier = [ident]
-        while frontier:
-            new_frontier = []
-            for m in frontier:
-                for g in gens_mats:
-                    p = _mat_mul_int(g, m)
-                    if p not in mats:
-                        mats[p] = len(order)
-                        order.append(p)
-                        new_frontier.append(p)
-                        if len(order) > max_order:
-                            raise ValueError(
-                                "group order exceeds the cap %d" % max_order)
-            frontier = new_frontier
-        self._pos_root_fund = [datum.root_to_fund(c)
-                               for c in datum.positive_roots]
-        elems = []
+        lengths = [0]
+        lmul = [[] for _ in range(self.rank)]
+        # Breadth-first from the identity: the depth at which an element
+        # is first reached is its distance in the Cayley graph, i.e. its
+        # length, and lmul[i][idx] is the index of s_i . elements[idx].
         for idx, m in enumerate(order):
-            elems.append(WeylElem(self, idx, m, self._length_of(m)))
-        self.elements = elems
-        self._index = {e.mat: e.idx for e in elems}
-        self.identity = elems[0]
-        self.gens = [elems[self._index[g]] for g in gens_mats]
+            for i, col in enumerate(columns):
+                rows = list(m)
+                row_i = m[i]
+                for k, aki in col:
+                    rows[k] = tuple(x - aki * y for x, y in zip(m[k], row_i))
+                p = tuple(rows)
+                j = index.get(p)
+                if j is None:
+                    j = index[p] = len(order)
+                    order.append(p)
+                    lengths.append(lengths[idx] + 1)
+                lmul[i].append(j)
+        if len(order) != expected:
+            raise AssertionError("enumerated %d elements, expected %d"
+                                 % (len(order), expected))
+        self.elements = [WeylElem(self, idx, m, lengths[idx])
+                         for idx, m in enumerate(order)]
+        self._lmul = lmul
+        self._length = lengths
+        self.identity = self.elements[0]
+        self.gens = [self.elements[lmul[i][0]] for i in range(self.rank)]
         self._words = {0: ()}
         self._bruhat = {}
-        self._inverse_idx = {}
-        self.longest = max(elems, key=lambda e: e.length)
+        self.longest = max(self.elements, key=lambda e: e.length)
         n_pos = len(datum.positive_roots)
         if self.longest.length != n_pos:
             raise AssertionError("longest element length %d != %d"
@@ -138,24 +165,6 @@ class WeylGroup:
             cls._CACHE[key] = cls(datum, max_order=max_order)
         return cls._CACHE[key]
 
-    def _simple_matrix(self, i):
-        n = self.rank
-        a = self.datum.cartan
-        return tuple(tuple((1 if k == j else 0) - (a[k][i] if j == i else 0)
-                           for j in range(n))
-                     for k in range(n))
-
-    def _length_of(self, mat):
-        neg = 0
-        n = self.rank
-        for fund in self._pos_root_fund:
-            img = tuple(sum(mat[i][j] * fund[j] for j in range(n))
-                        for i in range(n))
-            coords = self.datum.root_coords(img)
-            if all(c <= 0 for c in coords):
-                neg += 1
-        return neg
-
     # -- group structure ------------------------------------------------
 
     def __len__(self):
@@ -164,20 +173,23 @@ class WeylGroup:
     def element(self, idx):
         return self.elements[idx]
 
+    def _left_apply(self, letters, j):
+        """Index of s_{a_k} ... s_{a_1} . elements[j] for letters a_1..a_k:
+        each letter left-multiplies in turn."""
+        for i in letters:
+            j = self._lmul[i][j]
+        return j
+
     def multiply(self, x, y):
-        return self.elements[self._index[_mat_mul_int(x.mat, y.mat)]]
+        word = self.canonical_word(x)
+        return self.elements[self._left_apply(reversed(word), y.idx)]
 
     def inverse(self, x):
-        if x.idx not in self._inverse_idx:
-            inv = _mat_inv_int(x.mat)
-            self._inverse_idx[x.idx] = self._index[inv]
-        return self.elements[self._inverse_idx[x.idx]]
+        """Applying x's word in order to e spells the reversed word."""
+        return self.elements[self._left_apply(self.canonical_word(x), 0)]
 
     def from_word(self, word):
-        out = self.identity
-        for i in word:
-            out = self.multiply(out, self.gens[i])
-        return out
+        return self.elements[self._left_apply(reversed(word), 0)]
 
     def parse(self, text):
         return self.from_word(parse_word(text, self.rank))
@@ -186,46 +198,58 @@ class WeylGroup:
         """The lexicographically least reduced word of w."""
         if w.idx not in self._words:
             i = next(i for i in range(self.rank) if self.left_descent(w, i))
-            rest = self.multiply(self.gens[i], w)
+            rest = self.elements[self._lmul[i][w.idx]]
             self._words[w.idx] = (i,) + self.canonical_word(rest)
         return self._words[w.idx]
 
     def left_descent(self, w, i):
-        return self.multiply(self.gens[i], w).length < w.length
+        return self._length[self._lmul[i][w.idx]] < w.length
 
     def right_descent(self, w, i):
         return self.multiply(w, self.gens[i]).length < w.length
 
     def demazure_product(self, i, w):
         """The longer of s_i w and w."""
-        sw = self.multiply(self.gens[i], w)
+        sw = self.elements[self._lmul[i][w.idx]]
         return sw if sw.length > w.length else w
 
     # -- Bruhat order ---------------------------------------------------
 
     def bruhat_leq(self, y, z):
-        """Subword property on the canonical reduced word of z."""
+        """Deodhar's descent recursion (the Z-property): for a left
+        descent s of z, y <= z iff sy <= sz when sy < y, and iff y <= sz
+        otherwise.  Each step shortens z, so a query takes at most l(z)
+        steps; every pair met on the way shares the answer and is
+        memoised."""
+        memo = self._bruhat
         key = (y.idx, z.idx)
-        if key not in self._bruhat:
-            self._bruhat[key] = self._bruhat_subword(y, z)
-        return self._bruhat[key]
-
-    def _bruhat_subword(self, y, z):
-        if y.length > z.length:
-            return False
-        if y.length == z.length:
-            return y.idx == z.idx
-        if y.length == 0:
-            return True
-        zw = self.canonical_word(z)
-        k = y.length
-        for positions in combinations(range(len(zw)), k):
-            v = self.identity
-            for p in positions:
-                v = self.multiply(v, self.gens[zw[p]])
-            if v.length == k and v.idx == y.idx:
-                return True
-        return False
+        result = memo.get(key)
+        if result is not None:
+            return result
+        length, lmul = self._length, self._lmul
+        yi, zi = key
+        met = [key]
+        while True:
+            ly, lz = length[yi], length[zi]
+            if ly >= lz:
+                result = yi == zi
+                break
+            if ly == 0:
+                result = True
+                break
+            s = next(i for i in range(self.rank) if length[lmul[i][zi]] < lz)
+            sy = lmul[s][yi]
+            if length[sy] < ly:
+                yi = sy
+            zi = lmul[s][zi]
+            key = (yi, zi)
+            if key in memo:
+                result = memo[key]
+                break
+            met.append(key)
+        for key in met:
+            memo[key] = result
+        return result
 
     def interval(self, y, z):
         """All w with y <= w <= z, sorted by (length, word)."""
@@ -281,35 +305,3 @@ class WeylGroup:
     def __repr__(self):
         return "WeylGroup(%s, order %d)" % (self.datum.label, len(self))
 
-
-def _mat_mul_int(a, b):
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n))
-                       for j in range(n))
-                 for i in range(n))
-
-
-def _mat_inv_int(mat):
-    n = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(n)]
-           + [Fraction(1 if j == i else 0) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        f = aug[col][col]
-        aug[col] = [x / f for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                g = aug[r][col]
-                aug[r] = [x - g * y for x, y in zip(aug[r], aug[col])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = aug[i][n + j]
-            if v.denominator != 1:
-                raise AssertionError("inverse is not integral")
-            row.append(int(v))
-        out.append(tuple(row))
-    return tuple(out)

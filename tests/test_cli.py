@@ -1,6 +1,7 @@
 """Command-line interface: outputs, schemas, exit codes, determinism."""
 
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -194,3 +195,24 @@ class TestExitCodes:
             main()
         assert exc.value.code == 1
         assert "invariant violation: boom" in capsys.readouterr().err
+
+    def test_module_scope_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", [
+            "qbruhat", "ideal", "demazure", "--type", "G2",
+            "--lambda", "1,0", "--y", "e", "--sign", "+"])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("out of scope: module arithmetic is "
+                                "limited to types A1, A2 and B2\n")
+
+    @pytest.mark.parametrize("label", ["E7", "E8"])
+    def test_group_over_cap_exits_two(self, monkeypatch, capsys, label):
+        monkeypatch.setattr(sys, "argv", ["qbruhat", "weyl", "info",
+                                          "--type", label])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 2
+        assert "over the cap 500000" in capsys.readouterr().err

@@ -55,6 +55,20 @@ class TestLaurent:
         assert r * (ONE + q) == ONE
         assert r != ZERO
 
+    def test_ratfun_constructor_is_canonical(self):
+        r = RatFun(q ** 2 - ONE, q - ONE)
+        assert isinstance(r, Laurent)
+        assert r == q + ONE
+        assert isinstance(RatFun(ONE, ONE + q), RatFun)
+        assert q / RatFun(ONE, ONE + q) == q + q ** 2
+
+    @given(laurents(), laurents().filter(bool))
+    @settings(max_examples=60, deadline=None)
+    def test_ratfun_of_exact_quotient_is_laurent(self, a, b):
+        r = RatFun(a * b, b)
+        assert isinstance(r, Laurent)
+        assert r == a
+
     @given(laurents(), laurents())
     @settings(max_examples=60, deadline=None)
     def test_commutativity(self, a, b):

@@ -1,16 +1,17 @@
 """Weyl group construction, Bruhat order, and rank statistics.
 
-The Bruhat and reflection-length checks run against independent oracles
-built here by brute force, so the library cannot agree with itself by
-construction.
+The Bruhat, length and reflection-length checks run against independent
+oracles built here by brute force, so the library cannot agree with
+itself by construction.
 """
 
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qbruhat.cartan import build_cartan
-from qbruhat.weyl import WeylGroup, format_word, parse_word
+from qbruhat.weyl import WeylGroup, format_word, group_order, parse_word
 
 
 ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48, "G2": 12}
@@ -25,8 +26,8 @@ def bruhat_oracle(group):
     """Transitive closure of the reflection-edge relation.
 
     u < t.u whenever length goes up; the full order is the reflexive
-    transitive closure.  Completely independent of the subword test
-    the library uses.
+    transitive closure.  Completely independent of the descent
+    recursion the library uses.
     """
     n = len(group.elements)
     leq = [[False] * n for _ in range(n)]
@@ -47,6 +48,36 @@ def bruhat_oracle(group):
                     leq[c][b] = True
                     changed = True
     return leq
+
+
+def bruhat_subword(group, y, z):
+    """Subword property: y <= z iff some subword of a reduced word of z
+    is a reduced word of y.  Tries every position subset, so it is
+    exponential in l(z) and only usable on small groups."""
+    if y.length > z.length:
+        return False
+    if y.length == z.length:
+        return y.idx == z.idx
+    zw = z.word
+    k = y.length
+    for positions in combinations(range(len(zw)), k):
+        v = group.identity
+        for p in positions:
+            v = v * group.gens[zw[p]]
+        if v.length == k and v.idx == y.idx:
+            return True
+    return False
+
+
+def inversion_count(group, w):
+    """Number of positive roots that w sends to negative roots."""
+    datum = group.datum
+    count = 0
+    for coords in datum.positive_roots:
+        image = w.act(datum.root_to_fund(coords))
+        if all(c <= 0 for c in datum.root_coords(image)):
+            count += 1
+    return count
 
 
 def reflection_length_oracle(group):
@@ -81,6 +112,26 @@ def test_longest_element(label):
     assert w0.length == LONGEST_LENGTHS[label]
     assert max(w.length for w in group.elements) == w0.length
     assert (w0 * w0).is_identity()
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3",
+                                   "G2", "D4"])
+def test_length_is_inversion_count(label):
+    group = group_of(label)
+    for w in group.elements:
+        assert w.length == inversion_count(group, w), format_word(w.word)
+
+
+@pytest.mark.parametrize("label", ["A1", "A4", "B3", "C3", "D4", "F4", "G2"])
+def test_known_order_matches_enumeration(label):
+    datum = build_cartan(label)
+    assert len(group_of(label)) == group_order(datum.family, datum.rank)
+
+
+@pytest.mark.parametrize("label", ["E7", "E8"])
+def test_order_cap_checked_before_enumeration(label):
+    with pytest.raises(ValueError, match="over the cap"):
+        WeylGroup(build_cartan(label))
 
 
 def test_length_matches_word_length():
@@ -120,11 +171,25 @@ def test_multiplication_table_closed():
             assert c.length <= a.length + b.length
 
 
+def test_multiplication_matches_matrix_product():
+    for label in ("B2", "A3", "G2"):
+        group = group_of(label)
+        n = group.rank
+        for a in group.elements:
+            for b in group.elements:
+                prod = tuple(tuple(sum(a.mat[i][k] * b.mat[k][j]
+                                       for k in range(n))
+                                   for j in range(n)) for i in range(n))
+                assert (a * b).mat == prod
+
+
 def test_inverse():
-    group = group_of("B2")
-    for w in group.elements:
-        assert (w * w.inverse()).is_identity()
-        assert w.inverse().length == w.length
+    for label in ("B2", "A4", "D4"):
+        group = group_of(label)
+        for w in group.elements:
+            assert (w * w.inverse()).is_identity()
+            assert (w.inverse() * w).is_identity()
+            assert w.inverse().length == w.length
 
 
 def test_action_preserves_inner_product():
@@ -154,6 +219,15 @@ def test_bruhat_against_oracle(label):
         for b in group.elements:
             assert group.bruhat_leq(a, b) == oracle[a.idx][b.idx], \
                 (format_word(a.word), format_word(b.word))
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3"])
+def test_bruhat_against_subword(label):
+    group = group_of(label)
+    for y in group.elements:
+        for z in group.elements:
+            assert group.bruhat_leq(y, z) == bruhat_subword(group, y, z), \
+                (format_word(y.word), format_word(z.word))
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "A3"])
