@@ -188,9 +188,6 @@ class CartanDatum:
     def is_dominant(self, mu):
         return all(c >= 0 for c in mu)
 
-    def is_regular_dominant(self, mu):
-        return all(c > 0 for c in mu)
-
     def height(self, mu):
         """Sum of root coordinates; only sensible on root-lattice weights."""
         coords = self.root_coords(mu)
@@ -229,10 +226,6 @@ class CartanDatum:
         pos = [c for c in seen if all(x >= 0 for x in c)]
         pos.sort(key=lambda c: (sum(c), c))
         return tuple(pos)
-
-    def root_fund(self, root):
-        """Fundamental coordinates of a root given in root coordinates."""
-        return self.root_to_fund(root)
 
     def __repr__(self):
         return "CartanDatum(%s)" % self.label

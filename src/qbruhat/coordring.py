@@ -143,10 +143,6 @@ class GradedPiece:
             blocks[wt] = (ech, piv)
         return GradedPiece(self.module, blocks)
 
-    def to_subspace(self):
-        from .uqmodules import blocks_to_subspace
-        return blocks_to_subspace(self.module, self.blocks)
-
     def __eq__(self, other):
         if not isinstance(other, GradedPiece):
             return NotImplemented
@@ -209,6 +205,7 @@ class CoordinateModel:
         self._pair_piece = {}
         self._left_ideal = {}
         self._saturation = {}
+        self._twisted = {}
 
     @classmethod
     def get(cls, label):
@@ -482,7 +479,7 @@ class CoordinateModel:
         lt = _transpose(lrows, len(trg))
         phi = []
         for t in range(len(rng)):
-            x = _solve_full(lt, rrows[t])
+            x = solve(lt, rrows[t])
             if x is None:
                 raise SufficiencyError(
                     "conjugation solve inconsistent on block %s of degree "
@@ -528,7 +525,7 @@ class CoordinateModel:
         with labels in twice the negative root lattice; the subspaces
         fill the whole block or EigenvalueError is raised.  With lam
         omitted, escalates through stabilizing degrees k.rho until the
-        solves succeed."""
+        solves succeed.  Results for an explicit lam are memoised."""
         datum = self.datum
         eta = tuple(eta)
         if lam is None:
@@ -545,6 +542,14 @@ class CoordinateModel:
                 "no degree up to %d.rho supports the eta=%s block: %s"
                 % (cap, eta, last_err))
         lam = tuple(lam)
+        key = (w.idx, eta, lam, margin)
+        if key not in self._twisted:
+            self._twisted[key] = self._twisted_decomposition(w, eta, lam,
+                                                             margin)
+        return list(self._twisted[key])
+
+    def _twisted_decomposition(self, w, eta, lam, margin):
+        datum = self.datum
         blk = datum.add(w.act(lam), eta)
         mlam = self.module(lam)
         rng = mlam.weight_indices(blk)
@@ -773,10 +778,6 @@ def _dot(a, b):
         if x and y:
             acc = acc + x * y
     return acc
-
-
-def _solve_full(rows, rhs):
-    return solve(rows, rhs)
 
 
 def _row_compose(a, b):

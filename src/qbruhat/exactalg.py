@@ -2,11 +2,14 @@
 
 Every computation in this package runs over an exact coefficient tower:
 rational numbers, Laurent polynomials in a formal variable q with rational
-coefficients, and ratios of such polynomials.  No floating point is used
-anywhere.  Arithmetic stays inside the Laurent ring whenever it can;
-division promotes to the fraction field only when the quotient is not
-itself a Laurent polynomial, and results whose reduced denominator is a
-power of q are demoted back to Laurent form.  Consequently two equal
+coefficients, and ratios of such polynomials.  A coefficient is stored in
+one canonical form: an ``int`` when it is integral, a ``Fraction`` only
+when its denominator is greater than one, and coefficient quotients go
+through one exact helper.  No floating point is used anywhere.
+Arithmetic stays inside the Laurent ring whenever it can; division
+promotes to the fraction field only when the quotient is not itself a
+Laurent polynomial, and results whose reduced denominator is a power of
+q are demoted back to Laurent form.  Consequently two equal
 scalars always compare equal and print identically.
 
 The matrix layer is deliberately plain: matrices are lists of lists of
@@ -18,21 +21,36 @@ equality of representations.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def _fr(x):
-    if isinstance(x, Fraction):
+    """Canonical coefficient: an int when integral, else a Fraction."""
+    if type(x) is int:
         return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError("expected an integer or Fraction, got %r" % (x,))
 
 
-class Laurent:
-    """A Laurent polynomial in q with Fraction coefficients.
+def _div(a, b):
+    """Exact quotient of two coefficients, in canonical form."""
+    if type(a) is int and type(b) is int:
+        quo, rem = divmod(a, b)
+        if not rem:
+            return quo
+    return _fr(Fraction(a, b))
 
-    Stored as a dict mapping integer exponents to nonzero coefficients.
-    Instances are immutable in practice; do not mutate ``coeffs``.
+
+class Laurent:
+    """A Laurent polynomial in q with rational coefficients.
+
+    Stored as a dict mapping integer exponents to nonzero coefficients, each
+    an ``int`` when integral and a ``Fraction`` with denominator greater
+    than one otherwise.  Instances are immutable in practice; do not mutate
+    ``coeffs``.
     """
 
     __slots__ = ("coeffs", "_hash")
@@ -41,7 +59,8 @@ class Laurent:
         clean = {}
         if coeffs:
             for e, c in coeffs.items():
-                c = _fr(c)
+                if type(c) is not int:
+                    c = _fr(c)
                 if c:
                     clean[int(e)] = c
         self.coeffs = clean
@@ -49,11 +68,11 @@ class Laurent:
 
     @staticmethod
     def const(x):
-        return Laurent({0: _fr(x)})
+        return Laurent({0: x})
 
     @staticmethod
     def q_power(n):
-        return Laurent({int(n): Fraction(1)})
+        return Laurent({int(n): 1})
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -67,7 +86,7 @@ class Laurent:
     def constant_value(self):
         if not self.is_constant():
             raise ValueError("not a constant: %s" % self)
-        return self.coeffs.get(0, Fraction(0))
+        return self.coeffs.get(0, 0)
 
     def min_exp(self):
         if not self.coeffs:
@@ -170,7 +189,7 @@ class Laurent:
     def __hash__(self):
         if self._hash is None:
             if self.is_constant():
-                self._hash = hash(self.coeffs.get(0, Fraction(0)))
+                self._hash = hash(self.coeffs.get(0, 0))
             else:
                 self._hash = hash(tuple(sorted(self.coeffs.items())))
         return self._hash
@@ -189,6 +208,10 @@ def _laurent_divmod(a, b):
     """
     if not a:
         return ZERO, ZERO
+    if len(b.coeffs) == 1:
+        (eb, cb), = b.coeffs.items()
+        return (Laurent({e - eb: _div(c, cb) for e, c in a.coeffs.items()}),
+                ZERO)
     sa, sb = a.min_exp(), b.min_exp()
     # shift both to ordinary polynomials with nonzero constant term
     pa = {e - sa: c for e, c in a.coeffs.items()}
@@ -201,7 +224,7 @@ def _laurent_divmod(a, b):
         da = max(rem)
         if da < db:
             break
-        f = rem[da] / lead
+        f = _div(rem[da], lead)
         quo[da - db] = f
         for e, c in pb.items():
             ne = da - db + e
@@ -215,29 +238,62 @@ def _laurent_divmod(a, b):
             Laurent({e + sa: c for e, c in rem.items()}))
 
 
+def _primitive(p):
+    """Integer polynomial p divided by its content, leading term positive."""
+    g = 0
+    for c in p.values():
+        g = gcd(g, c)
+        if g == 1:
+            break
+    if p[max(p)] < 0:
+        g = -g
+    if g == 1:
+        return p
+    return {e: c // g for e, c in p.items()}
+
+
+def _clear_denominators(p):
+    """A positive integer multiple of p with integer coefficients."""
+    m = 1
+    for c in p.values():
+        if type(c) is not int:
+            m = lcm(m, c.denominator)
+    if m == 1:
+        return p
+    return {e: int(c * m) for e, c in p.items()}
+
+
 def _poly_gcd(a, b):
-    """Monic gcd of two ordinary polynomials given as exponent dicts."""
-    a = dict(a)
-    b = dict(b)
+    """Primitive gcd over Z of two nonzero polynomials given as exponent dicts.
+
+    The denominators are cleared first; then a pseudo-remainder sequence
+    runs over the integers, taking the primitive part of every remainder
+    (Collins, J. ACM 14, 1967), so no coefficient ever becomes a fraction.
+    The result has integer coefficients, content one and a positive leading
+    coefficient; it is the monic gcd over Q up to that leading coefficient.
+    """
+    a = dict(_primitive(_clear_denominators(a)))
+    b = dict(_primitive(_clear_denominators(b)))
     while b:
-        # a mod b
+        # a pseudo-remainder of a by b, up to a nonzero integer factor
         db = max(b)
         lead = b[db]
         while a and max(a) >= db:
             da = max(a)
-            f = a[da] / lead
+            g = gcd(a[da], lead)
+            fa, fb = lead // g, a[da] // g
+            if fa != 1:
+                a = {e: fa * c for e, c in a.items()}
+            shift = da - db
             for e, c in b.items():
-                ne = da - db + e
-                s = a.get(ne, 0) - f * c
+                ne = shift + e
+                s = a.get(ne, 0) - fb * c
                 if s:
                     a[ne] = s
                 elif ne in a:
                     del a[ne]
-        a, b = b, a
-    if not a:
-        return {0: Fraction(1)}
-    lead = a[max(a)]
-    return {e: c / lead for e, c in a.items()}
+        a, b = b, (_primitive(a) if a else a)
+    return a
 
 
 def _make_ratfun(num, den):
@@ -258,8 +314,9 @@ def _make_ratfun(num, den):
         pn, pd = pn_l.coeffs, pd_l.coeffs
     # make denominator monic
     lead = pd[max(pd)]
-    pn = {e: c / lead for e, c in pn.items()}
-    pd = {e: c / lead for e, c in pd.items()}
+    if lead != 1:
+        pn = {e: _div(c, lead) for e, c in pn.items()}
+        pd = {e: _div(c, lead) for e, c in pd.items()}
     shift = sn - sd
     if max(pd) == 0:
         return Laurent({e + shift: c for e, c in pn.items()})
@@ -286,9 +343,6 @@ class RatFun:
         """``RatFun(num, den)`` is num/den in canonical form: a ``Laurent``
         when the quotient is one."""
         return _make_ratfun(coerce_scalar(num), coerce_scalar(den))
-
-    def _pair(self):
-        return self.num, self.den
 
     def __bool__(self):
         return bool(self.num)
@@ -457,9 +511,9 @@ def parse_laurent(text):
             coeff_s, _, qpart = term.partition("q")
             coeff_s = coeff_s.rstrip("*").strip()
             if coeff_s in ("", "+"):
-                c = Fraction(1)
+                c = 1
             elif coeff_s == "-":
-                c = Fraction(-1)
+                c = -1
             else:
                 c = Fraction(coeff_s)
             e = 1 if not qpart else int(qpart.lstrip("^"))

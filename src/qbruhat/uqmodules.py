@@ -717,10 +717,3 @@ def string_top_along(module, row, word, kind):
 def lowering_string_to(module, row, w):
     """Iterated full lowering strings along the canonical word of w."""
     return string_top_along(module, row, w.word, "y")
-
-
-def raising_string_to(module, row, w):
-    """Iterated full raising strings along the canonical word of w w0."""
-    grp = w.group
-    tail = grp.multiply(w, grp.longest)
-    return string_top_along(module, row, tail.word, "x")

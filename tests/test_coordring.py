@@ -1,6 +1,8 @@
 """Graded coordinate-ring model: products, congruences, ideals,
 saturation."""
 
+from unittest import mock
+
 import pytest
 
 from qbruhat.coordring import CoordinateModel
@@ -158,6 +160,19 @@ class TestTwistedDecomposition:
         assert detail["block_dim"] == (detail["central_dim"]
                                        + sum(d for mu, d in detail["labels"]
                                              if mu != (0, 0)))
+
+    def test_decomposition_is_memoised_per_degree(self, a2_model):
+        w = a2_model.group.gens[1]
+        lam, _ = a2_model.sufficient_degree(w, (0, 0))
+        first = a2_model.twisted_decomposition(w, (0, 0), lam=lam)
+        with mock.patch.object(CoordinateModel, "conj_block",
+                               side_effect=AssertionError("recomputed")):
+            again = a2_model.twisted_decomposition(w, (0, 0), lam=lam)
+            detail = a2_model.lowering_split_check(w, (0, 0), lam=lam)
+        assert again == first
+        again.clear()
+        assert a2_model.twisted_decomposition(w, (0, 0), lam=lam) == first
+        assert detail["labels"] == [(mu, sub.dim) for mu, sub in first]
 
     def test_sufficient_degree_is_regular_enough(self, a2_model):
         g = a2_model.group

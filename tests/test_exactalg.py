@@ -1,9 +1,12 @@
 """Scalar tower and exact linear algebra."""
 
 from fractions import Fraction
+from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from qbruhat import exactalg
 from qbruhat.exactalg import (Laurent, ONE, RatFun, Subspace, ZERO,
                               format_scalar, kernel, mat_mul, parse_laurent,
                               q_binomial, q_factorial, q_int,
@@ -84,6 +87,111 @@ class TestLaurent:
     @settings(max_examples=60, deadline=None)
     def test_parse_format_round_trip(self, a):
         assert parse_laurent(format_scalar(a)) == a
+
+
+def fraction_poly_gcd(a, b):
+    """Monic gcd over Q by the Euclidean algorithm on Fraction
+    coefficients: the reference for the integer pseudo-remainder gcd."""
+    a = {e: Fraction(c) for e, c in a.items()}
+    b = {e: Fraction(c) for e, c in b.items()}
+    while b:
+        db = max(b)
+        lead = b[db]
+        while a and max(a) >= db:
+            da = max(a)
+            f = a[da] / lead
+            for e, c in b.items():
+                ne = da - db + e
+                s = a.get(ne, 0) - f * c
+                if s:
+                    a[ne] = s
+                elif ne in a:
+                    del a[ne]
+        a, b = b, a
+    if not a:
+        return {0: Fraction(1)}
+    lead = a[max(a)]
+    return {e: c / lead for e, c in a.items()}
+
+
+def ordinary_poly(p):
+    """q^-min_exp(p) * p as an exponent dict with nonzero constant term."""
+    low = p.min_exp()
+    return {e - low: c for e, c in p.coeffs.items()}
+
+
+def stored_coeffs(x):
+    if isinstance(x, RatFun):
+        return list(x.num.coeffs.values()) + list(x.den.coeffs.values())
+    return list(x.coeffs.values())
+
+
+def canonical_coeff(c):
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+class TestCanonicalCoefficients:
+    def test_integral_fraction_is_stored_as_int(self):
+        a = Laurent({0: Fraction(4, 2)})
+        b = Laurent({0: 2})
+        assert a == b
+        assert hash(a) == hash(b)
+        assert str(a) == str(b) == "2"
+        assert type(a.coeffs[0]) is int
+
+    def test_float_coefficient_is_rejected(self):
+        with pytest.raises(TypeError):
+            Laurent({0: 0.5})
+
+    def test_constants_are_int(self):
+        assert all(type(c) is int for c in stored_coeffs(ONE))
+        assert all(type(c) is int for c in stored_coeffs(q))
+        assert all(type(c) is int
+                   for c in stored_coeffs(parse_laurent("-q^-1 + 3")))
+
+    @given(st.lists(laurents(), min_size=2, max_size=4),
+           st.lists(st.tuples(st.sampled_from("+-*/"),
+                              st.integers(0, 3), st.integers(0, 3)),
+                    min_size=1, max_size=6))
+    @settings(max_examples=80, deadline=None)
+    def test_arithmetic_keeps_canonical_coefficients(self, seeds, ops):
+        vals = list(seeds)
+        for op, i, j in ops:
+            x, y = vals[i % len(vals)], vals[j % len(vals)]
+            if op == "+":
+                vals.append(x + y)
+            elif op == "-":
+                vals.append(x - y)
+            elif op == "*":
+                vals.append(x * y)
+            elif y:
+                vals.append(x / y)
+        for v in vals:
+            assert all(canonical_coeff(c) for c in stored_coeffs(v)), v
+
+    @given(laurents(), laurents().filter(bool), laurents().filter(bool))
+    @settings(max_examples=80, deadline=None)
+    def test_make_ratfun_matches_fraction_gcd(self, a, b, c):
+        num, den = a * c, b * c
+        assume(num)
+        new = exactalg._make_ratfun(num, den)
+        with mock.patch.object(exactalg, "_poly_gcd", fraction_poly_gcd):
+            old = exactalg._make_ratfun(num, den)
+        assert type(new) is type(old)
+        assert new == old
+        assert str(new) == str(old)
+
+    @given(laurents().filter(bool), laurents().filter(bool),
+           laurents().filter(bool))
+    @settings(max_examples=80, deadline=None)
+    def test_poly_gcd_is_monic_gcd_up_to_scale(self, a, b, c):
+        pa, pb = ordinary_poly(a * c), ordinary_poly(b * c)
+        g = exactalg._poly_gcd(pa, pb)
+        assert all(type(x) is int for x in g.values())
+        lead = g[max(g)]
+        assert lead > 0
+        assert ({e: Fraction(x, lead) for e, x in g.items()}
+                == fraction_poly_gcd(pa, pb))
 
 
 class TestQCombinatorics:
