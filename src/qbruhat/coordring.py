@@ -322,9 +322,7 @@ class CoordinateModel:
             rows = entry[0]
             if len(rows) == len(rng):
                 continue
-            basis = kernel([list(r) for r in rows], len(rng))
-            ech, piv = rref(basis)
-            blocks[wt] = (ech, piv)
+            blocks[wt] = kernel([list(r) for r in rows], len(rng))
         piece = GradedPiece(module, blocks)
         self._orth[key] = piece
         return piece
@@ -588,9 +586,7 @@ class CoordinateModel:
                 shifted = [[mats[i][t][u] - (s if t == u else ZERO)
                             for u in range(b)] for t in range(b)]
                 power = _row_power(shifted, b)
-                basis = kernel(_transpose(power, b), b)
-                ech, piv = rref(basis)
-                sub = Subspace(b, ech, piv)
+                sub = Subspace(b, *kernel(_transpose(power, b), b))
                 space = sub if space is None else space.intersect(sub)
                 if not space.dim:
                     break
@@ -701,7 +697,7 @@ class CoordinateModel:
                     imgs.append(dense)
                 entry = target.blocks.get(twt)
                 srows = [list(r) for r in entry[0]] if entry else []
-                cons = kernel(srows, len(trg)) if len(trg) else []
+                cons = kernel(srows, len(trg))[0] if len(trg) else []
                 if not cons:
                     blocks[wt] = ([[ONE if j == i else ZERO
                                     for j in range(len(rng))]
@@ -709,8 +705,7 @@ class CoordinateModel:
                                   list(range(len(rng))))
                     continue
                 gmat = [[_dot(img, kr) for kr in cons] for img in imgs]
-                basis = kernel(_transpose(gmat, len(cons)), len(rng))
-                ech, piv = rref(basis)
+                ech, piv = kernel(_transpose(gmat, len(cons)), len(rng))
                 if ech:
                     blocks[wt] = (ech, piv)
             piece = GradedPiece(mnu, blocks)

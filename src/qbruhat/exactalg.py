@@ -12,6 +12,15 @@ Laurent polynomial, and results whose reduced denominator is a power of
 q are demoted back to Laurent form.  Consequently two equal
 scalars always compare equal and print identically.
 
+The canonical form is kept cheaply.  Laurent sums, negations and
+products build their results through a trusted constructor that
+normalises only the coefficients that are not ints.  Fraction-field
+operators use that their operands are already reduced and run a gcd
+only on the factors that can still share a divisor (Henrici, J. ACM 3,
+1956): adding a Laurent polynomial, negating, multiplying by a power of
+q, taking a reciprocal or a power runs no gcd at all.  ``RatFun`` lists
+every case with the reason its result is reduced.
+
 The matrix layer is deliberately plain: matrices are lists of lists of
 scalars, and the central routine is a canonical reduced row echelon form.
 Subspaces are stored by their echelon basis, so equality of subspaces is
@@ -100,23 +109,35 @@ class Laurent:
 
     # -- arithmetic -----------------------------------------------------
 
+    @staticmethod
+    def _raw(coeffs):
+        """Trusted constructor: ``coeffs`` already maps int exponents to
+        nonzero canonical coefficients, and is stored without a copy."""
+        p = object.__new__(Laurent)
+        p.coeffs = coeffs
+        p._hash = None
+        return p
+
     def __add__(self, other):
         other = coerce_scalar(other)
         if isinstance(other, RatFun):
             return other + self
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = dict(a)
+        for e, c in b.items():
             s = out.get(e, 0) + c
             if s:
-                out[e] = s
+                out[e] = s if type(s) is int else _fr(s)
             elif e in out:
                 del out[e]
-        return Laurent(out)
+        return Laurent._raw(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Laurent({e: -c for e, c in self.coeffs.items()})
+        return Laurent._raw({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-coerce_scalar(other))
@@ -142,7 +163,10 @@ class Laurent:
                     out[e] = s
                 elif e in out:
                     del out[e]
-        return Laurent(out)
+        for e, c in out.items():
+            if type(c) is not int:
+                out[e] = _fr(c)
+        return Laurent._raw(out)
 
     __rmul__ = __mul__
 
@@ -162,7 +186,7 @@ class Laurent:
     def __truediv__(self, other):
         other = coerce_scalar(other)
         if isinstance(other, RatFun):
-            return _make_ratfun(self * other.den, other.num)
+            return self * _inverse(other)
         if not other:
             raise ZeroDivisionError("division by zero scalar")
         if not self:
@@ -296,35 +320,77 @@ def _poly_gcd(a, b):
     return a
 
 
+def _shifted(p):
+    """The exponent dict of q^-s * p, s = min exponent: an ordinary
+    polynomial with nonzero constant term."""
+    s = min(p.coeffs)
+    if not s:
+        return p.coeffs
+    return {e - s: c for e, c in p.coeffs.items()}
+
+
+def _common_factor(a, b):
+    """The gcd of two nonzero Laurent polynomials up to units, as a
+    polynomial of positive degree, or None when they share no factor.
+    Powers of q are units, so a monomial never shares one."""
+    if len(a.coeffs) == 1 or len(b.coeffs) == 1:
+        return None
+    g = _poly_gcd(_shifted(a), _shifted(b))
+    return Laurent._raw(g) if max(g) else None
+
+
+def _exact_quo(a, g):
+    """a/g for a polynomial g known to divide a."""
+    quo, rem = _laurent_divmod(a, g)
+    assert not rem
+    return quo
+
+
+def _ratfun(num, den):
+    """Trusted RatFun: num and den are already in canonical form."""
+    rf = object.__new__(RatFun)
+    rf.num = num
+    rf.den = den
+    rf._hash = None
+    return rf
+
+
+def _coprime_quotient(num, den):
+    """num/den in canonical form for nonzero num and den that share no
+    polynomial factor: a shift and a monic scaling, no gcd."""
+    d = den.coeffs
+    s = min(d)
+    lead = d[max(d)]
+    if lead == 1 and not s and len(d) > 1:
+        return _ratfun(num, den)
+    num = Laurent._raw({e - s: _div(c, lead) for e, c in num.coeffs.items()})
+    if len(d) == 1:
+        return num
+    return _ratfun(num, Laurent._raw({e - s: _div(c, lead)
+                                      for e, c in d.items()}))
+
+
 def _make_ratfun(num, den):
     """Build num/den in canonical form, demoting to Laurent when possible."""
     if not den:
         raise ZeroDivisionError("division by zero scalar")
     if not num:
         return ZERO
-    sn, sd = num.min_exp(), den.min_exp()
-    pn = {e - sn: c for e, c in num.coeffs.items()}
-    pd = {e - sd: c for e, c in den.coeffs.items()}
-    g = _poly_gcd(pn, pd)
-    if max(g) > 0:
-        gl = Laurent(g)
-        pn_l, r1 = _laurent_divmod(Laurent(pn), gl)
-        pd_l, r2 = _laurent_divmod(Laurent(pd), gl)
-        assert not r1 and not r2
-        pn, pd = pn_l.coeffs, pd_l.coeffs
-    # make denominator monic
-    lead = pd[max(pd)]
-    if lead != 1:
-        pn = {e: _div(c, lead) for e, c in pn.items()}
-        pd = {e: _div(c, lead) for e, c in pd.items()}
-    shift = sn - sd
-    if max(pd) == 0:
-        return Laurent({e + shift: c for e, c in pn.items()})
-    rf = object.__new__(RatFun)
-    rf.num = Laurent({e + shift: c for e, c in pn.items()})
-    rf.den = Laurent(pd)
-    rf._hash = None
-    return rf
+    g = _common_factor(num, den)
+    if g is not None:
+        num, den = _exact_quo(num, g), _exact_quo(den, g)
+    return _coprime_quotient(num, den)
+
+
+def _inverse(x):
+    """1/x for a nonzero scalar x.  Numerator and denominator of a
+    canonical RatFun are coprime, and 1 is coprime to everything, so the
+    reciprocal only needs renormalising."""
+    if isinstance(x, RatFun):
+        return _coprime_quotient(x.den, x.num)
+    if not x:
+        raise ZeroDivisionError("division by zero scalar")
+    return _coprime_quotient(ONE, x)
 
 
 class RatFun:
@@ -332,9 +398,25 @@ class RatFun:
 
     Canonical form: the denominator is an ordinary polynomial, monic, with
     nonzero constant term and positive degree; numerator and denominator
-    share no polynomial factor.  Every construction path goes through
-    ``_make_ratfun``, which demotes to ``Laurent`` whenever the reduced
-    denominator is trivial, so equal values always share a representation.
+    share no polynomial factor.  Every operation returns this form and
+    demotes to ``Laurent`` whenever the reduced denominator is trivial, so
+    equal values always share a representation.
+
+    Since the operands are already reduced, each operator runs a gcd only
+    on the factors that can still share a divisor (Henrici, J. ACM 3,
+    1956; Knuth, TAOCP vol. 2, 4.5.1).  For n/d with d coprime to q:
+
+    - ``-(n/d) = (-n)/d``, and ``n/d + l = (n + l*d)/d`` for a Laurent l,
+      are reduced as they stand: a factor of d dividing n + l*d would
+      divide n.
+    - ``n/d * c*q^e = (c*q^e*n)/d`` is reduced, q being coprime to d.
+    - ``n/d * l`` for a Laurent polynomial l divides l and d by gcd(l, d).
+    - ``n1/d + n2/d`` divides n1 + n2 and d by gcd(n1 + n2, d).
+    - ``n1/d1 * n2/d2`` uses the cross gcds gcd(n1, d2) and gcd(n2, d1).
+    - ``n1/d1 + n2/d2`` with g = gcd(d1, d2) forms t = n1*(d2/g) +
+      n2*(d1/g); t is coprime to d1/g and d2/g, so only g2 = gcd(t, g)
+      remains, and the sum is (t/g2) / ((d1/g) * (d2/g2)).
+    - the reciprocal d/n and the power n^k/d^k only shift and rescale.
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -349,16 +431,26 @@ class RatFun:
 
     def __add__(self, other):
         other = coerce_scalar(other)
+        n1, d1 = self.num, self.den
         if isinstance(other, Laurent):
-            on, od = other, ONE
-        else:
-            on, od = other.num, other.den
-        return _make_ratfun(self.num * od + on * self.den, self.den * od)
+            return _ratfun(n1 + other * d1, d1) if other else self
+        n2, d2 = other.num, other.den
+        if d1 == d2:
+            return _make_ratfun(n1 + n2, d1)
+        g = _common_factor(d1, d2)
+        if g is None:
+            return _ratfun(n1 * d2 + n2 * d1, d1 * d2)
+        d1 = _exact_quo(d1, g)
+        t = n1 * _exact_quo(d2, g) + n2 * d1
+        g2 = _common_factor(t, g)
+        if g2 is not None:
+            t, d2 = _exact_quo(t, g2), _exact_quo(d2, g2)
+        return _coprime_quotient(t, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _make_ratfun(-self.num, self.den)
+        return _ratfun(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-coerce_scalar(other))
@@ -368,37 +460,39 @@ class RatFun:
 
     def __mul__(self, other):
         other = coerce_scalar(other)
+        n1, d1 = self.num, self.den
         if isinstance(other, Laurent):
-            on, od = other, ONE
-        else:
-            on, od = other.num, other.den
-        return _make_ratfun(self.num * on, self.den * od)
+            if not other:
+                return ZERO
+            g = _common_factor(other, d1)
+            if g is None:
+                return _ratfun(n1 * other, d1)
+            return _coprime_quotient(n1 * _exact_quo(other, g),
+                                     _exact_quo(d1, g))
+        n2, d2 = other.num, other.den
+        g = _common_factor(n1, d2)
+        if g is not None:
+            n1, d2 = _exact_quo(n1, g), _exact_quo(d2, g)
+        g = _common_factor(n2, d1)
+        if g is not None:
+            n2, d1 = _exact_quo(n2, g), _exact_quo(d1, g)
+        return _coprime_quotient(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = coerce_scalar(other)
-        if isinstance(other, Laurent):
-            on, od = other, ONE
-        else:
-            on, od = other.num, other.den
-        if not on:
-            raise ZeroDivisionError("division by zero scalar")
-        return _make_ratfun(self.num * od, self.den * on)
+        return self * _inverse(coerce_scalar(other))
 
     def __rtruediv__(self, other):
-        other = coerce_scalar(other)
-        return other * (_make_ratfun(self.den, self.num))
+        return coerce_scalar(other) * _inverse(self)
 
     def __pow__(self, n):
         n = int(n)
         if n < 0:
-            return (ONE / self) ** (-n)
-        out = ONE
-        for _ in range(n):
-            out = out * self
-        return out
-
+            return _inverse(self) ** (-n)
+        if not n:
+            return ONE
+        return _ratfun(self.num ** n, self.den ** n)
     def __eq__(self, other):
         if isinstance(other, RatFun):
             return self.num == other.num and self.den == other.den
@@ -592,7 +686,10 @@ def reduce_against(rows, pivots, vec):
 
 
 def kernel(rows, ncols=None):
-    """Canonical basis of the right kernel {x : M x = 0}."""
+    """Canonical basis of the right kernel {x : M x = 0}.
+
+    Returns (echelon_rows, pivot_columns), the ``rref`` of the kernel.
+    """
     if ncols is None:
         if not rows:
             raise ValueError("kernel of an empty matrix needs ncols")
@@ -608,8 +705,7 @@ def kernel(rows, ncols=None):
             if row[f]:
                 v[p] = -row[f]
         basis.append(v)
-    ech2, _ = rref(basis)
-    return ech2
+    return rref(basis)
 
 
 def solve(rows, rhs):
@@ -710,9 +806,7 @@ class Subspace:
         """All x with r . x = 0 for every basis row r (standard pairing)."""
         if not self.rows:
             return Subspace.full(self.ambient)
-        basis = kernel(self.rows, self.ambient)
-        ech, piv = rref(basis)
-        return Subspace(self.ambient, ech, piv)
+        return Subspace(self.ambient, *kernel(self.rows, self.ambient))
 
     def intersect(self, other):
         if self.ambient != other.ambient:

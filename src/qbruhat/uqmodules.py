@@ -469,7 +469,7 @@ def _submodule_from_highest(datum, m1, m2, wt, expected):
             for pair, c in img.items():
                 imgs.setdefault(pair, [ZERO] * len(block))[t] = c
         rows.extend(imgs.values())
-    null = kernel(rows, len(block))
+    null, _ = kernel(rows, len(block))
     if len(null) != 1:
         raise AssertionError("highest-weight line at %s has dimension %d"
                              % (wt, len(null)))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from math import factorial
 
-from .exactalg import Laurent, Subspace, kernel, rref
+from .exactalg import Laurent, Subspace, kernel
 from .cartan import build_cartan
 
 
@@ -265,9 +265,7 @@ class WeylGroup:
         n = self.rank
         rows = [[Laurent.const(w.mat[i][j] - (1 if i == j else 0))
                  for j in range(n)] for i in range(n)]
-        basis = kernel(rows, n)
-        ech, piv = rref(basis)
-        return Subspace(n, ech, piv)
+        return Subspace(n, *kernel(rows, n))
 
     def fixed_space_rank(self, w):
         return self.fixed_lattice(w).dim

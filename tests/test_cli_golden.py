@@ -25,6 +25,8 @@ CASES = {
     "verify-modules": ["verify", "--suite", "modules"],
     "ideal-demazure-A2": ["ideal", "demazure", "--type", "A2",
                           "--lambda", "2,1", "--y", "s1 s2", "--sign", "+"],
+    "ideal-demazure-A2-32": ["ideal", "demazure", "--type", "A2",
+                             "--lambda", "3,2", "--y", "s2", "--sign", "-"],
     "ideal-stratum-A2": ["ideal", "stratum", "--type", "A2", "--y", "s1",
                          "--z", "s1 s2", "--nu", "1,1", "--bound", "2"],
     "char-sw-A2": ["char", "sw", "--type", "A2", "--w", "s1 s2",
@@ -49,3 +51,13 @@ def test_ratfun_golden_prints_a_rational_function():
     # the demazure golden pins the printed form of a non-Laurent scalar
     text = (GOLDEN / "ideal-demazure-A2.out").read_text()
     assert '"(q)/(1 + q^2)"' in text
+
+
+def test_ratfun_golden_has_several_denominators():
+    # (3,2) at y = s2 pins sums and products of rational functions
+    values = [line.strip().strip('",') for line in
+              (GOLDEN / "ideal-demazure-A2-32.out").read_text().splitlines()
+              if ")/(" in line]
+    assert len(values) == 9
+    assert len({v.split(")/(")[1] for v in values}) == 4
+    assert "(2 + 3*q^2 + 2*q^4)/(1 + q^2 + q^4)" in values

@@ -194,6 +194,204 @@ class TestCanonicalCoefficients:
                 == fraction_poly_gcd(pa, pb))
 
 
+def oracle_make_ratfun(num, den):
+    """num/den by one full gcd of the whole numerator and denominator: the
+    reference for the reduced-operand RatFun operators."""
+    if not den:
+        raise ZeroDivisionError("division by zero scalar")
+    if not num:
+        return ZERO
+    sn, sd = num.min_exp(), den.min_exp()
+    pn = {e - sn: c for e, c in num.coeffs.items()}
+    pd = {e - sd: c for e, c in den.coeffs.items()}
+    g = exactalg._poly_gcd(pn, pd)
+    if max(g) > 0:
+        gl = Laurent(g)
+        pn_l, r1 = exactalg._laurent_divmod(Laurent(pn), gl)
+        pd_l, r2 = exactalg._laurent_divmod(Laurent(pd), gl)
+        assert not r1 and not r2
+        pn, pd = pn_l.coeffs, pd_l.coeffs
+    lead = pd[max(pd)]
+    if lead != 1:
+        pn = {e: Fraction(c, lead) for e, c in pn.items()}
+        pd = {e: Fraction(c, lead) for e, c in pd.items()}
+    shift = sn - sd
+    if max(pd) == 0:
+        return Laurent({e + shift: c for e, c in pn.items()})
+    rf = object.__new__(RatFun)
+    rf.num = Laurent({e + shift: c for e, c in pn.items()})
+    rf.den = Laurent(pd)
+    rf._hash = None
+    return rf
+
+
+def oracle_parts(y):
+    return (y, ONE) if isinstance(y, Laurent) else (y.num, y.den)
+
+
+def oracle_add(x, y):
+    """x + y for a RatFun x by one full gcd."""
+    on, od = oracle_parts(y)
+    return oracle_make_ratfun(x.num * od + on * x.den, x.den * od)
+
+
+def oracle_neg(x):
+    return oracle_make_ratfun(-x.num, x.den) if isinstance(x, RatFun) else -x
+
+
+def oracle_mul(x, y):
+    on, od = oracle_parts(y)
+    return oracle_make_ratfun(x.num * on, x.den * od)
+
+
+def oracle_truediv(x, y):
+    """x / y for a RatFun x, or for a Laurent x and a RatFun y."""
+    if isinstance(x, Laurent):
+        return oracle_make_ratfun(x * y.den, y.num)
+    on, od = oracle_parts(y)
+    return oracle_make_ratfun(x.num * od, x.den * on)
+
+
+def oracle_inverse(x):
+    return oracle_make_ratfun(x.den, x.num)
+
+
+def oracle_pow(x, n):
+    if n < 0:
+        x, n = oracle_inverse(x), -n
+        if isinstance(x, Laurent):
+            return x ** n
+    out = ONE
+    for _ in range(n):
+        out = oracle_mul(x, out)
+    return out
+
+
+def assert_same(new, old):
+    assert type(new) is type(old)
+    assert str(new) == str(old)
+    assert new == old
+    assert hash(new) == hash(old)
+    assert all(canonical_coeff(c) for c in stored_coeffs(new)), new
+
+
+FACTORS = [parse_laurent(t) for t in ("1 + q", "1 - q", "1 + q^2",
+                                      "1 + q + q^2", "2 + q", "1/2 + q^3",
+                                      "q^-1 + q")]
+
+
+def product(fs):
+    out = ONE
+    for f in fs:
+        out = out * f
+    return out
+
+
+factor_products = st.lists(st.sampled_from(FACTORS), max_size=3).map(product)
+nonzero_coeffs = st.fractions(min_value=-5, max_value=5,
+                              max_denominator=3).filter(bool)
+
+
+@st.composite
+def ratfun_pairs(draw):
+    """A RatFun x and a second operand y of one of four kinds, built from a
+    small pool of factors so that common factors are frequent."""
+    shared = product(draw(st.lists(st.sampled_from(FACTORS), min_size=1,
+                                   max_size=2)))
+    x = oracle_make_ratfun(draw(laurents().filter(bool))
+                           * draw(factor_products),
+                           shared * draw(factor_products))
+    assume(isinstance(x, RatFun))
+    kind = draw(st.sampled_from(["monomial", "laurent", "same-den",
+                                 "other-den"]))
+    if kind == "monomial":
+        y = Laurent({draw(st.integers(-4, 4)): draw(nonzero_coeffs)})
+    elif kind == "laurent":
+        y = draw(laurents()) * draw(factor_products)
+    elif kind == "same-den":
+        # n1 + n2 = f*k: a common factor with x.den whenever f divides it
+        f = draw(st.sampled_from(FACTORS))
+        m = f * draw(laurents()) - x.num
+        assume(m)
+        y = oracle_make_ratfun(m, x.den)
+    else:
+        y = oracle_make_ratfun(draw(laurents().filter(bool))
+                               * draw(factor_products),
+                               shared * draw(factor_products))
+    return x, y
+
+
+class TestReducedOperandArithmetic:
+    @given(ratfun_pairs(), st.integers(-2, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_operators_match_full_gcd_oracle(self, pair, n):
+        x, y = pair
+        assert_same(x + y, oracle_add(x, y))
+        assert_same(y + x, oracle_add(x, y))
+        assert_same(x - y, oracle_add(x, oracle_neg(y)))
+        assert_same(y - x, oracle_add(oracle_neg(x), y))
+        assert_same(-x, oracle_neg(x))
+        assert_same(x * y, oracle_mul(x, y))
+        assert_same(y * x, oracle_mul(x, y))
+        if y:
+            assert_same(x / y, oracle_truediv(x, y))
+        assert_same(y / x, oracle_truediv(y, x))
+        assert_same(ONE / x, oracle_inverse(x))
+        assert_same(x ** n, oracle_pow(x, n))
+        if isinstance(y, RatFun):
+            assert_same(y ** n, oracle_pow(y, n))
+
+    def test_every_branch_matches_the_oracle(self):
+        d = parse_laurent("1 + q^2")
+        x = RatFun(parse_laurent("2 + q"), d * FACTORS[0])
+        cases = [
+            ("monomial", Laurent({-3: Fraction(2, 3)})),
+            ("laurent", parse_laurent("q^-1 + q")),
+            ("same-den", RatFun(parse_laurent("q^3 + 2*q^2 - 2 + q"),
+                                d * FACTORS[0])),
+            ("other-den", RatFun(ONE, d * FACTORS[2])),
+            ("coprime-den", RatFun(q, FACTORS[4])),
+            ("cross-gcd", RatFun(FACTORS[0] * FACTORS[4], FACTORS[1])),
+        ]
+        for kind, y in cases:
+            assert_same(x + y, oracle_add(x, y))
+            assert_same(x * y, oracle_mul(x, y))
+            assert_same(x / y, oracle_truediv(x, y))
+            assert_same(y / x, oracle_truediv(y, x))
+        for n in range(-2, 4):
+            assert_same(x ** n, oracle_pow(x, n))
+
+    def test_demotion_to_laurent(self):
+        a = RatFun(q, parse_laurent("1 + q^2")) * parse_laurent("q^-1 + q")
+        assert type(a) is Laurent and a == ONE
+        b = (RatFun(q ** 2, parse_laurent("1 + q^2"))
+             + RatFun(ONE, parse_laurent("1 + q^2")))
+        assert type(b) is Laurent and b == ONE
+        assert type(a.coeffs[0]) is int and type(b.coeffs[0]) is int
+
+    def test_trusted_constructor_stores_int(self):
+        half = Laurent({0: Fraction(1, 2)})
+        s = half + half
+        assert s == ONE and type(s.coeffs[0]) is int
+        t = Laurent({1: Fraction(1, 3)}) * 3
+        assert t == q and type(t.coeffs[1]) is int
+        assert type((Laurent({1: Fraction(1, 3)})
+                     * Laurent({0: Fraction(3, 2)})).coeffs[1]) is Fraction
+
+    def test_gcd_runs_only_where_a_factor_can_remain(self):
+        x = RatFun(parse_laurent("2 + q"), parse_laurent("1 + q + q^3"))
+        free = [lambda: -x, lambda: x + parse_laurent("q^-2 - 5*q"),
+                lambda: parse_laurent("3 + q^4") - x, lambda: x * q ** -3,
+                lambda: ONE / x, lambda: x ** 3, lambda: x ** -2]
+        with mock.patch.object(exactalg, "_poly_gcd",
+                               wraps=exactalg._poly_gcd) as gcd:
+            for op in free:
+                op()
+            assert gcd.call_count == 0
+            x * x
+            assert gcd.call_count == 2
+
+
 class TestQCombinatorics:
     def test_q_int(self):
         assert q_int(1) == ONE
@@ -239,14 +437,16 @@ class TestLinearAlgebra:
 
     def test_kernel_dimension(self):
         rows = [[ONE, ONE, ONE]]
-        basis = kernel(rows, 3)
+        basis, piv = kernel(rows, 3)
         assert len(basis) == 2
+        assert (basis, piv) == rref(basis)
         for vec in basis:
             assert sum(vec, ZERO) == ZERO
 
     def test_kernel_of_nothing(self):
-        basis = kernel([], 3)
+        basis, piv = kernel([], 3)
         assert len(basis) == 3
+        assert piv == [0, 1, 2]
 
     def test_solve_consistent(self):
         rows = [[ONE, ZERO], [ONE, ONE]]
@@ -267,7 +467,7 @@ class TestLinearAlgebra:
     @given(rows_strategy())
     @settings(max_examples=40, deadline=None)
     def test_kernel_annihilates(self, rows):
-        for vec in kernel(rows, 3):
+        for vec in kernel(rows, 3)[0]:
             image = mat_mul(rows, [[c] for c in vec])
             assert all(cell[0] == ZERO for cell in image)
 
@@ -275,7 +475,7 @@ class TestLinearAlgebra:
     @settings(max_examples=40, deadline=None)
     def test_rank_nullity(self, rows):
         _, piv = rref(rows)
-        assert len(piv) + len(kernel(rows, 3)) == 3
+        assert len(piv) + len(kernel(rows, 3)[0]) == 3
 
 
 class TestSubspace:
