@@ -340,10 +340,36 @@ def _common_factor(a, b):
 
 
 def _exact_quo(a, g):
-    """a/g for a polynomial g known to divide a."""
-    quo, rem = _laurent_divmod(a, g)
-    assert not rem
-    return quo
+    """a/g for a nonzero Laurent polynomial g known to divide a.
+
+    Long division from the top term down.  The quotient's exponents lie
+    between min(a) - min(g) and max(a) - max(g), and each of its
+    coefficients comes out of ``_div`` in canonical form, so it is built
+    with the trusted constructor; any remainder left raises.
+    """
+    if not a:
+        return ZERO
+    gc = g.coeffs
+    top, low = max(gc), min(gc)
+    lead = gc[top]
+    rest = [(e - top, c) for e, c in gc.items() if e != top]
+    rem = dict(a.coeffs)
+    quo = {}
+    for k in range(max(rem), min(rem) - low + top - 1, -1):
+        c = rem.pop(k, 0)
+        if not c:
+            continue
+        f = quo[k - top] = _div(c, lead)
+        for d, gd in rest:
+            e = k + d
+            s = rem.get(e, 0) - f * gd
+            if s:
+                rem[e] = s
+            else:
+                rem.pop(e, None)
+    if rem:
+        raise AssertionError("%s does not divide %s" % (g, a))
+    return Laurent._raw(quo)
 
 
 def _ratfun(num, den):

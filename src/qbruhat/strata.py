@@ -8,6 +8,14 @@ order used throughout is
 so going down shrinks the interval from both ends at once.  Closures are
 downward sets, Hasse edges are the covers of this order, and the rank
 attached to a pair is the dimension of the fixed space of y^{-1} z.
+
+The pair set, anchored or not, is convex in the product order
+(W, >=) x (W, <=): if (y, z) >= (u, v) >= (y', z') with both ends in the
+set, then u <= y' <= z' <= v (and u <= y' <= a <= z' <= v for an anchor
+a), so (u, v) is in the set too.  Bruhat order is graded by length
+(Bjorner-Brenti, *Combinatorics of Coxeter Groups*, ch. 2), so the covers
+of a convex subset of the product are the product covers: move one end by
+one Bruhat cover.  The Hasse diagram is built from that rule.
 """
 
 from __future__ import annotations
@@ -31,9 +39,12 @@ class DiamondPoset:
     def __init__(self, group, anchor=None):
         self.group = group
         self.anchor = anchor
+        # both loops run in (length, word) order, so the pairs come out
+        # sorted by (y.length, y.word, z.length, z.word)
+        elements = group.sorted_elements()
         pairs = []
-        for y in group.sorted_elements():
-            for z in group.sorted_elements():
+        for y in elements:
+            for z in elements:
                 if not group.bruhat_leq(y, z):
                     continue
                 if anchor is not None:
@@ -41,8 +52,6 @@ class DiamondPoset:
                             and group.bruhat_leq(anchor, z)):
                         continue
                 pairs.append((y, z))
-        pairs.sort(key=lambda p: (p[0].length, p[0].word,
-                                  p[1].length, p[1].word))
         self.pairs = pairs
         self._pos = {(y.idx, z.idx): k for k, (y, z) in enumerate(pairs)}
 
@@ -63,14 +72,33 @@ class DiamondPoset:
         return [j for j in range(len(self.pairs)) if self.geq(i, j)]
 
     def hasse_edges(self):
-        """Covering edges (i, j) with pairs[i] covering pairs[j]."""
-        n = len(self.pairs)
-        down = [set(self.closure(i)) - {i} for i in range(n)]
+        """Covering edges (i, j) with pairs[i] covering pairs[j], sorted.
+
+        By convexity (see the module docstring) pairs[i] = (y, z) covers
+        exactly the pairs (y, z') with z' a lower Bruhat cover of z and
+        (y', z) with y' an upper Bruhat cover of y that lie in the set.
+        The covers of each element are read once from its neighbouring
+        length level.
+        """
+        g = self.group
+        levels = {}
+        for w in g.elements:
+            levels.setdefault(w.length, []).append(w)
+        lower, upper = {}, {}
+        for y, z in self.pairs:
+            if z.idx not in lower:
+                lower[z.idx] = [u.idx for u in levels.get(z.length - 1, ())
+                                if g.bruhat_leq(u, z)]
+            if y.idx not in upper:
+                upper[y.idx] = [v.idx for v in levels.get(y.length + 1, ())
+                                if g.bruhat_leq(y, v)]
+        pos = self._pos
         edges = []
-        for i in range(n):
-            for j in sorted(down[i]):
-                if not any(j in down[k] for k in down[i]):
-                    edges.append((i, j))
+        for i, (y, z) in enumerate(self.pairs):
+            below = [(y.idx, u) for u in lower[z.idx]]
+            below += [(v, z.idx) for v in upper[y.idx]]
+            edges.extend((i, j) for j in sorted(pos[key] for key in below
+                                                if key in pos))
         return edges
 
     def stratum_rank(self, i):

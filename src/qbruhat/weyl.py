@@ -148,6 +148,8 @@ class WeylGroup:
         self.gens = [self.elements[lmul[i][0]] for i in range(self.rank)]
         self._words = {0: ()}
         self._bruhat = {}
+        self._fixed_rank = {}
+        self._theta = None
         self.longest = max(self.elements, key=lambda e: e.length)
         n_pos = len(datum.positive_roots)
         if self.longest.length != n_pos:
@@ -268,7 +270,11 @@ class WeylGroup:
         return Subspace(n, *kernel(rows, n))
 
     def fixed_space_rank(self, w):
-        return self.fixed_lattice(w).dim
+        """Dimension of the fixed lattice of w, memoised by element."""
+        rank = self._fixed_rank.get(w.idx)
+        if rank is None:
+            rank = self._fixed_rank[w.idx] = self.fixed_lattice(w).dim
+        return rank
 
     def reflection_length(self, w):
         """Codimension of the fixed space (Carter's theorem)."""
@@ -281,7 +287,10 @@ class WeylGroup:
     # -- the diagram involution -----------------------------------------
 
     def theta(self):
-        """Permutation t with w0 . omega_i = -omega_{t(i)} (0-based)."""
+        """Permutation t with w0 . omega_i = -omega_{t(i)} (0-based),
+        computed once per group."""
+        if self._theta is not None:
+            return self._theta
         w0 = self.longest
         out = []
         for i in range(self.rank):
@@ -295,7 +304,8 @@ class WeylGroup:
                 raise AssertionError("longest element does not negate "
                                      "fundamental weight %d" % (i + 1))
             out.append(target)
-        return tuple(out)
+        self._theta = tuple(out)
+        return self._theta
 
     def sorted_elements(self):
         return sorted(self.elements, key=lambda w: (w.length, w.word))

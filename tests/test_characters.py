@@ -167,6 +167,47 @@ def test_cell_character_translates():
         assert datum.depth(mu) <= 4
 
 
+def depth_filtered_cone(group, w, depth):
+    """The budgeted enumeration with each term's depth recomputed by
+    ``datum.depth``: the reference for the integer coordinates carried
+    along in ``cell_translate_character``."""
+    datum = group.datum
+    roots = sorted(w.act(datum.neg(datum.root_to_fund(rc)))
+                   for rc in datum.positive_roots)
+    wrho = w.act(datum.rho())
+    costs = [int(-datum.inner(wrho, gamma)) for gamma in roots]
+    cap = depth * max(abs(int(datum.inner(wrho, datum.simple_root(i))))
+                      for i in range(datum.rank))
+    counts = {datum.zero(): 1}
+    budget = {datum.zero(): 0}
+    for gamma, cost in zip(roots, costs):
+        new = dict(counts)
+        cur = counts
+        while cur:
+            nxt = {}
+            for mu, c in cur.items():
+                if budget[mu] + cost <= cap:
+                    mu2 = datum.add(mu, gamma)
+                    budget[mu2] = budget[mu] + cost
+                    nxt[mu2] = nxt.get(mu2, 0) + c
+            for mu, c in nxt.items():
+                new[mu] = new.get(mu, 0) + c
+            cur = nxt
+        counts = new
+    return {mu: c for mu, c in counts.items() if datum.depth(mu) <= depth}
+
+
+@pytest.mark.parametrize("label,depth", [("A2", 6), ("B2", 5), ("G2", 4),
+                                         ("A3", 4)])
+def test_cell_character_matches_depth_oracle(label, depth):
+    group = WeylGroup.build(build_cartan(label))
+    for w in group.elements:
+        ch = cell_translate_character(group, w, depth)
+        # same terms in the same insertion order
+        assert list(ch.terms.items()) == list(
+            depth_filtered_cone(group, w, depth).items())
+
+
 def test_character_json():
     datum = build_cartan("A2")
     group = WeylGroup.build(datum)

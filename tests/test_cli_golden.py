@@ -32,6 +32,9 @@ CASES = {
     "char-sw-A2": ["char", "sw", "--type", "A2", "--w", "s1 s2",
                    "--depth", "6", "--format", "json"],
     "centre-dim-B2": ["centre", "dim", "--type", "B2"],
+    "strata-build-A3": ["strata", "build", "--type", "A3"],
+    "strata-build-B2-anchor-dot": ["strata", "build", "--type", "B2",
+                                   "--anchor", "s1", "--format", "dot"],
 }
 
 

@@ -392,6 +392,38 @@ class TestReducedOperandArithmetic:
             assert gcd.call_count == 2
 
 
+@st.composite
+def primitive_polys(draw):
+    """A primitive integer polynomial of positive degree with nonzero
+    constant term and positive leading coefficient, as ``_common_factor``
+    returns it."""
+    inner = draw(st.lists(st.integers(-4, 4), max_size=3))
+    ends = draw(st.lists(st.integers(-4, 4).filter(bool), min_size=2,
+                         max_size=2))
+    coeffs = [ends[0]] + inner + [ends[1]]
+    p = exactalg._primitive({e: c for e, c in enumerate(coeffs) if c})
+    return Laurent(p)
+
+
+class TestExactQuotient:
+    @given(laurents(), primitive_polys())
+    @settings(max_examples=150, deadline=None)
+    def test_quotient_of_a_multiple(self, a, g):
+        quo = exactalg._exact_quo(a * g, g)
+        assert type(quo) is Laurent
+        assert quo == a
+        assert all(canonical_coeff(c) for c in quo.coeffs.values())
+
+    def test_non_divisor_raises(self):
+        g = parse_laurent("1 + q")
+        with pytest.raises(AssertionError):
+            exactalg._exact_quo(parse_laurent("1 + q^2"), g)
+        with pytest.raises(AssertionError):
+            exactalg._exact_quo(parse_laurent("q^-1 + 2*q + q^2"), g)
+        assert exactalg._exact_quo(parse_laurent("q^-1 + 2 + q"),
+                                   g) == parse_laurent("q^-1 + 1")
+
+
 class TestQCombinatorics:
     def test_q_int(self):
         assert q_int(1) == ONE

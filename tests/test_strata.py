@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from qbruhat.cartan import build_cartan
 from qbruhat.strata import DiamondPoset, build_poset, order_isomorphic
-from qbruhat.weyl import format_word
+from qbruhat.weyl import WeylGroup, format_word
 
 
 def brute_pairs(group):
@@ -81,6 +82,31 @@ def test_hasse_edges_are_covers(a2_group):
     for i in range(n):
         for j in range(n):
             assert reach[i][j] == poset.geq(i, j)
+
+
+def closure_hasse_edges(poset):
+    """Covers by brute force: j is covered by i when nothing else in the
+    closure of i lies strictly above j.  O(n^3) in pairs; the reference
+    for the product-cover rule."""
+    n = len(poset)
+    down = [set(poset.closure(i)) - {i} for i in range(n)]
+    edges = []
+    for i in range(n):
+        for j in sorted(down[i]):
+            if not any(j in down[k] for k in down[i]):
+                edges.append((i, j))
+    return edges
+
+
+@pytest.mark.parametrize("label,anchor", [
+    ("A2", None), ("B2", None), ("G2", None), ("A3", None),
+    ("B3", "s1 s2"), ("A4", "s1 s2 s1"),
+])
+def test_hasse_edges_match_closure_oracle(label, anchor):
+    group = WeylGroup.build(build_cartan(label))
+    poset = DiamondPoset(group, anchor=group.parse(anchor) if anchor
+                         else None)
+    assert poset.hasse_edges() == closure_hasse_edges(poset)
 
 
 def test_stratum_ranks_a2(a2_group):

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qbruhat.cartan import build_cartan
-from qbruhat.weyl import WeylGroup, format_word, group_order, parse_word
+from qbruhat import weyl
+from qbruhat.weyl import (WeylElem, WeylGroup, format_word, group_order,
+                          parse_word)
 
 
 ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48, "G2": 12}
@@ -293,6 +295,21 @@ def test_theta_involution():
     assert b2.theta() == (0, 1)
     a3 = group_of("A3")
     assert a3.theta() == (2, 1, 0)
+
+
+def test_fixed_rank_and_theta_are_computed_once(monkeypatch):
+    group = WeylGroup(build_cartan("B3"))
+    w = group.parse("s1 s2 s3")
+    rank, theta = group.fixed_space_rank(w), group.theta()
+
+    def recomputed(*args):
+        raise AssertionError("a memoised value was recomputed")
+
+    monkeypatch.setattr(weyl, "kernel", recomputed)
+    monkeypatch.setattr(WeylElem, "act", recomputed)
+    assert group.fixed_space_rank(w) == rank
+    assert group.reflection_length(w) == group.rank - rank
+    assert group.theta() == theta
 
 
 def test_sorted_elements_order():
