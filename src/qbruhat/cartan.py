@@ -10,6 +10,7 @@ integral weight an integer.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 _CHAIN_FAMILIES = {"A", "B", "C", "D", "E", "F", "G"}
@@ -128,7 +129,13 @@ class CartanDatum:
         self.rank = rank
         self.cartan = _cartan_matrix(family, rank)
         self.d = _symmetrizers(self.cartan)
-        self._inv_cartan = _invert_rational(self.cartan)
+        # The inverse Cartan matrix as integer numerators over one common
+        # denominator, so root coordinates and everything built on them
+        # (inner, depth, height, dominance) stay in the integers.
+        inv = _invert_rational(self.cartan)
+        self._coord_den = lcm(*(x.denominator for row in inv for x in row))
+        self._coord_num = tuple(tuple(int(x * self._coord_den) for x in row)
+                                for row in inv)
         self.positive_roots = self._close_roots()
 
     # -- weights (fundamental coordinates) ------------------------------
@@ -160,11 +167,15 @@ class CartanDatum:
         """<mu, alpha_i^vee>; in fundamental coordinates just mu[i]."""
         return mu[i]
 
+    def _scaled_coords(self, mu):
+        """Root coordinates of mu times ``_coord_den``, as integers."""
+        return tuple(sum(a * m for a, m in zip(row, mu))
+                     for row in self._coord_num)
+
     def root_coords(self, mu):
         """Coordinates of mu over the simple roots, as Fractions."""
-        return tuple(sum(self._inv_cartan[i][j] * mu[j]
-                         for j in range(self.rank))
-                     for i in range(self.rank))
+        den = self._coord_den
+        return tuple(Fraction(n, den) for n in self._scaled_coords(mu))
 
     def root_to_fund(self, coords):
         return tuple(sum(self.cartan[i][j] * coords[j]
@@ -172,37 +183,38 @@ class CartanDatum:
                      for i in range(self.rank))
 
     def in_root_lattice(self, mu):
-        return all(c.denominator == 1 for c in self.root_coords(mu))
+        den = self._coord_den
+        return all(n % den == 0 for n in self._scaled_coords(mu))
 
     def inner(self, mu, nu):
         """The W-invariant form (mu, nu), short roots of squared length 2."""
-        r = self.root_coords(mu)
-        return sum(r[j] * self.d[j] * nu[j] for j in range(self.rank))
+        r = self._scaled_coords(mu)
+        return Fraction(sum(r[j] * self.d[j] * nu[j]
+                            for j in range(self.rank)), self._coord_den)
 
     def dominance_leq(self, mu, nu):
         """True iff nu - mu is a nonnegative integer sum of simple roots."""
-        diff = self.sub(nu, mu)
-        coords = self.root_coords(diff)
-        return all(c.denominator == 1 and c >= 0 for c in coords)
+        den = self._coord_den
+        return all(n >= 0 and n % den == 0
+                   for n in self._scaled_coords(self.sub(nu, mu)))
 
     def is_dominant(self, mu):
         return all(c >= 0 for c in mu)
 
     def height(self, mu):
         """Sum of root coordinates; only sensible on root-lattice weights."""
-        coords = self.root_coords(mu)
-        total = sum(coords)
-        if total.denominator != 1:
+        total, rem = divmod(sum(self._scaled_coords(mu)), self._coord_den)
+        if rem:
             raise ValueError("%r is not in the root lattice" % (mu,))
-        return int(total)
+        return total
 
     def depth(self, mu):
         """Sum of absolute root coordinates of a root-lattice weight."""
-        coords = self.root_coords(mu)
-        total = sum(abs(c) for c in coords)
-        if total.denominator != 1:
+        total, rem = divmod(sum(abs(n) for n in self._scaled_coords(mu)),
+                            self._coord_den)
+        if rem:
             raise ValueError("%r is not in the root lattice" % (mu,))
-        return int(total)
+        return total
 
     # -- roots ----------------------------------------------------------
 

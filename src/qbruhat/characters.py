@@ -188,19 +188,10 @@ def cell_translate_character(group, w, depth):
     # budget is strictly positive on each root, so partial sums past the
     # cap can never reach a target and are safe to drop.
     budget_cap = depth * max(per_simple)
-    # Each root has integral simple-root coordinates and the coordinate
-    # map is linear, so every partial sum carries its coordinates too and
-    # the depth filter below stays in the integers.
-    root_ints = []
-    for gamma in roots:
-        rc = datum.root_coords(gamma)
-        assert all(c.denominator == 1 for c in rc)
-        root_ints.append(tuple(int(c) for c in rc))
 
     counts = {datum.zero(): 1}
     budget = {datum.zero(): 0}
-    coords = {datum.zero(): datum.zero()}
-    for gamma, cost, rc in zip(roots, costs, root_ints):
+    for gamma, cost in zip(roots, costs):
         new = dict(counts)
         cur = counts
         while True:
@@ -211,7 +202,6 @@ def cell_translate_character(group, w, depth):
                     continue
                 mu2 = datum.add(mu, gamma)
                 budget[mu2] = b
-                coords[mu2] = datum.add(coords[mu], rc)
                 nxt[mu2] = nxt.get(mu2, 0) + c
             if not nxt:
                 break
@@ -219,8 +209,7 @@ def cell_translate_character(group, w, depth):
                 new[mu] = new.get(mu, 0) + c
             cur = nxt
         counts = new
-    terms = {mu: c for mu, c in counts.items()
-             if sum(abs(x) for x in coords[mu]) <= depth}
+    terms = {mu: c for mu, c in counts.items() if datum.depth(mu) <= depth}
     return FormalCharacter(datum, terms, window=depth)
 
 

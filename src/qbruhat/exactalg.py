@@ -228,38 +228,37 @@ class Laurent:
 def _laurent_divmod(a, b):
     """Divide Laurent a by nonzero Laurent b: returns (quotient, remainder).
 
-    The remainder is zero exactly when b divides a in the Laurent ring.
+    Long division from the top term down, over the exponents from max(a)
+    to min(a) + max(b) - min(b); the remainder keeps the terms below that
+    range, so it is zero exactly when b divides a in the Laurent ring.
+    Each quotient coefficient comes out of ``_div`` in canonical form, so
+    the quotient is built with the trusted constructor.
     """
     if not a:
         return ZERO, ZERO
-    if len(b.coeffs) == 1:
-        (eb, cb), = b.coeffs.items()
-        return (Laurent({e - eb: _div(c, cb) for e, c in a.coeffs.items()}),
-                ZERO)
-    sa, sb = a.min_exp(), b.min_exp()
-    # shift both to ordinary polynomials with nonzero constant term
-    pa = {e - sa: c for e, c in a.coeffs.items()}
-    pb = {e - sb: c for e, c in b.coeffs.items()}
-    db = max(pb)
-    lead = pb[db]
+    bc = b.coeffs
+    if len(bc) == 1:
+        (eb, cb), = bc.items()
+        return (Laurent._raw({e - eb: _div(c, cb)
+                              for e, c in a.coeffs.items()}), ZERO)
+    top = max(bc)
+    lead = bc[top]
+    rest = [(e - top, c) for e, c in bc.items() if e != top]
+    rem = dict(a.coeffs)
     quo = {}
-    rem = dict(pa)
-    while rem:
-        da = max(rem)
-        if da < db:
-            break
-        f = _div(rem[da], lead)
-        quo[da - db] = f
-        for e, c in pb.items():
-            ne = da - db + e
-            s = rem.get(ne, 0) - f * c
+    for k in range(max(rem), min(rem) - min(bc) + top - 1, -1):
+        c = rem.pop(k, 0)
+        if not c:
+            continue
+        f = quo[k - top] = _div(c, lead)
+        for d, bd in rest:
+            e = k + d
+            s = rem.get(e, 0) - f * bd
             if s:
-                rem[ne] = s
-            elif ne in rem:
-                del rem[ne]
-    shift = sa - sb
-    return (Laurent({e + shift: c for e, c in quo.items()}),
-            Laurent({e + sa: c for e, c in rem.items()}))
+                rem[e] = s
+            else:
+                rem.pop(e, None)
+    return Laurent._raw(quo), (Laurent(rem) if rem else ZERO)
 
 
 def _primitive(p):
@@ -340,36 +339,12 @@ def _common_factor(a, b):
 
 
 def _exact_quo(a, g):
-    """a/g for a nonzero Laurent polynomial g known to divide a.
-
-    Long division from the top term down.  The quotient's exponents lie
-    between min(a) - min(g) and max(a) - max(g), and each of its
-    coefficients comes out of ``_div`` in canonical form, so it is built
-    with the trusted constructor; any remainder left raises.
-    """
-    if not a:
-        return ZERO
-    gc = g.coeffs
-    top, low = max(gc), min(gc)
-    lead = gc[top]
-    rest = [(e - top, c) for e, c in gc.items() if e != top]
-    rem = dict(a.coeffs)
-    quo = {}
-    for k in range(max(rem), min(rem) - low + top - 1, -1):
-        c = rem.pop(k, 0)
-        if not c:
-            continue
-        f = quo[k - top] = _div(c, lead)
-        for d, gd in rest:
-            e = k + d
-            s = rem.get(e, 0) - f * gd
-            if s:
-                rem[e] = s
-            else:
-                rem.pop(e, None)
+    """a/g for a Laurent polynomial g known to divide a; raises if any
+    remainder is left."""
+    quo, rem = _laurent_divmod(a, g)
     if rem:
         raise AssertionError("%s does not divide %s" % (g, a))
-    return Laurent._raw(quo)
+    return quo
 
 
 def _ratfun(num, den):

@@ -149,12 +149,12 @@ class WeylGroup:
         self._words = {0: ()}
         self._bruhat = {}
         self._fixed_rank = {}
-        self._theta = None
         self.longest = max(self.elements, key=lambda e: e.length)
         n_pos = len(datum.positive_roots)
         if self.longest.length != n_pos:
             raise AssertionError("longest element length %d != %d"
                                  % (self.longest.length, n_pos))
+        self._theta = self._diagram_involution()
 
     @classmethod
     def build(cls, datum_or_label, max_order=500000):
@@ -287,10 +287,10 @@ class WeylGroup:
     # -- the diagram involution -----------------------------------------
 
     def theta(self):
-        """Permutation t with w0 . omega_i = -omega_{t(i)} (0-based),
-        computed once per group."""
-        if self._theta is not None:
-            return self._theta
+        """Permutation t with w0 . omega_i = -omega_{t(i)} (0-based)."""
+        return self._theta
+
+    def _diagram_involution(self):
         w0 = self.longest
         out = []
         for i in range(self.rank):
@@ -304,8 +304,7 @@ class WeylGroup:
                 raise AssertionError("longest element does not negate "
                                      "fundamental weight %d" % (i + 1))
             out.append(target)
-        self._theta = tuple(out)
-        return self._theta
+        return tuple(out)
 
     def sorted_elements(self):
         return sorted(self.elements, key=lambda w: (w.length, w.word))

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from qbruhat.cartan import build_cartan
+import itertools
+
+from qbruhat.cartan import _invert_rational, build_cartan
 
 
 EXPECTED_CARTAN = {
@@ -53,6 +55,36 @@ def test_root_coordinate_round_trip(label):
         back = datum.root_coords(mu)
         assert tuple(back) == tuple(Fraction(c) for c in rc)
         assert datum.in_root_lattice(mu)
+
+
+@pytest.mark.parametrize("label", ["A1", "A3", "A4", "B2", "B3", "C3",
+                                   "D4", "G2", "F4"])
+def test_integer_coordinates_match_fraction_inverse(label):
+    """root_coords, inner, height, depth, in_root_lattice and dominance
+    agree with the same formulas over the Fraction-valued inverse."""
+    datum = build_cartan(label)
+    inv = _invert_rational(datum.cartan)
+    n = datum.rank
+    span = range(-2, 3) if n <= 3 else range(-1, 2)
+    for mu in itertools.product(span, repeat=n):
+        rc = tuple(sum(inv[i][j] * mu[j] for j in range(n)) for i in range(n))
+        assert datum.root_coords(mu) == rc
+        assert all(type(c) is Fraction for c in datum.root_coords(mu))
+        integral = all(c.denominator == 1 for c in rc)
+        assert datum.in_root_lattice(mu) == integral
+        assert datum.dominance_leq(datum.zero(), mu) == (
+            integral and all(c >= 0 for c in rc))
+        for nu in (datum.rho(), datum.fund(n - 1), mu):
+            inner = sum(rc[j] * datum.d[j] * nu[j] for j in range(n))
+            assert datum.inner(mu, nu) == inner
+            assert type(datum.inner(mu, nu)) is Fraction
+        for method, total in ((datum.height, sum(rc)),
+                              (datum.depth, sum(abs(c) for c in rc))):
+            if total.denominator == 1:
+                assert method(mu) == total and type(method(mu)) is int
+            else:
+                with pytest.raises(ValueError):
+                    method(mu)
 
 
 def test_inner_product_symmetric():

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from qbruhat.cartan import build_cartan
+from qbruhat.cartan import _invert_rational, build_cartan
 from qbruhat.characters import (FormalCharacter, cell_translate_character,
                                 character_to_json, demazure_character,
                                 demazure_step, weight_multiplicity,
@@ -168,9 +168,9 @@ def test_cell_character_translates():
 
 
 def depth_filtered_cone(group, w, depth):
-    """The budgeted enumeration with each term's depth recomputed by
-    ``datum.depth``: the reference for the integer coordinates carried
-    along in ``cell_translate_character``."""
+    """The budgeted enumeration with each term's depth computed from the
+    Fraction-valued inverse Cartan matrix: the reference for the integer
+    root coordinates behind ``datum.depth``."""
     datum = group.datum
     roots = sorted(w.act(datum.neg(datum.root_to_fund(rc)))
                    for rc in datum.positive_roots)
@@ -194,7 +194,12 @@ def depth_filtered_cone(group, w, depth):
                 new[mu] = new.get(mu, 0) + c
             cur = nxt
         counts = new
-    return {mu: c for mu, c in counts.items() if datum.depth(mu) <= depth}
+    inv = _invert_rational(datum.cartan)
+
+    def fraction_depth(mu):
+        return sum(abs(sum(x * m for x, m in zip(row, mu))) for row in inv)
+
+    return {mu: c for mu, c in counts.items() if fraction_depth(mu) <= depth}
 
 
 @pytest.mark.parametrize("label,depth", [("A2", 6), ("B2", 5), ("G2", 4),

@@ -414,6 +414,19 @@ class TestExactQuotient:
         assert quo == a
         assert all(canonical_coeff(c) for c in quo.coeffs.values())
 
+    @given(laurents(), laurents())
+    @settings(max_examples=150, deadline=None)
+    def test_divmod_identity(self, a, b):
+        """a = quo*b + rem, with rem's exponents below min(a) + span(b)."""
+        assume(b)
+        quo, rem = exactalg._laurent_divmod(a, b)
+        assert quo * b + rem == a
+        if rem:
+            assert a.min_exp() <= rem.min_exp()
+            assert rem.max_exp() < a.min_exp() + b.max_exp() - b.min_exp()
+        for part in (quo, rem):
+            assert all(canonical_coeff(c) for c in part.coeffs.values())
+
     def test_non_divisor_raises(self):
         g = parse_laurent("1 + q")
         with pytest.raises(AssertionError):
