@@ -12,7 +12,8 @@ linear algebra over the exact scalars:
 * truncated left ideals, used to check the q-commutation congruences;
 * conjugation operators solving c . x = a . c past an extreme
   coefficient, their twisted eigen-decompositions, and the induced
-  splitting of each weight block;
+  splitting of each weight block, whose eigenvalues are the exact
+  integer q-power roots of each operator's characteristic polynomial;
 * saturation chains that divide an ideal piece by an extreme
   coefficient until the chain stabilizes, and the support extremes
   that recover the pair of Weyl elements labelling a stratum.
@@ -23,8 +24,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cartan import build_cartan
-from .exactalg import (Laurent, ONE, ZERO, Subspace, kernel,
-                       reduce_against, rref, solve)
+from .exactalg import (Laurent, ONE, ZERO, Subspace, charpoly, dot, kernel,
+                       mat_mul, q_power_roots, reduce_against, rref)
 from .characters import weight_multiplicity
 from .uqmodules import (build_irrep, demazure_blocks, extreme_dual_row,
                         lowering_string_to, _tensor_f)
@@ -469,21 +470,23 @@ class CoordinateModel:
 
         lrows = [restrict(left_tbl.get((j0, u), {})) for u in rng]
         rrows = [restrict(right_tbl.get((t, j0), {})) for t in rng]
-        ech, piv = rref([list(r) for r in lrows])
-        if len(ech) < len(rng):
+        # one reduction of [L^T | R^T]: the first b pivots certify that
+        # left multiplication is injective, a later one that some image
+        # row is not in its span; otherwise column b + t holds row t of
+        # the operator
+        b = len(rng)
+        ech, piv = rref([lcol + rcol for lcol, rcol in
+                         zip(_transpose(lrows, len(trg)),
+                             _transpose(rrows, len(trg)))])
+        if piv[:b] != list(range(b)):
             raise SufficiencyError(
                 "left multiplication by the extreme row is not injective "
                 "on block %s of degree %s" % (blk, lam))
-        lt = _transpose(lrows, len(trg))
-        phi = []
-        for t in range(len(rng)):
-            x = solve(lt, rrows[t])
-            if x is None:
-                raise SufficiencyError(
-                    "conjugation solve inconsistent on block %s of degree "
-                    "%s" % (blk, lam))
-            phi.append(x)
-        return phi
+        if len(piv) > b:
+            raise SufficiencyError(
+                "conjugation solve inconsistent on block %s of degree "
+                "%s" % (blk, lam))
+        return [[ech[u][b + t] for u in range(b)] for t in range(b)]
 
     def twisted_conj_block(self, w, i, lam, blk):
         """Conjugation by the i-th fundamental extreme row, scaled by
@@ -515,15 +518,23 @@ class CoordinateModel:
         raise SufficiencyError("block multiplicity for eta=%s did not "
                                "stabilize below %d.rho" % (eta, cap))
 
-    def twisted_decomposition(self, w, eta, lam=None, margin=2, cap=6):
+    def twisted_decomposition(self, w, eta, lam=None, cap=6):
         """Simultaneous generalized eigen-decomposition of the twisted
         conjugation operators on the eta-block.
 
         Returns a sorted list of (label, Subspace over block coords)
         with labels in twice the negative root lattice; the subspaces
-        fill the whole block or EigenvalueError is raised.  With lam
-        omitted, escalates through stabilizing degrees k.rho until the
-        solves succeed.  Results for an explicit lam are memoised."""
+        fill the whole block.  The eigenvalues of operator i are the
+        integer q-power roots q^e_i of its characteristic polynomial,
+        found exactly; each subspace is an intersection of generalized
+        eigenspaces ker (M_i - q^e_i)^m_i, m_i the root's multiplicity,
+        and its label has root coordinates e_i / d_i.  EigenvalueError
+        is raised when the operators do not commute, when a
+        characteristic polynomial keeps a factor with no integer
+        q-power root, or when a label falls outside twice the root
+        lattice.  With lam omitted, escalates through stabilizing
+        degrees k.rho until the solves succeed.  Results for an
+        explicit lam are memoised."""
         datum = self.datum
         eta = tuple(eta)
         if lam is None:
@@ -532,72 +543,71 @@ class CoordinateModel:
             for k in range(1, cap + 1):
                 trial = tuple(k * c for c in rho)
                 try:
-                    return self.twisted_decomposition(w, eta, lam=trial,
-                                                      margin=margin)
+                    return self.twisted_decomposition(w, eta, lam=trial)
                 except SufficiencyError as err:
                     last_err = err
             raise SufficiencyError(
                 "no degree up to %d.rho supports the eta=%s block: %s"
                 % (cap, eta, last_err))
         lam = tuple(lam)
-        key = (w.idx, eta, lam, margin)
+        key = (w.idx, eta, lam)
         if key not in self._twisted:
-            self._twisted[key] = self._twisted_decomposition(w, eta, lam,
-                                                             margin)
+            self._twisted[key] = self._twisted_decomposition(w, eta, lam)
         return list(self._twisted[key])
 
-    def _twisted_decomposition(self, w, eta, lam, margin):
+    def _twisted_decomposition(self, w, eta, lam):
         datum = self.datum
         blk = datum.add(w.act(lam), eta)
-        mlam = self.module(lam)
-        rng = mlam.weight_indices(blk)
-        b = len(rng)
+        b = len(self.module(lam).weight_indices(blk))
         if b == 0:
             return []
         mats = [self.twisted_conj_block(w, i, lam, blk)
                 for i in range(datum.rank)]
         for i in range(datum.rank):
             for j in range(i + 1, datum.rank):
-                if _row_compose(mats[i], mats[j]) != _row_compose(mats[j],
-                                                                  mats[i]):
+                if mat_mul(mats[i], mats[j]) != mat_mul(mats[j], mats[i]):
                     raise EigenvalueError(
                         "twisted conjugation operators do not commute on "
                         "block %s of degree %s" % (blk, lam))
-        rc = datum.root_coords(w.inverse().act(eta))
-        ranges = []
-        for c in rc:
-            if c.denominator != 1:
-                raise AssertionError("block offset leaves the root lattice")
-            lo = 2 * int(c) - margin * 2
-            ranges.append(range(lo, margin * 2 + 1, 2))
-        cands = [()]
-        for rg in ranges:
-            cands = [tup + (m,) for tup in cands for m in rg]
+        # the generalized eigenspaces of the commuting operators, met
+        # only along exponent tuples whose intersection is nonzero
+        parts = [((), Subspace.full(b))]
+        for i, mat in enumerate(mats):
+            roots, rest = q_power_roots(charpoly(mat))
+            if len(rest) > 1:
+                raise EigenvalueError(
+                    "twisted conjugation operator %d on block %s of degree "
+                    "%s has a factor of degree %d with no integer q-power "
+                    "root" % (i, blk, lam, len(rest) - 1))
+            if len(roots) == 1:
+                parts = [(es + tuple(roots), sub) for es, sub in parts]
+                continue
+            spaces = []
+            for e, mult in sorted(roots.items()):
+                s = Laurent.q_power(e)
+                shifted = [[c - s if t == u else c for u, c in enumerate(row)]
+                           for t, row in enumerate(mat)]
+                power = shifted
+                for _ in range(mult - 1):
+                    power = mat_mul(power, shifted)
+                spaces.append((e, Subspace(b, *kernel(_transpose(power, b),
+                                                      b))))
+            parts = [(es + (e,), space if sub.dim == b
+                      else sub.intersect(space))
+                     for es, sub in parts for e, space in spaces]
+            parts = [(es, sub) for es, sub in parts if sub.dim]
         found = []
-        total = 0
-        for coords in cands:
-            mu = datum.root_to_fund(coords)
-            space = None
-            for i in range(datum.rank):
-                e = datum.inner(mu, datum.fund(i))
-                if e.denominator != 1:
-                    raise AssertionError("candidate exponent not integral")
-                s = Laurent.q_power(int(e))
-                shifted = [[mats[i][t][u] - (s if t == u else ZERO)
-                            for u in range(b)] for t in range(b)]
-                power = _row_power(shifted, b)
-                sub = Subspace(b, *kernel(_transpose(power, b), b))
-                space = sub if space is None else space.intersect(sub)
-                if not space.dim:
-                    break
-            if space is not None and space.dim:
-                found.append((mu, space))
-                total += space.dim
-        if total != b:
-            raise EigenvalueError(
-                "eigen-decomposition covers %d of %d dimensions on block "
-                "%s of degree %s; some eigenvalue is not an integer "
-                "q-power in the candidate box" % (total, b, blk, lam))
+        for es, sub in parts:
+            coords = []
+            for e, d in zip(es, datum.d):
+                c, r = divmod(e, d)
+                if r or c % 2:
+                    raise EigenvalueError(
+                        "eigenvalue exponents %s on block %s of degree %s "
+                        "give a label outside twice the root lattice"
+                        % (es, blk, lam))
+                coords.append(c)
+            found.append((datum.root_to_fund(coords), sub))
         found.sort(key=lambda it: it[0])
         return found
 
@@ -704,7 +714,7 @@ class CoordinateModel:
                                    for i in range(len(rng))],
                                   list(range(len(rng))))
                     continue
-                gmat = [[_dot(img, kr) for kr in cons] for img in imgs]
+                gmat = [[dot(img, kr) for kr in cons] for img in imgs]
                 ech, piv = kernel(_transpose(gmat, len(cons)), len(rng))
                 if ech:
                     blocks[wt] = (ech, piv)
@@ -765,32 +775,3 @@ class CoordinateModel:
 
 def _transpose(rows, ncols):
     return [[row[c] for row in rows] for c in range(ncols)]
-
-
-def _dot(a, b):
-    acc = ZERO
-    for x, y in zip(a, b):
-        if x and y:
-            acc = acc + x * y
-    return acc
-
-
-def _row_compose(a, b):
-    """Composition of row-action matrices: apply a, then b."""
-    n = len(a)
-    m = len(b[0]) if b else 0
-    out = [[ZERO] * m for _ in range(n)]
-    for t in range(n):
-        for u, c in enumerate(a[t]):
-            if c:
-                for v in range(m):
-                    if b[u][v]:
-                        out[t][v] = out[t][v] + c * b[u][v]
-    return out
-
-
-def _row_power(mat, n):
-    out = mat
-    for _ in range(n - 1):
-        out = _row_compose(out, mat)
-    return out

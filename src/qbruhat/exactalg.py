@@ -24,7 +24,9 @@ every case with the reason its result is reduced.
 The matrix layer is deliberately plain: matrices are lists of lists of
 scalars, and the central routine is a canonical reduced row echelon form.
 Subspaces are stored by their echelon basis, so equality of subspaces is
-equality of representations.
+equality of representations.  Characteristic polynomials are computed
+without division, and their integer q-power roots are found exactly from
+the Newton polygon of the coefficients' q-degrees.
 """
 
 from __future__ import annotations
@@ -194,7 +196,12 @@ class Laurent:
         q_, r = _laurent_divmod(self, other)
         if not r:
             return q_
-        return _make_ratfun(self, other)
+        # gcd(self, other) = gcd(other, r) up to units, and r is the
+        # smaller operand
+        g = _common_factor(other, r)
+        if g is None:
+            return _coprime_quotient(self, other)
+        return _coprime_quotient(_exact_quo(self, g), _exact_quo(other, g))
 
     def __rtruediv__(self, other):
         return coerce_scalar(other) / self
@@ -731,6 +738,7 @@ def solve(rows, rhs):
 
 
 def mat_mul(a, b):
+    """The product a b; for matrices acting on rows, apply a, then b."""
     n = len(a)
     k = len(b)
     m = len(b[0]) if k else 0
@@ -750,6 +758,99 @@ def mat_mul(a, b):
 
 def identity_matrix(n):
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+
+
+def dot(a, b):
+    """Sum of the products of two scalar vectors, skipping zeros."""
+    acc = ZERO
+    for x, y in zip(a, b):
+        if x and y:
+            acc = acc + x * y
+    return acc
+
+
+def charpoly(rows):
+    """Coefficients [c_0, ..., c_n] of det(x I - M), highest power of x
+    first, so c_0 = 1 and c_k multiplies x^(n-k).
+
+    Berkowitz's division-free recursion (Inf. Proc. Lett. 18, 1984): let
+    A be the leading k x k block of M, and R, C the parts of row and
+    column k of M left of and above the diagonal.  The polynomial of the
+    next leading block is the lower triangular Toeplitz matrix with first
+    column (1, -m_kk, -R C, -R A C, ..., -R A^(k-1) C) times the
+    polynomial of A.  Only ring operations are used, so entries in the
+    fraction field never trigger a division.
+    """
+    m = mat_copy(rows)
+    poly = [ONE]
+    for k in range(len(m)):
+        row = m[k][:k]
+        toeplitz = [ONE, -m[k][k]]
+        vec = [m[i][k] for i in range(k)]
+        for j in range(k):
+            toeplitz.append(-dot(row, vec))
+            if j < k - 1:
+                vec = [dot(m[i][:k], vec) for i in range(k)]
+        poly = [dot([toeplitz[i - j] for j in range(min(i, k) + 1)], poly)
+                for i in range(k + 2)]
+    return poly
+
+
+def _top_exp(x):
+    """The q-degree of a nonzero scalar: its highest exponent, and for a
+    ratio the degree of the numerator minus that of the denominator."""
+    if isinstance(x, RatFun):
+        return x.num.max_exp() - x.den.max_exp()
+    return x.max_exp()
+
+
+def _root_candidates(coeffs):
+    """Every integer e for which q^e can be a root of the polynomial with
+    these coefficients (highest power first): in a vanishing sum the top
+    q-degree deg(c_k) + e * (n - k) of the terms is attained at least
+    twice, so e is an integer slope of the upper Newton polygon."""
+    n = len(coeffs) - 1
+    pts = [(n - k, _top_exp(c)) for k, c in enumerate(coeffs) if c]
+    out = set()
+    for a, (pa, da) in enumerate(pts):
+        for pb, db in pts[a + 1:]:
+            e, r = divmod(db - da, pa - pb)
+            if not r and da + e * pa == max(d + e * p for p, d in pts):
+                out.add(e)
+    return sorted(out)
+
+
+def _deflate(coeffs, s):
+    """Synthetic division by x - s: (quotient coefficients, remainder),
+    the remainder being the Horner value at s."""
+    out = [coeffs[0]]
+    for c in coeffs[1:]:
+        out.append(c + s * out[-1])
+    return out[:-1], out[-1]
+
+
+def q_power_roots(coeffs):
+    """Strip the integer q-power roots off a polynomial over the scalars.
+
+    ``coeffs`` lists the coefficients highest power first.  Returns
+    ``({e: multiplicity}, leftover)``: every root q^e found, with its
+    multiplicity, and the coefficients of the factor left when they are
+    divided out, which has no integer q-power root.  Each Newton-polygon
+    candidate is confirmed exactly by synthetic division, and the search
+    repeats on the quotient until no candidate is a root.
+    """
+    roots = {}
+    poly = list(coeffs)
+    while len(poly) > 1:
+        for e in _root_candidates(poly):
+            quo, rem = _deflate(poly, Laurent.q_power(e))
+            if not rem:
+                break
+        else:
+            break
+        roots[e] = roots.get(e, 0) + 1
+        poly = quo
+    return roots, poly
 
 
 class Subspace:

@@ -1,12 +1,15 @@
 """Graded coordinate-ring model: products, congruences, ideals,
 saturation."""
 
+import itertools
 from unittest import mock
 
 import pytest
 
-from qbruhat.coordring import CoordinateModel
-from qbruhat.exactalg import ONE, ZERO, Laurent
+from qbruhat.coordring import (CoordinateModel, EigenvalueError,
+                               SufficiencyError)
+from qbruhat.exactalg import ONE, ZERO, Laurent, Subspace, kernel, mat_mul
+from test_acceptance import eta_sweep
 
 Q = Laurent({1: 1})
 
@@ -181,6 +184,133 @@ class TestTwistedDecomposition:
         m = a2_model.module(lam)
         blk = a2_model.datum.add(g.longest.act(lam), (0, 0))
         assert len(m.weight_indices(blk)) == mult
+
+
+def box_decomposition(model, w, eta, lam, margin=2):
+    """The candidate-box search: every label with even root coordinates
+    in a margin-wide box around the block offset, kept when the kernels
+    of (M_i - q^e_i)^b meet in a nonzero subspace."""
+    datum = model.datum
+    blk = datum.add(w.act(lam), eta)
+    b = len(model.module(lam).weight_indices(blk))
+    if not b:
+        return []
+    mats = [model.twisted_conj_block(w, i, lam, blk)
+            for i in range(datum.rank)]
+    ranges = [range(2 * int(c) - 2 * margin, 2 * margin + 1, 2)
+              for c in datum.root_coords(w.inverse().act(eta))]
+    found = []
+    for coords in itertools.product(*ranges):
+        mu = datum.root_to_fund(coords)
+        space = Subspace.full(b)
+        for i, mat in enumerate(mats):
+            s = Laurent.q_power(int(datum.inner(mu, datum.fund(i))))
+            shifted = [[c - s if t == u else c for u, c in enumerate(row)]
+                       for t, row in enumerate(mat)]
+            power = shifted
+            for _ in range(b - 1):
+                power = mat_mul(power, shifted)
+            cols = [[row[c] for row in power] for c in range(b)]
+            space = space.intersect(Subspace(b, *kernel(cols, b)))
+        if space.dim:
+            found.append((mu, space))
+    assert sum(sub.dim for _, sub in found) == b
+    return sorted(found, key=lambda it: it[0])
+
+
+def spelled(parts):
+    return [(mu, [[str(c) for c in row] for row in sub.rows], sub.pivots)
+            for mu, sub in parts]
+
+
+class TestEigenOracle:
+    @pytest.mark.parametrize("label,top,blocks",
+                             [("A2", 2, 54), ("B2", 1, 56)])
+    def test_exact_roots_match_the_box_search(self, label, top, blocks):
+        """Labels, echelon rows and pivots agree with the box search on
+        every block whose stabilising degree is at most 2.rho."""
+        model = CoordinateModel.get(label)
+        checked = 0
+        for w in model.group.sorted_elements():
+            for eta in eta_sweep(model, w, top=top):
+                lam, mult = model.sufficient_degree(w, eta)
+                if max(lam) > 2:
+                    continue
+                parts = model.twisted_decomposition(w, eta, lam=lam)
+                assert sum(sub.dim for _, sub in parts) == mult
+                assert spelled(parts) == spelled(
+                    box_decomposition(model, w, eta, lam))
+                checked += 1
+        assert checked == blocks
+
+    def test_non_q_power_eigenvalue_names_block_and_degree(self):
+        model = CoordinateModel("A2")
+        swap = [[ZERO, Q], [ONE, ZERO]]           # x^2 - q
+        with mock.patch.object(CoordinateModel, "twisted_conj_block",
+                               return_value=swap):
+            with pytest.raises(EigenvalueError) as err:
+                model.twisted_decomposition(model.group.identity, (-1, -1),
+                                            lam=(1, 1))
+        msg = str(err.value)
+        assert "block (0, 0) of degree (1, 1)" in msg
+        assert "factor of degree 2" in msg
+        assert "candidate box" not in msg
+
+    def test_jordan_block_gives_the_generalized_eigenspace(self):
+        model = CoordinateModel("A2")
+        q2 = Q * Q
+        jordan = [[q2, ONE, ZERO], [ZERO, q2, ZERO], [ZERO, ZERO, ONE]]
+        with mock.patch.object(CoordinateModel, "twisted_conj_block",
+                               return_value=jordan):
+            parts = model.twisted_decomposition(model.group.identity,
+                                                (-2, -2), lam=(2, 2))
+        assert parts == [((0, 0), Subspace.from_vectors(3, [[ZERO, ZERO,
+                                                              ONE]])),
+                         ((2, 2), Subspace.from_vectors(3, [[ONE, ZERO, ZERO],
+                                                            [ZERO, ONE,
+                                                             ZERO]]))]
+
+    def test_label_outside_twice_the_root_lattice(self):
+        model = CoordinateModel("A2")
+        with mock.patch.object(CoordinateModel, "twisted_conj_block",
+                               return_value=[[Q]]):
+            with pytest.raises(EigenvalueError) as err:
+                model.twisted_decomposition(model.group.identity, (0, 0),
+                                            lam=(1, 1))
+        assert "block (1, 1) of degree (1, 1)" in str(err.value)
+
+
+class TestConjugationSolve:
+    def test_frozen_operator(self, a2_model):
+        assert a2_model.conj_block(a2_model.group.identity, (1, 0), (0, 0),
+                                   (0, 0)) == [[ONE]]
+
+    def test_inconsistent_solve(self, a2_model):
+        w = a2_model.group.gens[0]
+        with pytest.raises(SufficiencyError, match="conjugation solve "
+                           "inconsistent on block \\(1, -1\\) of degree "
+                           "\\(0, 1\\)"):
+            a2_model.conj_block(w, (1, 0), (0, 1), (1, -1))
+
+    def test_injectivity_is_checked_first(self):
+        """Keeping one left product row makes the solve both singular and
+        inconsistent (three pivots on a two-dimensional block); the
+        injectivity error wins, as it always has."""
+        model = CoordinateModel("A2")
+        real = CoordinateModel.pair_table
+        first = model.module((2, 1)).weight_indices((-1, 1)).start
+
+        def one_left_row(self, lam, mu):
+            table = real(self, lam, mu)
+            if (tuple(lam), tuple(mu)) != ((0, 1), (2, 1)):
+                return table
+            return {k: v for k, v in table.items() if k[1] == first}
+
+        with mock.patch.object(CoordinateModel, "pair_table", one_left_row):
+            with pytest.raises(SufficiencyError, match="not injective on "
+                               "block \\(-1, 1\\) of degree \\(2, 1\\)"):
+                model.conj_block(model.group.gens[1], (0, 1), (2, 1),
+                                 (-1, 1))
 
 
 class TestSaturation:

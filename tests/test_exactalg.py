@@ -1,5 +1,7 @@
 """Scalar tower and exact linear algebra."""
 
+import itertools
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -8,8 +10,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qbruhat import exactalg
 from qbruhat.exactalg import (Laurent, ONE, RatFun, Subspace, ZERO,
-                              format_scalar, kernel, mat_mul, parse_laurent,
-                              q_binomial, q_factorial, q_int,
+                              charpoly, format_scalar, identity_matrix,
+                              kernel, mat_mul, parse_laurent, q_binomial,
+                              q_factorial, q_int, q_power_roots,
                               reduce_against, rref, solve)
 
 q = Laurent.q_power(1)
@@ -435,6 +438,123 @@ class TestExactQuotient:
             exactalg._exact_quo(parse_laurent("q^-1 + 2*q + q^2"), g)
         assert exactalg._exact_quo(parse_laurent("q^-1 + 2 + q"),
                                    g) == parse_laurent("q^-1 + 1")
+
+
+class TestLaurentDivision:
+    @given(laurents(), factor_products, laurents().filter(bool),
+           factor_products)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_full_gcd_path(self, a, fa, b, fb):
+        """An inexact quotient takes its common factor from the divisor
+        and the remainder; the result is the one a full gcd of both
+        operands gives."""
+        num, den = a * fa, b * fb
+        with mock.patch.object(exactalg, "_poly_gcd",
+                               wraps=exactalg._poly_gcd) as gcd:
+            got = num / den
+        assert gcd.call_count <= 1
+        assert_same(got, exactalg._make_ratfun(num, den) if num else ZERO)
+
+    def test_shared_factor_is_cancelled(self):
+        f = parse_laurent("1 + q + q^2")
+        got = (f * parse_laurent("2 + q")) / (f * parse_laurent("1 - q"))
+        assert_same(got, RatFun(parse_laurent("2 + q"),
+                                parse_laurent("1 - q")))
+        assert str(got) == "(-2 - q)/(-1 + q)"
+
+
+def scalars(draw):
+    """A Laurent polynomial, or now and then a reduced ratio of them."""
+    x = draw(laurents(max_terms=2, max_exp=2))
+    if draw(st.integers(0, 3)) == 0:
+        x = x / draw(st.sampled_from(FACTORS))
+    return x
+
+
+@st.composite
+def square_matrices(draw, max_size=4):
+    n = draw(st.integers(1, max_size))
+    return [[scalars(draw) for _ in range(n)] for _ in range(n)]
+
+
+def leibniz_det(m):
+    total = ZERO
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(perm))
+                         for j in range(i + 1, len(perm)))
+        term = ONE if inversions % 2 == 0 else -ONE
+        for i, j in enumerate(perm):
+            term = term * m[i][j]
+        total = total + term
+    return total
+
+
+def poly_times_linear(coeffs, root):
+    """Coefficients (highest first) of the polynomial times (x - root)."""
+    return [a - root * b for a, b in zip(coeffs + [ZERO], [ZERO] + coeffs)]
+
+
+class TestCharacteristicPolynomial:
+    @given(square_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_cayley_hamilton(self, m):
+        chi = charpoly(m)
+        assert len(chi) == len(m) + 1 and chi[0] == ONE
+        acc = [[ZERO] * len(m) for _ in m]
+        for c in chi:
+            acc = mat_mul(acc, m)
+            for i in range(len(m)):
+                acc[i][i] = acc[i][i] + c
+        assert all(not x for row in acc for x in row)
+
+    @given(square_matrices(), st.integers(-2, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_values_are_leibniz_determinants(self, m, k):
+        s = Laurent.q_power(k)
+        value = ZERO
+        for c in charpoly(m):
+            value = value * s + c
+        shifted = [[(s if i == j else ZERO) - x for j, x in enumerate(row)]
+                   for i, row in enumerate(m)]
+        assert value == leibniz_det(shifted)
+
+    def test_frozen_two_by_two(self):
+        assert charpoly([[ZERO, q], [ONE, ZERO]]) == [ONE, ZERO, -q]
+        assert charpoly([]) == [ONE]
+        assert charpoly(identity_matrix(3)) == [ONE, -3 * ONE, 3 * ONE,
+                                                -ONE]
+
+
+class TestQPowerRoots:
+    @given(st.lists(st.integers(-4, 4), min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_products_of_linear_factors(self, exps):
+        coeffs = [ONE]
+        for e in exps:
+            coeffs = poly_times_linear(coeffs, Laurent.q_power(e))
+        assert q_power_roots(coeffs) == (dict(Counter(exps)), [ONE])
+
+    @given(st.lists(st.integers(-3, 3), max_size=4))
+    @settings(max_examples=50, deadline=None)
+    def test_leftover_factor_is_returned(self, exps):
+        rest = [ONE, ZERO, -q]                  # x^2 - q
+        coeffs = rest
+        for e in exps:
+            coeffs = poly_times_linear(coeffs, Laurent.q_power(e))
+        assert q_power_roots(coeffs) == (dict(Counter(exps)), rest)
+
+    def test_frozen_cases(self):
+        assert q_power_roots([ONE, ZERO, -q]) == ({}, [ONE, ZERO, -q])
+        # x (x - q): the root 0 is not a q-power
+        assert q_power_roots([ONE, -q, ZERO]) == ({1: 1}, [ONE, ZERO])
+        # (x - q^-1)^2 (x - q^3), with a fraction-field coefficient
+        # scaling the whole polynomial
+        r = ONE / parse_laurent("1 + q")
+        coeffs = [ONE]
+        for e in (-1, -1, 3):
+            coeffs = poly_times_linear(coeffs, Laurent.q_power(e))
+        assert q_power_roots([r * c for c in coeffs]) == (
+            {-1: 2, 3: 1}, [r])
 
 
 class TestQCombinatorics:
