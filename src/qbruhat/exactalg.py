@@ -913,8 +913,14 @@ class Subspace:
     def intersect(self, other):
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
-        comp = self.orthogonal_complement().sum(other.orthogonal_complement())
-        return comp.orthogonal_complement()
+        # Zassenhaus: rref of [[U, U], [W, 0]]; the rows pivoting in the
+        # right half are zero on the left and their right halves are the
+        # canonical basis of U meet W.
+        n = self.ambient
+        ech, piv = rref([row + row for row in self.rows]
+                        + [row + [ZERO] * n for row in other.rows])
+        meet = [(row[n:], p - n) for row, p in zip(ech, piv) if p >= n]
+        return Subspace(n, [r for r, _ in meet], [p for _, p in meet])
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):

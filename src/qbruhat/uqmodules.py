@@ -9,9 +9,13 @@ vector inside a tensor product without choosing new bases.
 
 Modules beyond the fundamentals are generated as cyclic lowering closures
 inside a tensor product of smaller ones; independence is decided one
-weight block at a time.  The defining relations (commutators, the quantum
-Serre relations) and the full weight multiset are re-verified on every
-construction.
+weight block at a time.  The raising matrices are not computed in the
+tensor product: each basis vector t = F_i p gets E_j t = F_i E_j p +
+delta_ij [<wt p, alpha_i^v>]_{d_i} p from its parent, so they follow from
+the lowering matrices by the relation [E_i, F_j] = delta_ij [h_i].  Every
+construction is then checked against the dimension formula, the weight
+multiset, all commutators and the quantum Serre relations (summed by
+Horner's scheme); that check is the only guard on the matrices.
 
 Conventions.  The comultiplication used for tensor actions is
 
@@ -79,15 +83,6 @@ class _BlockSolver:
                     coeffs[j] = coeffs.get(j, ZERO) + c * t
         return [(self.adopted[j], c) for j, c in sorted(coeffs.items()) if c]
 
-    def express(self, vec):
-        """Write vec over the adopted vectors, or None if independent."""
-        if not vec:
-            return []
-        v, used = self._reduce(vec)
-        if any(v):
-            return None
-        return self._combo(used)
-
     def add(self, vec, global_id):
         """Adopt vec under global_id if independent (returning None),
         otherwise return its expression over the earlier vectors."""
@@ -110,6 +105,22 @@ class _BlockSolver:
         self.trans.append(tnew)
         self.adopted.append(global_id)
         return None
+
+
+def _apply(mat, vec):
+    """Sparse matrix (column -> {row: entry}) times sparse vector."""
+    out = {}
+    for k, c in vec.items():
+        col = mat.get(k)
+        if not col:
+            continue
+        for r, f in col.items():
+            s = out.get(r, ZERO) + c * f
+            if s:
+                out[r] = s
+            elif r in out:
+                del out[r]
+    return out
 
 
 class UqModule:
@@ -154,34 +165,10 @@ class UqModule:
     # -- actions on column vectors (dicts index -> scalar) ---------------
 
     def f_apply(self, i, vec):
-        out = {}
-        mat = self.fmat[i]
-        for k, c in vec.items():
-            col = mat.get(k)
-            if not col:
-                continue
-            for r, f in col.items():
-                s = out.get(r, ZERO) + c * f
-                if s:
-                    out[r] = s
-                elif r in out:
-                    del out[r]
-        return out
+        return _apply(self.fmat[i], vec)
 
     def e_apply(self, i, vec):
-        out = {}
-        mat = self.emat[i]
-        for k, c in vec.items():
-            col = mat.get(k)
-            if not col:
-                continue
-            for r, f in col.items():
-                s = out.get(r, ZERO) + c * f
-                if s:
-                    out[r] = s
-                elif r in out:
-                    del out[r]
-        return out
+        return _apply(self.emat[i], vec)
 
     def f_divided(self, i, vec, n):
         for _ in range(n):
@@ -267,11 +254,16 @@ def _mat_accum(total, mat, scal):
     return total
 
 
-def _mat_power(mat, n):
-    out = None
-    for _ in range(n):
-        out = mat if out is None else _compose(out, mat)
-    return out if out is not None else None
+def _serre_sum(xi, xj, m, d):
+    """sum_k (-1)^k [m k]_d xi^(m-k) xj xi^k, by Horner in xi: with
+    R_k = xj xi^k, S <- xi S + c_k R_k for k = 1..m from S = R_0."""
+    term = total = xj  # _compose returns fresh dicts, so xj is not mutated
+    for k in range(1, m + 1):
+        term = _compose(term, xi)
+        coeff = q_binomial(m, k, d)
+        total = _mat_accum(_compose(xi, total), term,
+                           -coeff if k % 2 else coeff)
+    return total
 
 
 def verify_module(module, group):
@@ -308,18 +300,7 @@ def verify_module(module, group):
                 if i == j:
                     continue
                 m = 1 - datum.cartan[i][j]
-                total = {}
-                for k in range(m + 1):
-                    left = _mat_power(mats[i], m - k)
-                    mid = mats[j]
-                    right = _mat_power(mats[i], k)
-                    term = mid if right is None else _compose(mid, right)
-                    term = term if left is None else _compose(left, term)
-                    coeff = q_binomial(m, k, datum.d[i])
-                    if k % 2:
-                        coeff = -coeff
-                    _mat_accum(total, term, coeff)
-                if total:
+                if _serre_sum(mats[i], mats[j], m, datum.d[i]):
                     raise AssertionError("Serre relation fails at (%d, %d)"
                                          % (i, j))
 
@@ -520,21 +501,22 @@ def _close_tensor(datum, m1, m2, seed, lam, expected):
     if len(basis) != expected:
         raise AssertionError("lowering closure reached dimension %d, "
                              "expected %d" % (len(basis), expected))
+    # E_j t for t = F_i p is F_i E_j p + delta_ij [<wt p, alpha_i^v>] p,
+    # and E_j p is known because parents precede children.
     emat = [dict() for _ in range(rank)]
-    for k in range(len(basis)):
-        for i in range(rank):
-            img = _tensor_e(datum, m1, m2, i, basis[k])
-            if not img:
-                continue
-            wt2 = datum.add(wts[k], datum.simple_root(i))
-            sol = solvers.get(wt2)
-            expr = None if sol is None else sol.express(img)
-            if expr is None:
-                raise AssertionError("raising image leaves the span at "
-                                     "index %d" % k)
-            entry = {j: c for j, c in expr}
-            if entry:
-                emat[i][k] = entry
+    for t in range(1, len(basis)):
+        p, i = parents[t]
+        for j in range(rank):
+            col = _apply(fmat[i], emat[j].get(p, {}))
+            if i == j:
+                val = col.get(p, ZERO) + q_int(
+                    datum.coroot_pairing(wts[p], i), datum.d[i])
+                if val:
+                    col[p] = val
+                else:
+                    col.pop(p, None)
+            if col:
+                emat[j][t] = {k: col[k] for k in sorted(col)}
     return _reorder_module(datum, lam, wts, parents, fmat, emat)
 
 
@@ -696,24 +678,14 @@ def string_counts(module, row, i):
     return phi, eps
 
 
-def string_top(module, row, i, kind):
-    """The last nonzero vector of the i-string through the row (the row
-    itself when the string has length zero, zero stays zero)."""
-    act = module.row_f if kind == "y" else module.row_e
-    cur = row
-    while True:
-        nxt = act(i, cur)
-        if not any(nxt):
-            return cur
-        cur = nxt
-
-
-def string_top_along(module, row, word, kind):
-    for i in word:
-        row = string_top(module, row, i, kind)
-    return row
-
-
 def lowering_string_to(module, row, w):
-    """Iterated full lowering strings along the canonical word of w."""
-    return string_top_along(module, row, w.word, "y")
+    """Iterated full lowering strings along the canonical word of w: for
+    each letter i, the last nonzero row of the i-string (the row itself
+    when the string has length zero, zero stays zero)."""
+    for i in w.word:
+        while True:
+            nxt = module.row_f(i, row)
+            if not any(nxt):
+                break
+            row = nxt
+    return row

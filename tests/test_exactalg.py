@@ -667,3 +667,25 @@ class TestSubspace:
         assert small.is_subspace_of(Subspace.full(2))
         assert Subspace.zero(2).is_subspace_of(small)
         assert not Subspace.full(2).is_subspace_of(small)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_intersect_matches_complement_formula(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=4))
+        vec = st.lists(laurents(max_terms=2, max_exp=2), min_size=n,
+                       max_size=n)
+        common = data.draw(st.lists(vec, max_size=2))
+        a = Subspace.from_vectors(
+            n, common + data.draw(st.lists(vec, max_size=2)))
+        b = Subspace.from_vectors(
+            n, common + data.draw(st.lists(vec, max_size=2)))
+        meet = a.intersect(b)
+        assert meet == oracle_intersect(a, b)
+        assert meet == b.intersect(a)
+        assert meet.is_subspace_of(a) and meet.is_subspace_of(b)
+
+
+def oracle_intersect(a, b):
+    """U meet W as the complement of the sum of the complements."""
+    comp = a.orthogonal_complement().sum(b.orthogonal_complement())
+    return comp.orthogonal_complement()

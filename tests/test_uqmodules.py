@@ -1,17 +1,26 @@
 """Integrable highest-weight modules and their string combinatorics."""
 
+import copy
 import itertools
+from collections import deque
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qbruhat import uqmodules
 from qbruhat.cartan import build_cartan
 from qbruhat.characters import demazure_character, weyl_character, weyl_dim
-from qbruhat.exactalg import ONE, ZERO
-from qbruhat.uqmodules import (ModuleScopeError, build_irrep,
+from qbruhat.exactalg import Laurent, ONE, RatFun, ZERO, q_binomial
+from qbruhat.uqmodules import (ModuleScopeError, _BlockSolver, _compose,
+                               _mat_accum, _reorder_module, _serre_sum,
+                               _tensor_e, _tensor_f, build_irrep,
                                demazure_submodule, extreme_dual_row,
                                extreme_vector, lowering_string_to,
                                string_counts, verify_module)
 from qbruhat.weyl import WeylGroup
+
+q = Laurent.q_power(1)
 
 
 def module_of(label, lam):
@@ -183,3 +192,173 @@ def test_lowering_string_reaches_extreme_weight():
     top = lowering_string_to(m, row, w)
     assert any(top)
     assert m.row_support_weight(top) == (1, 1)
+
+
+# -- raising matrices against the tensor-side oracle -----------------------
+
+
+def oracle_close_tensor(datum, m1, m2, seed, lam, expected):
+    """The lowering closure with every raising image computed inside
+    m1 ox m2 and solved back into the basis block by block."""
+    rank = datum.rank
+    keys = {}
+    for r in range(m1.dim):
+        for s in range(m2.dim):
+            wt = datum.add(m1.weights[r], m2.weights[s])
+            keys.setdefault(wt, []).append((r, s))
+    solvers = {wt: _BlockSolver(ks) for wt, ks in keys.items()}
+    basis, wts, parents = [dict(seed)], [lam], [None]
+    assert solvers[lam].add(basis[0], 0) is None
+    fmat = [dict() for _ in range(rank)]
+    queue = deque([0])
+    while queue:
+        k = queue.popleft()
+        for i in range(rank):
+            img = _tensor_f(datum, m1, m2, i, basis[k])
+            if not img:
+                continue
+            wt2 = datum.sub(wts[k], datum.simple_root(i))
+            res = solvers[wt2].add(img, len(basis))
+            if res is None:
+                fmat[i].setdefault(k, {})[len(basis)] = ONE
+                queue.append(len(basis))
+                basis.append(img)
+                wts.append(wt2)
+                parents.append((k, i))
+            elif res:
+                fmat[i][k] = dict(res)
+    assert len(basis) == expected
+    emat = [dict() for _ in range(rank)]
+    for k, vec in enumerate(basis):
+        for i in range(rank):
+            img = _tensor_e(datum, m1, m2, i, vec)
+            if not img:
+                continue
+            solver = solvers[datum.add(wts[k], datum.simple_root(i))]
+            residue, used = solver._reduce(img)
+            assert not any(residue), "raising image leaves the span"
+            emat[i][k] = dict(solver._combo(used))
+    return _reorder_module(datum, lam, wts, parents, fmat, emat)
+
+
+def module_strings(m):
+    def mats(ms):
+        return [{c: {r: str(x) for r, x in col.items()}
+                 for c, col in mat.items()} for mat in ms]
+    return m.weights, m.parents, mats(m.fmat), mats(m.emat)
+
+
+def _a2_small():
+    datum = build_cartan("A2")
+    return [lam for lam in itertools.product(range(10), repeat=2)
+            if weyl_dim(datum, lam) <= 64]
+
+
+@pytest.mark.parametrize("label,lam",
+                         [("A1", (a,)) for a in range(7)]
+                         + [("A2", lam) for lam in _a2_small()]
+                         + [("B2", lam) for lam in
+                            [(1, 0), (1, 1), (2, 0), (2, 2)]])
+def test_raising_matrices_match_tensor_oracle(label, lam):
+    datum = build_cartan(label)
+    built = module_of(label, lam)  # caches every smaller module first
+    with mock.patch.object(uqmodules, "_close_tensor", oracle_close_tensor):
+        oracle = uqmodules._build_irrep_inner(
+            datum, WeylGroup.build(datum), lam, 400)
+    assert module_strings(built) == module_strings(oracle)
+
+
+# -- verify_module: Horner Serre sums and rejections ------------------------
+
+
+def serre_terms(xi, xj, m, d):
+    """sum_k (-1)^k [m k]_d xi^(m-k) xj xi^k, term by term."""
+    total = {}
+    for k in range(m + 1):
+        term = xj
+        for _ in range(k):
+            term = _compose(term, xi)
+        for _ in range(m - k):
+            term = _compose(xi, term)
+        coeff = q_binomial(m, k, d)
+        _mat_accum(total, term, -coeff if k % 2 else coeff)
+    return total
+
+
+_scalars = st.one_of(
+    st.builds(lambda c, e: c * Laurent.q_power(e),
+              st.integers(min_value=-3, max_value=3),
+              st.integers(min_value=-2, max_value=2)),
+    st.builds(lambda c, e: RatFun(Laurent.const(c), ONE + Laurent.q_power(e)),
+              st.integers(min_value=1, max_value=3),
+              st.integers(min_value=1, max_value=2)))
+
+
+@st.composite
+def sparse_mats(draw, n=3):
+    cells = draw(st.dictionaries(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+        _scalars, max_size=5))
+    mat = {}
+    for (col, row), c in cells.items():
+        if c:
+            mat.setdefault(col, {})[row] = c
+    return mat
+
+
+@given(sparse_mats(), sparse_mats(), st.sampled_from([2, 3]),
+       st.sampled_from([1, 2]))
+@settings(max_examples=60, deadline=None)
+def test_serre_horner_matches_expansion(xi, xj, m, d):
+    assert _serre_sum(xi, xj, m, d) == serre_terms(xi, xj, m, d)
+
+
+def test_serre_sum_zero_and_nonzero():
+    # xi = xj = (q) gives q^3 (1 - [2] + 1), which is not zero
+    assert _serre_sum({0: {0: q}}, {0: {0: q}}, 2, 1) == \
+        {0: {0: q ** 3 * (Laurent.const(2) - q - q ** -1)}}
+    datum = build_cartan("B2")
+    m = module_of("B2", (1, 1))
+    for mats in (m.emat, m.fmat):
+        for i, j in [(0, 1), (1, 0)]:
+            mij = 1 - datum.cartan[i][j]
+            assert _serre_sum(mats[i], mats[j], mij, datum.d[i]) == {}
+            assert _serre_sum(mats[i], mats[j], mij, 3 - datum.d[i])
+
+
+def _scaled_entry(mats, i):
+    out = [dict(mat) for mat in mats]
+    col = min(out[i])
+    row = min(out[i][col])
+    out[i][col] = dict(out[i][col])
+    out[i][col][row] = out[i][col][row] * q
+    return out
+
+
+def _bad_e1(m):
+    m.emat = _scaled_entry(m.emat, 1)
+
+
+def _bad_f1(m):
+    m.fmat = _scaled_entry(m.fmat, 1)
+
+
+def _swap_weights(m):
+    m.weights = list(m.weights)
+    m.weights[0], m.weights[-1] = m.weights[-1], m.weights[0]
+
+
+@pytest.mark.parametrize("label,lam", [("A2", (1, 1)), ("B2", (1, 1))])
+@pytest.mark.parametrize("spoil,message", [
+    (_bad_e1, r"^commutator relation fails at \(1, 0\)$"),
+    (_bad_f1, r"^commutator relation fails at \(0, 1\)$"),
+    (_swap_weights, r"^commutator relation fails at \(0, 0\)$"),
+])
+def test_verify_module_rejects_spoiled_copies(label, lam, spoil, message):
+    datum = build_cartan(label)
+    good = module_of(label, lam)
+    bad = copy.copy(good)
+    spoil(bad)
+    with pytest.raises(AssertionError, match=message):
+        verify_module(bad, WeylGroup.build(datum))
+    verify_module(good, WeylGroup.build(datum))
