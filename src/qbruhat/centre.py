@@ -56,20 +56,23 @@ class CentreData:
 
 
 def centre_of(group, w):
-    datum = group.datum
+    """Fundamental weights are unit vectors, so w . omega_i is column i
+    of w's matrix, and w0 . omega_i = -omega_theta(i)."""
     theta = group.theta()
-    w0 = group.longest
-    fixed = [i for i in range(datum.rank) if theta[i] == i]
-    paired = [(i, theta[i]) for i in range(datum.rank) if theta[i] > i]
-    minus_fixed = [i for i in fixed if w.act(datum.fund(i)) == datum.fund(i)]
+    n = group.rank
+    m = w.mat
+
+    def column_is(i, j, sign):
+        return all(m[k][i] == (sign if k == j else 0) for k in range(n))
+
+    fixed = [i for i in range(n) if theta[i] == i]
+    paired = [(i, theta[i]) for i in range(n) if theta[i] > i]
+    minus_fixed = [i for i in fixed if column_is(i, i, 1)]
     minus_paired = [(i, j) for i, j in paired
-                    if w.act(datum.fund(i)) == datum.fund(i)
-                    and w.act(datum.fund(j)) == datum.fund(j)]
-    plus_fixed = [i for i in fixed
-                  if w.act(datum.fund(i)) == w0.act(datum.fund(i))]
+                    if column_is(i, i, 1) and column_is(j, j, 1)]
+    plus_fixed = [i for i in fixed if column_is(i, i, -1)]
     plus_paired = [(i, j) for i, j in paired
-                   if w.act(datum.fund(i)) == w0.act(datum.fund(i))
-                   and w.act(datum.fund(j)) == w0.act(datum.fund(j))]
+                   if column_is(i, j, -1) and column_is(j, i, -1)]
     return CentreData(w, minus_fixed, minus_paired, plus_fixed, plus_paired)
 
 

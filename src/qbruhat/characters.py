@@ -15,6 +15,7 @@ coordinates.
 from __future__ import annotations
 
 import json
+from operator import add
 
 SCHEMA_CHAR = "qbruhat/char-v1"
 
@@ -165,33 +166,35 @@ def cell_translate_character(group, w, depth):
 
     Enumerates partitions directly with a positivity budget, so no
     cancellation between truncated factors can corrupt coefficients.
+    The walk runs in simple-root coordinates, where depth is the sum of
+    absolute values, and kept terms go back to fundamental coordinates.
     """
     datum = group.datum
+    a, d, n = datum.cartan, datum.d, datum.rank
+    word = group.canonical_word(w)
+    # budget(mu) = -(w rho, mu) is linear, so each root has an integer
+    # cost and every partial sum carries its budget along; on
+    # gamma = w(-alpha) it is (rho, alpha) = sum_j d_j alpha_j > 0.
     roots = []
     for coords in datum.positive_roots:
-        gamma = w.act(datum.neg(datum.root_to_fund(coords)))
-        roots.append(gamma)
+        gamma = [-c for c in coords]
+        for i in reversed(word):
+            gamma[i] -= sum(a[i][j] * gamma[j] for j in range(n))
+        cost = sum(dj * c for dj, c in zip(d, coords))
+        roots.append((datum.root_to_fund(gamma), tuple(gamma), cost))
+    # the roots' fundamental coordinates fix the walk's order, and with
+    # it the insertion order of the terms
     roots.sort()
-    wrho = w.act(datum.rho())
-    # budget(mu) = -(w rho, mu) is linear, so each root has an integer
-    # cost and every partial sum carries its budget along.
-    costs = []
-    for gamma in roots:
-        f = -datum.inner(wrho, gamma)
-        assert f.denominator == 1 and f > 0
-        costs.append(int(f))
-    per_simple = []
-    for i in range(datum.rank):
-        f = datum.inner(wrho, datum.simple_root(i))
-        per_simple.append(abs(int(f)))
+    # (w rho, alpha_i) = d_i <w rho, alpha_i^vee>, and w rho in
+    # fundamental coordinates is the row sums of w's matrix.
     # Every target of depth <= cutoff satisfies budget(mu) <= cap, and the
     # budget is strictly positive on each root, so partial sums past the
     # cap can never reach a target and are safe to drop.
-    budget_cap = depth * max(per_simple)
+    budget_cap = depth * max(abs(d[i] * sum(w.mat[i])) for i in range(n))
 
     counts = {datum.zero(): 1}
     budget = {datum.zero(): 0}
-    for gamma, cost in zip(roots, costs):
+    for _, gamma, cost in roots:
         new = dict(counts)
         cur = counts
         while True:
@@ -200,7 +203,7 @@ def cell_translate_character(group, w, depth):
                 b = budget[mu] + cost
                 if b > budget_cap:
                     continue
-                mu2 = datum.add(mu, gamma)
+                mu2 = tuple(map(add, mu, gamma))
                 budget[mu2] = b
                 nxt[mu2] = nxt.get(mu2, 0) + c
             if not nxt:
@@ -209,7 +212,8 @@ def cell_translate_character(group, w, depth):
                 new[mu] = new.get(mu, 0) + c
             cur = nxt
         counts = new
-    terms = {mu: c for mu, c in counts.items() if datum.depth(mu) <= depth}
+    terms = {datum.root_to_fund(mu): c for mu, c in counts.items()
+             if sum(map(abs, mu)) <= depth}
     return FormalCharacter(datum, terms, window=depth)
 
 

@@ -15,7 +15,12 @@ set, then u <= y' <= z' <= v (and u <= y' <= a <= z' <= v for an anchor
 a), so (u, v) is in the set too.  Bruhat order is graded by length
 (Bjorner-Brenti, *Combinatorics of Coxeter Groups*, ch. 2), so the covers
 of a convex subset of the product are the product covers: move one end by
-one Bruhat cover.  The Hasse diagram is built from that rule.
+one Bruhat cover.  The Hasse diagram is built from that rule, on the
+group's cover lists.
+
+The pairs themselves come from the same lists: the upper set of each y
+unanchored, and the product of the lower set [e, a] with the upper set
+[a, w0] for an anchor a, since y <= a <= z already gives y <= z.
 """
 
 from __future__ import annotations
@@ -39,19 +44,15 @@ class DiamondPoset:
     def __init__(self, group, anchor=None):
         self.group = group
         self.anchor = anchor
-        # both loops run in (length, word) order, so the pairs come out
-        # sorted by (y.length, y.word, z.length, z.word)
-        elements = group.sorted_elements()
-        pairs = []
-        for y in elements:
-            for z in elements:
-                if not group.bruhat_leq(y, z):
-                    continue
-                if anchor is not None:
-                    if not (group.bruhat_leq(y, anchor)
-                            and group.bruhat_leq(anchor, z)):
-                        continue
-                pairs.append((y, z))
+        # y runs in (length, word) order and each list of z is sorted the
+        # same way, so the pairs come out sorted by
+        # (y.length, y.word, z.length, z.word)
+        if anchor is None:
+            pairs = [(y, z) for y in group.sorted_elements()
+                     for z in group.upper_set(y)]
+        else:
+            above = group.upper_set(anchor)
+            pairs = [(y, z) for y in group.lower_set(anchor) for z in above]
         self.pairs = pairs
         self._pos = {(y.idx, z.idx): k for k, (y, z) in enumerate(pairs)}
 
@@ -68,8 +69,14 @@ class DiamondPoset:
         return g.bruhat_leq(y1, y2) and g.bruhat_leq(z2, z1)
 
     def closure(self, i):
-        """Indices of all pairs below pairs[i], itself included."""
-        return [j for j in range(len(self.pairs)) if self.geq(i, j)]
+        """Indices of all pairs below pairs[i], itself included: the
+        pairs (u, v) of the set with u and v both in [y, z]."""
+        y, z = self.pairs[i]
+        inside = [w.idx for w in self.group.interval(y, z)]
+        pos = self._pos
+        return sorted(pos[key] for key in
+                      ((u, v) for u in inside for v in inside)
+                      if key in pos)
 
     def hasse_edges(self):
         """Covering edges (i, j) with pairs[i] covering pairs[j], sorted.
@@ -77,21 +84,9 @@ class DiamondPoset:
         By convexity (see the module docstring) pairs[i] = (y, z) covers
         exactly the pairs (y, z') with z' a lower Bruhat cover of z and
         (y', z) with y' an upper Bruhat cover of y that lie in the set.
-        The covers of each element are read once from its neighbouring
-        length level.
+        Both are read off the group's cover lists.
         """
-        g = self.group
-        levels = {}
-        for w in g.elements:
-            levels.setdefault(w.length, []).append(w)
-        lower, upper = {}, {}
-        for y, z in self.pairs:
-            if z.idx not in lower:
-                lower[z.idx] = [u.idx for u in levels.get(z.length - 1, ())
-                                if g.bruhat_leq(u, z)]
-            if y.idx not in upper:
-                upper[y.idx] = [v.idx for v in levels.get(y.length + 1, ())
-                                if g.bruhat_leq(y, v)]
+        lower, upper = self.group.cover_lists()
         pos = self._pos
         edges = []
         for i, (y, z) in enumerate(self.pairs):

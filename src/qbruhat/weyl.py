@@ -6,15 +6,18 @@ been checked against a cap (``group_order``).  The search keeps, for each
 simple generator s_i, the table of left multiplication by s_i, and an
 element's length is the depth at which the search first reaches it.
 Canonical reduced words are the lexicographically least ones, and Bruhat
-order comes from Deodhar's descent recursion on the table.  The subword
-test and a reflection-chain closure live in the test suite as oracles.
+order comes from Deodhar's descent recursion on the table.  The Bruhat
+covers of every element are filled in once per group, on first use, by
+the lifting property; intervals, lower and upper sets are traversals of
+those cover lists.  The subword test, a reflection-chain closure and the
+covers found by scanning neighbouring length levels live in the test
+suite as oracles.
 """
 
 from __future__ import annotations
 
 from math import factorial
 
-from .exactalg import Laurent, Subspace, kernel
 from .cartan import build_cartan
 
 
@@ -149,6 +152,7 @@ class WeylGroup:
         self._words = {0: ()}
         self._bruhat = {}
         self._fixed_rank = {}
+        self._lower = self._upper = self._position = self._order = None
         self.longest = max(self.elements, key=lambda e: e.length)
         n_pos = len(datum.positive_roots)
         if self.longest.length != n_pos:
@@ -199,10 +203,16 @@ class WeylGroup:
     def canonical_word(self, w):
         """The lexicographically least reduced word of w."""
         if w.idx not in self._words:
-            i = next(i for i in range(self.rank) if self.left_descent(w, i))
+            i = self._first_descent(w.idx)
             rest = self.elements[self._lmul[i][w.idx]]
             self._words[w.idx] = (i,) + self.canonical_word(rest)
         return self._words[w.idx]
+
+    def _first_descent(self, idx):
+        """The least i with s_i a left descent of elements[idx]."""
+        length, lmul = self._length, self._lmul
+        return next(i for i in range(self.rank)
+                    if length[lmul[i][idx]] < length[idx])
 
     def left_descent(self, w, i):
         return self._length[self._lmul[i][w.idx]] < w.length
@@ -253,27 +263,80 @@ class WeylGroup:
             memo[key] = result
         return result
 
+    # -- Bruhat covers ---------------------------------------------------
+
+    def cover_lists(self):
+        """Lower and upper Bruhat covers of every element, as index lists
+        sorted by index; built once per group.
+
+        Lifting property (Bjorner-Brenti, Prop. 2.2.7): for a left
+        descent s of w, the coatoms of w are sw and s.x for each coatom x
+        of sw with s.x > x.  Breadth-first indices grow with length, so
+        sw is done before w.  Upper covers are the transposed lists.
+        """
+        if self._lower is None:
+            length, lmul = self._length, self._lmul
+            lower = [[]]
+            for w in range(1, len(length)):
+                row = lmul[self._first_descent(w)]
+                v = row[w]
+                covers = [v]
+                for x in lower[v]:
+                    sx = row[x]
+                    if length[sx] > length[x]:
+                        covers.append(sx)
+                covers.sort()
+                lower.append(covers)
+            upper = [[] for _ in lower]
+            for w, covers in enumerate(lower):
+                for u in covers:
+                    upper[u].append(w)
+            self._lower, self._upper = lower, upper
+        return self._lower, self._upper
+
+    def _reach(self, start, covers, keep=None):
+        """Elements reachable from index ``start`` through ``covers``,
+        visiting only indices that pass ``keep``; sorted by
+        (length, word)."""
+        seen = {start}
+        stack = [start]
+        while stack:
+            for v in covers[stack.pop()]:
+                if v not in seen and (keep is None or keep(v)):
+                    seen.add(v)
+                    stack.append(v)
+        return [self.elements[u]
+                for u in sorted(seen, key=self._positions().__getitem__)]
+
     def interval(self, y, z):
-        """All w with y <= w <= z, sorted by (length, word)."""
-        out = [w for w in self.elements
-               if self.bruhat_leq(y, w) and self.bruhat_leq(w, z)]
-        out.sort(key=lambda w: (w.length, w.word))
-        return out
+        """All w with y <= w <= z, sorted by (length, word); empty unless
+        y <= z.  A downward traversal from z that visits only elements
+        above y: intervals are graded, so every element of [y, z] lies on
+        a chain of covers from z that stays inside [y, z]."""
+        if not self.bruhat_leq(y, z):
+            return []
+        return self._reach(z.idx, self.cover_lists()[0],
+                           lambda u: self.bruhat_leq(y, self.elements[u]))
+
+    def lower_set(self, z):
+        """All w <= z, sorted by (length, word)."""
+        return self._reach(z.idx, self.cover_lists()[0])
+
+    def upper_set(self, y):
+        """All w >= y, sorted by (length, word)."""
+        return self._reach(y.idx, self.cover_lists()[1])
 
     # -- reflection-length data -----------------------------------------
 
-    def fixed_lattice(self, w):
-        """Kernel of w - 1 on the weight lattice, as an exact Subspace."""
-        n = self.rank
-        rows = [[Laurent.const(w.mat[i][j] - (1 if i == j else 0))
-                 for j in range(n)] for i in range(n)]
-        return Subspace(n, *kernel(rows, n))
-
     def fixed_space_rank(self, w):
-        """Dimension of the fixed lattice of w, memoised by element."""
+        """Dimension of the fixed lattice of w, the corank of w - 1,
+        memoised by element."""
         rank = self._fixed_rank.get(w.idx)
         if rank is None:
-            rank = self._fixed_rank[w.idx] = self.fixed_lattice(w).dim
+            n = self.rank
+            rows = [[w.mat[i][j] - (1 if i == j else 0) for j in range(n)]
+                    for i in range(n)]
+            rank = self._fixed_rank[w.idx] = n - _integer_rank(rows)
         return rank
 
     def reflection_length(self, w):
@@ -291,24 +354,55 @@ class WeylGroup:
         return self._theta
 
     def _diagram_involution(self):
-        w0 = self.longest
+        """Read off the columns of w0: column i is w0 . omega_i, which
+        must be -e_t for some t."""
+        w0 = self.longest.mat
+        n = self.rank
         out = []
-        for i in range(self.rank):
-            img = w0.act(self.datum.fund(i))
-            target = None
-            for j in range(self.rank):
-                if img == self.datum.neg(self.datum.fund(j)):
-                    target = j
-                    break
-            if target is None:
+        for i in range(n):
+            column = [w0[k][i] for k in range(n)]
+            if sorted(column) != [-1] + [0] * (n - 1):
                 raise AssertionError("longest element does not negate "
                                      "fundamental weight %d" % (i + 1))
-            out.append(target)
+            out.append(column.index(-1))
         return tuple(out)
 
+    def _positions(self):
+        """Position of each element in (length, word) order, by index;
+        built once per group."""
+        if self._position is None:
+            self._order = sorted(self.elements,
+                                 key=lambda w: (w.length, w.word))
+            self._position = [0] * len(self._order)
+            for k, w in enumerate(self._order):
+                self._position[w.idx] = k
+        return self._position
+
     def sorted_elements(self):
-        return sorted(self.elements, key=lambda w: (w.length, w.word))
+        """All elements in (length, word) order."""
+        self._positions()
+        return list(self._order)
 
     def __repr__(self):
         return "WeylGroup(%s, order %d)" % (self.datum.label, len(self))
+
+
+def _integer_rank(rows):
+    """Rank of a square integer matrix, given as a list of rows that is
+    reduced in place, by fraction-free elimination: each row below the
+    pivot becomes pivot * row - entry * pivot row."""
+    rank = 0
+    for c in range(len(rows)):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        p = top[c]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][c]
+            if f:
+                rows[r] = [p * x - f * t for x, t in zip(rows[r], top)]
+        rank += 1
+    return rank
 

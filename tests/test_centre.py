@@ -8,7 +8,7 @@ import pytest
 from qbruhat.cartan import build_cartan
 from qbruhat.centre import (centrality_exponent, centre_of, centre_table,
                             distinguishing_scan, full_centre_rank)
-from qbruhat.weyl import WeylGroup, format_word
+from qbruhat.weyl import WeylElem, WeylGroup, format_word
 
 A2_TABLE = {
     "e": (1, ["z[w1+w2]"]),
@@ -60,6 +60,50 @@ def test_full_centre_ranks():
     assert full_centre_rank("A3") == 2
     assert full_centre_rank("B2") == 2
     assert full_centre_rank("B3") == 3
+
+
+def centre_by_action(group, w):
+    """The four contributing lists, with each condition tested by acting
+    on fundamental weights."""
+    datum = group.datum
+    theta = group.theta()
+    w0 = group.longest
+    fixed = [i for i in range(datum.rank) if theta[i] == i]
+    paired = [(i, theta[i]) for i in range(datum.rank) if theta[i] > i]
+
+    def fixes(i):
+        return w.act(datum.fund(i)) == datum.fund(i)
+
+    def as_w0(i):
+        return w.act(datum.fund(i)) == w0.act(datum.fund(i))
+
+    return ([i for i in fixed if fixes(i)],
+            [(i, j) for i, j in paired if fixes(i) and fixes(j)],
+            [i for i in fixed if as_w0(i)],
+            [(i, j) for i, j in paired if as_w0(i) and as_w0(j)])
+
+
+@pytest.mark.parametrize("label", ["A2", "A3", "A4", "B3", "C3", "D4",
+                                   "D5", "G2", "F4"])
+def test_centre_of_against_action(label):
+    group = WeylGroup.build(label)
+    for w in group.elements:
+        data = centre_of(group, w)
+        got = (data.minus_fixed, data.minus_paired, data.plus_fixed,
+               data.plus_paired)
+        assert got == centre_by_action(group, w), format_word(w.word)
+
+
+def test_centre_of_does_not_act(monkeypatch):
+    group = WeylGroup.build("D5")
+    group.theta()
+
+    def acted(*args):
+        raise AssertionError("WeylElem.act called")
+
+    monkeypatch.setattr(WeylElem, "act", acted)
+    dims = [centre_of(group, w).dim for w in group.elements]
+    assert dims.count(full_centre_rank("D5")) == 2
 
 
 def test_a3_middle_dims_are_smaller():

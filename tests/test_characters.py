@@ -9,7 +9,7 @@ from qbruhat.characters import (FormalCharacter, cell_translate_character,
                                 character_to_json, demazure_character,
                                 demazure_step, weight_multiplicity,
                                 weyl_character, weyl_dim)
-from qbruhat.weyl import WeylGroup
+from qbruhat.weyl import WeylElem, WeylGroup
 
 import json
 
@@ -203,7 +203,7 @@ def depth_filtered_cone(group, w, depth):
 
 
 @pytest.mark.parametrize("label,depth", [("A2", 6), ("B2", 5), ("G2", 4),
-                                         ("A3", 4)])
+                                         ("A3", 4), ("B3", 2), ("C3", 2)])
 def test_cell_character_matches_depth_oracle(label, depth):
     group = WeylGroup.build(build_cartan(label))
     for w in group.elements:
@@ -211,6 +211,22 @@ def test_cell_character_matches_depth_oracle(label, depth):
         # same terms in the same insertion order
         assert list(ch.terms.items()) == list(
             depth_filtered_cone(group, w, depth).items())
+
+
+def test_cell_character_walk_stays_in_root_coordinates(monkeypatch):
+    datum = build_cartan("B3")
+    group = WeylGroup.build(datum)
+    expect = {w.idx: cell_translate_character(group, w, 3).terms
+              for w in group.elements}
+
+    def forbidden(*args):
+        raise AssertionError("fundamental-coordinate helper called")
+
+    for name in ("add", "depth", "inner"):
+        monkeypatch.setattr(datum, name, forbidden)
+    monkeypatch.setattr(WeylElem, "act", forbidden)
+    for w in group.elements:
+        assert cell_translate_character(group, w, 3).terms == expect[w.idx]
 
 
 def test_character_json():

@@ -1,7 +1,11 @@
 """Command-line interface: outputs, schemas, exit codes, determinism."""
 
+import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -146,6 +150,33 @@ class TestCentre:
         assert dims["e"] == 2 and dims["s1 s2 s1 s2"] == 2
         assert all(d < 2 for w, d in dims.items()
                    if w not in ("e", "s1 s2 s1 s2"))
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# sha256 of the stdout of ``python -m qbruhat.cli ARGS``, taken when the
+# pair posets were built by testing every pair of W x W, the covers by
+# scanning length levels and the centre tables by acting on weights
+PINNED_STDOUT = {
+    "strata build --type F4 --anchor s1":
+        "2acdd4b1c993125b90026cb31fa611f9d5be5ee979e7b88b875ec2c159425c4b",
+    "strata build --type A4":
+        "a5b411158cef07d523a44e02be9f65807c572cf07df1e8a3c64981bcc5b14f4f",
+    "centre dim --type F4":
+        "b2bdc31756855d411edf5fe6974a09d6a89d06c50ac1745847882f1f8d86535f",
+}
+
+
+@pytest.mark.parametrize("args", sorted(PINNED_STDOUT))
+def test_pinned_stdout_digest(args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "qbruhat.cli"]
+                          + args.split(), capture_output=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == PINNED_STDOUT[args]
 
 
 class TestVerify:

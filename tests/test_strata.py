@@ -7,6 +7,7 @@ import pytest
 from qbruhat.cartan import build_cartan
 from qbruhat.strata import DiamondPoset, build_poset, order_isomorphic
 from qbruhat.weyl import WeylGroup, format_word
+from oracles import all_pairs_filter, level_scan_covers
 
 
 def brute_pairs(group):
@@ -45,6 +46,71 @@ def test_geq_is_interval_reversal(a2_group):
             expect = (a2_group.bruhat_leq(y1, y2)
                       and a2_group.bruhat_leq(z2, z1))
             assert poset.geq(i, j) == expect
+
+
+def geq_scan_closure(poset, i):
+    """Indices of all pairs below pairs[i], by testing every pair."""
+    return [j for j in range(len(poset)) if poset.geq(i, j)]
+
+
+@pytest.mark.parametrize("label,anchor", [
+    ("A2", None), ("B2", None), ("G2", None), ("A3", None),
+    ("A3", "s2"), ("B3", "s1 s2"), ("A4", "s1 s2 s1"),
+])
+def test_closure_matches_geq_scan(label, anchor):
+    group = WeylGroup.build(build_cartan(label))
+    poset = DiamondPoset(group, anchor=group.parse(anchor) if anchor
+                         else None)
+    for i in range(len(poset)):
+        assert poset.closure(i) == geq_scan_closure(poset, i)
+
+
+@pytest.mark.parametrize("label,anchor", [
+    ("A2", None), ("B2", None), ("G2", None), ("A3", None), ("A4", None),
+    ("A2", "e"), ("A2", "s1"), ("A2", "s2 s1"), ("A2", "s1 s2 s1"),
+    ("B2", "s2"), ("B2", "s1 s2 s1"), ("G2", "s1 s2"), ("A3", "s1 s3"),
+    ("A4", "s1 s2 s1"), ("B3", "s1 s2"), ("F4", "s1"),
+])
+def test_pairs_match_all_pairs_filter(label, anchor):
+    # a group of its own, so the oracle's Bruhat memo is dropped after
+    group = WeylGroup(build_cartan(label))
+    a = group.parse(anchor) if anchor else None
+    assert DiamondPoset(group, anchor=a).pairs == all_pairs_filter(group, a)
+
+
+def level_scan_hasse_edges(poset):
+    """The product-cover rule on covers found by scanning length levels."""
+    lower, upper = level_scan_covers(poset.group)
+    pos = poset._pos
+    edges = []
+    for i, (y, z) in enumerate(poset.pairs):
+        below = [(y.idx, u) for u in lower[z.idx]]
+        below += [(v, z.idx) for v in upper[y.idx]]
+        edges.extend((i, j) for j in sorted(pos[key] for key in below
+                                            if key in pos))
+    return edges
+
+
+@pytest.mark.parametrize("label,anchor", [
+    ("B3", None), ("D4", "s2"), ("F4", "s1"),
+])
+def test_hasse_edges_match_level_scan(label, anchor):
+    group = WeylGroup.build(build_cartan(label))
+    poset = DiamondPoset(group, anchor=group.parse(anchor) if anchor
+                         else None)
+    assert poset.hasse_edges() == level_scan_hasse_edges(poset)
+
+
+def test_poset_build_makes_no_bruhat_query(monkeypatch):
+    group = WeylGroup(build_cartan("A3"))
+
+    def queried(*args):
+        raise AssertionError("bruhat_leq called")
+
+    monkeypatch.setattr(group, "bruhat_leq", queried)
+    for anchor in (None, group.parse("s2 s1")):
+        poset = DiamondPoset(group, anchor=anchor)
+        assert poset.hasse_edges()
 
 
 def test_closure_is_downward_set(a2_group):

@@ -14,6 +14,7 @@ from qbruhat.cartan import build_cartan
 from qbruhat import weyl
 from qbruhat.weyl import (WeylElem, WeylGroup, format_word, group_order,
                           parse_word)
+from oracles import fixed_lattice, level_scan_covers
 
 
 ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48, "G2": 12}
@@ -253,7 +254,7 @@ def test_fixed_lattice_really_fixed():
     group = group_of("B2")
     n = group.rank
     for w in group.elements:
-        lattice = group.fixed_lattice(w)
+        lattice = fixed_lattice(group, w)
         assert lattice.dim == group.fixed_space_rank(w)
         for row in lattice.rows:
             image = [sum((row[j] * w.mat[i][j] for j in range(n)),
@@ -270,6 +271,74 @@ def test_interval():
     s12 = group.parse("s1 s2")
     seg = group.interval(s1, s12)
     assert sorted(format_word(w.word) for w in seg) == ["s1", "s1 s2"]
+
+
+@pytest.mark.parametrize("label", ["A2", "A3", "A4", "B2", "B3", "C3",
+                                   "D4", "G2", "F4"])
+def test_fixed_space_rank_against_fixed_lattice(label):
+    group = WeylGroup(build_cartan(label))
+    for w in group.elements:
+        assert group.fixed_space_rank(w) == fixed_lattice(group, w).dim, \
+            format_word(w.word)
+
+
+@pytest.mark.parametrize("label", ["A3", "A4", "B3", "C3", "D4", "G2", "F4"])
+def test_cover_lists_match_level_scan(label):
+    group = WeylGroup(build_cartan(label))
+    lower, upper = level_scan_covers(group)
+    assert group.cover_lists() == (lower, upper)
+
+
+def test_cover_lists_are_built_lazily_once():
+    group = WeylGroup(build_cartan("B3"))
+    assert group._lower is None and group._upper is None
+    lower, upper = group.cover_lists()
+    assert group.cover_lists()[0] is lower
+    assert group.cover_lists()[1] is upper
+
+
+def test_interval_empty_when_incomparable():
+    group = group_of("A3")
+    s1, s2 = group.parse("s1"), group.parse("s2")
+    assert group.interval(s1, s2) == []
+    assert group.interval(group.longest, group.identity) == []
+    assert group.interval(s1, s1) == [s1]
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
+def test_interval_and_sets_against_filter(label):
+    group = group_of(label)
+    key = lambda w: (w.length, w.word)
+    elements = group.elements
+    for y in elements:
+        above = sorted((z for z in elements if group.bruhat_leq(y, z)),
+                       key=key)
+        below = sorted((z for z in elements if group.bruhat_leq(z, y)),
+                       key=key)
+        assert group.upper_set(y) == above
+        assert group.lower_set(y) == below
+        assert group.interval(group.identity, y) == below
+        for z in elements:
+            expect = sorted((w for w in elements if group.bruhat_leq(y, w)
+                             and group.bruhat_leq(w, z)), key=key)
+            assert group.interval(y, z) == expect
+
+
+@pytest.mark.parametrize("label", ["A1", "A3", "B3", "D4", "G2", "F4"])
+def test_sorted_elements_against_word_sort(label):
+    group = WeylGroup(build_cartan(label))
+    expect = sorted(group.elements, key=lambda w: (w.length, w.word))
+    assert group.sorted_elements() == expect
+
+
+@pytest.mark.parametrize("label", ["A2", "A3", "A4", "B3", "D4", "D5",
+                                   "F4", "G2"])
+def test_theta_against_action(label):
+    group = group_of(label)
+    datum = group.datum
+    for i in range(group.rank):
+        image = group.longest.act(datum.fund(i))
+        assert image == datum.neg(datum.fund(group.theta()[i]))
 
 
 def test_demazure_product():
@@ -305,7 +374,7 @@ def test_fixed_rank_and_theta_are_computed_once(monkeypatch):
     def recomputed(*args):
         raise AssertionError("a memoised value was recomputed")
 
-    monkeypatch.setattr(weyl, "kernel", recomputed)
+    monkeypatch.setattr(weyl, "_integer_rank", recomputed)
     monkeypatch.setattr(WeylElem, "act", recomputed)
     assert group.fixed_space_rank(w) == rank
     assert group.reflection_length(w) == group.rank - rank
