@@ -4,13 +4,16 @@ Weights are plain tuples of integers in fundamental-weight coordinates
 throughout the package; this module owns the conversions and pairings.
 The symmetric bilinear form is normalized so short roots have squared
 length two, which keeps every pairing of a root-lattice element with an
-integral weight an integer.
+integral weight an integer.  One datum is kept per type, whatever the
+case of its label.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+
+from .obs import memo
 
 
 _CHAIN_FAMILIES = {"A", "B", "C", "D", "E", "F", "G"}
@@ -243,13 +246,9 @@ class CartanDatum:
         return "CartanDatum(%s)" % self.label
 
 
-_DATUM_CACHE = {}
-
-
 def build_cartan(label):
-    """Cartan datum for a type label such as ``A2``, ``B3`` or ``G2``."""
-    if label in _DATUM_CACHE:
-        return _DATUM_CACHE[label]
+    """Cartan datum for a type label such as ``A2``, ``B3`` or ``G2``;
+    labels that spell the same type (``a2``, ``A2``) give one datum."""
     if not label or label[0].upper() not in _CHAIN_FAMILIES:
         raise ValueError("unknown type label %r" % (label,))
     family = label[0].upper()
@@ -261,6 +260,9 @@ def build_cartan(label):
     if not lo <= rank <= hi:
         raise ValueError("rank %d out of the supported range %d..%d for %s"
                          % (rank, lo, hi, family))
-    datum = CartanDatum(family + str(rank), family, rank)
-    _DATUM_CACHE[label] = datum
-    return datum
+    return _datum(family + str(rank), family, rank)
+
+
+@memo(lambda label, family, rank: label)
+def _datum(label, family, rank):
+    return CartanDatum(label, family, rank)

@@ -3,7 +3,8 @@
 A character is a finite integer combination of lattice points, stored in
 fundamental-weight coordinates.  Demazure operators act monomial by
 monomial, so the Weyl character of a dominant weight comes out of the
-longest-word composite with no division anywhere.
+longest-word composite with no division anywhere; it is kept, by
+``memo``, once per type and highest weight.
 
 The truncated cell character counts, up to a depth cutoff, the monoid
 elements spanned by a Weyl translate of the negative roots, with
@@ -16,6 +17,8 @@ from __future__ import annotations
 
 import json
 from operator import add
+
+from .obs import memo
 
 SCHEMA_CHAR = "qbruhat/char-v1"
 
@@ -128,15 +131,9 @@ def demazure_character(datum, group, w, lam):
     return ch
 
 
-_WEYL_CACHE = {}
-
-
+@memo(lambda datum, group, lam: (datum.label, tuple(lam)))
 def weyl_character(datum, group, lam):
-    key = (datum.label, tuple(lam))
-    if key not in _WEYL_CACHE:
-        _WEYL_CACHE[key] = demazure_character(datum, group, group.longest,
-                                              lam)
-    return _WEYL_CACHE[key]
+    return demazure_character(datum, group, group.longest, lam)
 
 
 def weight_multiplicity(datum, group, lam, mu):

@@ -17,6 +17,10 @@ linear algebra over the exact scalars:
 * saturation chains that divide an ideal piece by an extreme
   coefficient until the chain stabilizes, and the support extremes
   that recover the pair of Weyl elements labelling a stratum.
+
+One model is kept per type, and each model keeps its product tables,
+extreme rows, ideal pieces, saturations and decompositions in ``memo``
+tables that live as long as the model.
 """
 
 from __future__ import annotations
@@ -24,11 +28,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cartan import build_cartan
-from .exactalg import (Laurent, ONE, ZERO, Subspace, charpoly, dot, kernel,
-                       mat_mul, q_power_roots, reduce_against, rref)
+from .exactalg import (Laurent, ONE, ZERO, Subspace, charpoly, dot,
+                       identity_matrix, kernel, mat_mul, q_power_roots,
+                       reduce_against, rref)
 from .characters import weight_multiplicity
-from .uqmodules import (build_irrep, demazure_blocks, extreme_dual_row,
-                        lowering_string_to, _tensor_f)
+from .obs import memo
+from .uqmodules import (ModuleScopeError, build_irrep, demazure_blocks,
+                        extreme_dual_row, lowering_string_to, _tensor_f)
 from .weyl import WeylGroup
 
 
@@ -194,25 +200,15 @@ class SaturationResult:
 class CoordinateModel:
     """All graded data of the matrix-coefficient algebra for one type."""
 
-    _CACHE = {}
-
     def __init__(self, label):
         self.datum = build_cartan(label)
         self.group = WeylGroup.build(self.datum)
-        self._iota = {}
-        self._pairs = {}
-        self._extreme_rows = {}
-        self._orth = {}
-        self._pair_piece = {}
-        self._left_ideal = {}
-        self._saturation = {}
-        self._twisted = {}
 
     @classmethod
+    @memo(lambda cls, label: build_cartan(label).label)
     def get(cls, label):
-        if label not in cls._CACHE:
-            cls._CACHE[label] = cls(label)
-        return cls._CACHE[label]
+        """The model of a type, one per type."""
+        return cls(label)
 
     # -- degrees and products -------------------------------------------
 
@@ -223,9 +219,6 @@ class CoordinateModel:
         """Tensor coordinates of every basis vector of the module of
         weight lam+mu inside module(lam) ox module(mu), by replaying the
         exact lowering word of each basis vector."""
-        key = (tuple(lam), tuple(mu))
-        if key in self._iota:
-            return self._iota[key]
         m1 = self.module(lam)
         m2 = self.module(mu)
         big = self.module(self.datum.add(lam, mu))
@@ -236,22 +229,18 @@ class CoordinateModel:
             if p >= t:
                 raise AssertionError("parent order violated at index %d" % t)
             vecs[t] = _tensor_f(self.datum, m1, m2, i, vecs[p])
-        self._iota[key] = vecs
         return vecs
 
+    @memo(lambda self, lam, mu: (tuple(lam), tuple(mu)))
     def pair_table(self, lam, mu):
         """Sparse product rows: table[(r, s)] maps basis index t of the
         summed degree to the t-coordinate of the product of dual rows
         delta_r (degree lam) and delta_s (degree mu)."""
-        key = (tuple(lam), tuple(mu))
-        if key in self._pairs:
-            return self._pairs[key]
         vecs = self.iota_vectors(lam, mu)
         table = {}
         for t, vec in enumerate(vecs):
             for pair, c in vec.items():
                 table.setdefault(pair, {})[t] = c
-        self._pairs[key] = table
         return table
 
     def product_cell(self, lam, r, mu, s):
@@ -281,11 +270,9 @@ class CoordinateModel:
                     out[t] = out[t] + ab * c
         return out
 
+    @memo(lambda self, lam, w: (tuple(lam), w.idx))
     def extreme_row(self, lam, w):
-        key = (tuple(lam), w.idx)
-        if key not in self._extreme_rows:
-            self._extreme_rows[key] = extreme_dual_row(self.module(lam), w)
-        return self._extreme_rows[key]
+        return extreme_dual_row(self.module(lam), w)
 
     def extreme_product_scalar(self, lam, mu, w):
         """The scalar s with c_w(lam) c_w(mu) = s . c_w(lam+mu)."""
@@ -302,12 +289,10 @@ class CoordinateModel:
 
     # -- graded ideal pieces --------------------------------------------
 
+    @memo(lambda self, w, sign, lam: (w.idx, sign, tuple(lam)))
     def demazure_orth(self, w, sign, lam):
         """Dual rows vanishing on the extreme-vector closure of w with
         the given sign, block by block."""
-        key = (w.idx, sign, tuple(lam))
-        if key in self._orth:
-            return self._orth[key]
         module = self.module(lam)
         closure = demazure_blocks(module, w, sign)
         blocks = {}
@@ -315,36 +300,26 @@ class CoordinateModel:
             rng = module.weight_indices(wt)
             entry = closure.get(wt)
             if entry is None:
-                blocks[wt] = ([[ONE if j == i else ZERO
-                                for j in range(len(rng))]
-                               for i in range(len(rng))],
-                              list(range(len(rng))))
+                blocks[wt] = _full_block(len(rng))
                 continue
             rows = entry[0]
             if len(rows) == len(rng):
                 continue
             blocks[wt] = kernel([list(r) for r in rows], len(rng))
-        piece = GradedPiece(module, blocks)
-        self._orth[key] = piece
-        return piece
+        return GradedPiece(module, blocks)
 
+    @memo(lambda self, y, z, lam: (y.idx, z.idx, tuple(lam)))
     def pair_piece(self, y, z, lam):
         """Sum of the minus-piece at y and the plus-piece at z."""
-        key = (y.idx, z.idx, tuple(lam))
-        if key in self._pair_piece:
-            return self._pair_piece[key]
-        piece = self.demazure_orth(y, "-", lam).sum(
+        return self.demazure_orth(y, "-", lam).sum(
             self.demazure_orth(z, "+", lam))
-        self._pair_piece[key] = piece
-        return piece
 
+    @memo(lambda self, lam, eta, side, nu:
+          (tuple(lam), tuple(eta), side, tuple(nu)))
     def left_ideal_piece(self, lam, eta, side, nu):
         """Degree nu+lam slice of the left ideal generated by all dual
         rows of degree lam whose support weight is strictly below eta
         (side '+') or strictly above it (side '-') in dominance order."""
-        key = (tuple(lam), tuple(eta), side, tuple(nu))
-        if key in self._left_ideal:
-            return self._left_ideal[key]
         if side not in ("+", "-"):
             raise ValueError("side must be '+' or '-'")
         mlam = self.module(lam)
@@ -354,18 +329,13 @@ class CoordinateModel:
         for wt in mlam.block_order:
             if tuple(wt) == tuple(eta):
                 continue
-            if side == "+":
-                if not self.datum.dominance_leq(wt, eta):
-                    continue
-            else:
-                if not self.datum.dominance_leq(eta, wt):
-                    continue
+            below, above = (wt, eta) if side == "+" else (eta, wt)
+            if not self.datum.dominance_leq(below, above):
+                continue
             for s in mlam.weight_indices(wt):
                 for r in range(mnu.dim):
                     rows.append(self.product_cell(nu, r, lam, s))
-        piece = GradedPiece.from_rows(big, rows)
-        self._left_ideal[key] = piece
-        return piece
+        return GradedPiece.from_rows(big, rows)
 
     # -- q-commutation ---------------------------------------------------
 
@@ -407,34 +377,27 @@ class CoordinateModel:
         degree nu: no left-ideal correction term at all."""
         datum = self.datum
         mlam = self.module(lam)
-        w0 = self.group.longest
-        row_e = self.extreme_row(nu, self.group.identity)
-        row_w0 = self.extreme_row(nu, w0)
-        w0nu = w0.act(nu)
-        w0lam = w0.act(lam)
+        # the highest row commutes with exponent (nu, mu - lam), the
+        # lowest with -(w0 nu, mu - w0 lam)
+        extremes = [(name, sign, w.act(nu), w.act(lam),
+                     self.extreme_row(nu, w))
+                    for name, sign, w in [("highest", 1, self.group.identity),
+                                          ("lowest", -1, self.group.longest)]]
         for r in range(mlam.dim):
             mu = mlam.weights[r]
             delta = [ONE if k == r else ZERO for k in range(mlam.dim)]
-            front = self.multiply(lam, delta, nu, row_e)
-            back = self.multiply(nu, row_e, lam, delta)
-            e = datum.inner(nu, datum.sub(mu, lam))
-            if e.denominator != 1:
-                raise AssertionError("highest-row exponent not integral")
-            qe = Laurent.q_power(int(e))
-            if front != [qe * b for b in back]:
-                raise AssertionError(
-                    "highest-row relation fails at index %d of degree %s"
-                    % (r, lam))
-            front = self.multiply(lam, delta, nu, row_w0)
-            back = self.multiply(nu, row_w0, lam, delta)
-            e = -datum.inner(w0nu, datum.sub(mu, w0lam))
-            if e.denominator != 1:
-                raise AssertionError("lowest-row exponent not integral")
-            qe = Laurent.q_power(int(e))
-            if front != [qe * b for b in back]:
-                raise AssertionError(
-                    "lowest-row relation fails at index %d of degree %s"
-                    % (r, lam))
+            for name, sign, wnu, wlam, row in extremes:
+                front = self.multiply(lam, delta, nu, row)
+                back = self.multiply(nu, row, lam, delta)
+                e = sign * datum.inner(wnu, datum.sub(mu, wlam))
+                if e.denominator != 1:
+                    raise AssertionError("%s-row exponent not integral"
+                                         % name)
+                qe = Laurent.q_power(int(e))
+                if front != [qe * b for b in back]:
+                    raise AssertionError(
+                        "%s-row relation fails at index %d of degree %s"
+                        % (name, r, lam))
         return True
 
     # -- conjugation operators ------------------------------------------
@@ -459,17 +422,8 @@ class CoordinateModel:
         trg = big.weight_indices(target_wt)
         left_tbl = self.pair_table(nu, lam)
         right_tbl = self.pair_table(lam, nu)
-
-        def restrict(cell):
-            out = [ZERO] * len(trg)
-            for t, c in cell.items():
-                if not trg.start <= t < trg.stop:
-                    raise AssertionError("product escapes the target block")
-                out[t - trg.start] = cex * c
-            return out
-
-        lrows = [restrict(left_tbl.get((j0, u), {})) for u in rng]
-        rrows = [restrict(right_tbl.get((t, j0), {})) for t in rng]
+        lrows = [_restrict(left_tbl.get((j0, u), {}), trg, cex) for u in rng]
+        rrows = [_restrict(right_tbl.get((t, j0), {}), trg, cex) for t in rng]
         # one reduction of [L^T | R^T]: the first b pivots certify that
         # left multiplication is injective, a later one that some image
         # row is not in its span; otherwise column b + t holds row t of
@@ -502,59 +456,64 @@ class CoordinateModel:
         tq = Laurent.q_power(int(twist))
         return [[tq * c for c in row] for row in phi]
 
-    def sufficient_degree(self, w, eta, cap=6):
-        """A degree k.rho whose eta-block multiplicity has stabilized,
-        plus the stable multiplicity."""
-        datum = self.datum
-        rho = datum.rho()
-        prev = None
-        for k in range(1, cap + 2):
-            lam = tuple(k * c for c in rho)
-            m = weight_multiplicity(datum, self.group, lam,
-                                    datum.add(w.act(lam), eta))
-            if prev is not None and m == prev[1]:
-                return prev[0], m
-            prev = (lam, m)
-        raise SufficiencyError("block multiplicity for eta=%s did not "
-                               "stabilize below %d.rho" % (eta, cap))
+    def sufficient_degree(self, w, eta):
+        """The least degree k.rho at which the eta-block multiplicity of
+        w is stable, plus that multiplicity.
 
-    def twisted_decomposition(self, w, eta, lam=None, cap=6):
+        With beta = -w^-1 eta in simple-root coordinates, the block is
+        V(lam)_{lam-beta}: U^- in weight -beta modulo the left ideal of
+        the f_i^(lam_i+1) (Humphreys, Introduction to Lie Algebras, 21.4;
+        Jantzen, Lectures on Quantum Groups, ch. 5).  The ideal misses
+        that weight, so the multiplicity is the partition count p(beta),
+        once every lam_i >= beta_i, that is from k* = max(1, max beta_i)
+        on.  Below k*, some beta_i = k* > lam_i and the ideal holds
+        f_i^k* U^-_{-beta+k* alpha_i}, which is nonzero because U^- is a
+        domain, so k* is the least stable degree.  A beta outside the
+        positive root cone gives (rho, 0)."""
+        datum = self.datum
+        beta = datum.root_coords(datum.neg(w.inverse().act(eta)))
+        if any(c < 0 or c.denominator != 1 for c in beta):
+            return datum.rho(), 0
+        top = max(1, *(int(c) for c in beta))
+        lam = tuple(top * c for c in datum.rho())
+        return lam, weight_multiplicity(datum, self.group, lam,
+                                        datum.add(w.act(lam), eta))
+
+    def twisted_decomposition(self, w, eta, lam=None):
         """Simultaneous generalized eigen-decomposition of the twisted
         conjugation operators on the eta-block.
 
-        Returns a sorted list of (label, Subspace over block coords)
-        with labels in twice the negative root lattice; the subspaces
-        fill the whole block.  The eigenvalues of operator i are the
-        integer q-power roots q^e_i of its characteristic polynomial,
-        found exactly; each subspace is an intersection of generalized
-        eigenspaces ker (M_i - q^e_i)^m_i, m_i the root's multiplicity,
-        and its label has root coordinates e_i / d_i.  EigenvalueError
-        is raised when the operators do not commute, when a
-        characteristic polynomial keeps a factor with no integer
+        Returns a fresh sorted list of (label, Subspace over block
+        coords) with labels in twice the negative root lattice; the
+        subspaces fill the whole block.  The eigenvalues of operator i
+        are the integer q-power roots q^e_i of its characteristic
+        polynomial, found exactly; each subspace is an intersection of
+        generalized eigenspaces ker (M_i - q^e_i)^m_i, m_i the root's
+        multiplicity, and its label has root coordinates e_i / d_i.
+        EigenvalueError is raised when the operators do not commute,
+        when a characteristic polynomial keeps a factor with no integer
         q-power root, or when a label falls outside twice the root
-        lattice.  With lam omitted, escalates through stabilizing
-        degrees k.rho until the solves succeed.  Results for an
-        explicit lam are memoised."""
+        lattice.  With lam omitted, escalates along k.rho from the
+        stabilising degree (``sufficient_degree``) until the solves
+        succeed; a degree whose modules exceed the supported scope
+        raises ModuleScopeError naming the block and the degree.
+        Results for each degree are memoised."""
         datum = self.datum
         eta = tuple(eta)
-        if lam is None:
-            rho = datum.rho()
-            last_err = None
-            for k in range(1, cap + 1):
-                trial = tuple(k * c for c in rho)
-                try:
-                    return self.twisted_decomposition(w, eta, lam=trial)
-                except SufficiencyError as err:
-                    last_err = err
-            raise SufficiencyError(
-                "no degree up to %d.rho supports the eta=%s block: %s"
-                % (cap, eta, last_err))
-        lam = tuple(lam)
-        key = (w.idx, eta, lam)
-        if key not in self._twisted:
-            self._twisted[key] = self._twisted_decomposition(w, eta, lam)
-        return list(self._twisted[key])
+        if lam is not None:
+            return list(self._twisted_decomposition(w, eta, tuple(lam)))
+        lam = self.sufficient_degree(w, eta)[0]
+        while True:
+            try:
+                return list(self._twisted_decomposition(w, eta, lam))
+            except SufficiencyError:
+                lam = datum.add(lam, datum.rho())
+            except ModuleScopeError as err:
+                raise ModuleScopeError(
+                    "block %s of degree %s: %s"
+                    % (datum.add(w.act(lam), eta), lam, err)) from err
 
+    @memo(lambda self, w, eta, lam: (w.idx, tuple(eta), tuple(lam)))
     def _twisted_decomposition(self, w, eta, lam):
         datum = self.datum
         blk = datum.add(w.act(lam), eta)
@@ -667,12 +626,11 @@ class CoordinateModel:
 
     # -- saturation ------------------------------------------------------
 
+    @memo(lambda self, y, z, nu, bound, by="z":
+          (y.idx, z.idx, tuple(nu), bound, by))
     def saturation(self, y, z, nu, bound, by="z"):
         """Chain of preimages of the pair piece under left multiplication
         by extreme rows of growing degree k.rho."""
-        key = (y.idx, z.idx, tuple(nu), bound, by)
-        if key in self._saturation:
-            return self._saturation[key]
         if by not in ("y", "z"):
             raise ValueError("by must be 'y' or 'z'")
         datum = self.datum
@@ -695,24 +653,13 @@ class CoordinateModel:
                 rng = mnu.weight_indices(wt)
                 twt = datum.add(shift, wt)
                 trg = big.weight_indices(twt)
-                imgs = []
-                for t in rng:
-                    cell = table.get((j0, t), {})
-                    dense = [ZERO] * len(trg)
-                    for u, c in cell.items():
-                        if not trg.start <= u < trg.stop:
-                            raise AssertionError(
-                                "product escapes the expected block")
-                        dense[u - trg.start] = cex * c
-                    imgs.append(dense)
+                imgs = [_restrict(table.get((j0, t), {}), trg, cex)
+                        for t in rng]
                 entry = target.blocks.get(twt)
                 srows = [list(r) for r in entry[0]] if entry else []
                 cons = kernel(srows, len(trg))[0] if len(trg) else []
                 if not cons:
-                    blocks[wt] = ([[ONE if j == i else ZERO
-                                    for j in range(len(rng))]
-                                   for i in range(len(rng))],
-                                  list(range(len(rng))))
+                    blocks[wt] = _full_block(len(rng))
                     continue
                 gmat = [[dot(img, kr) for kr in cons] for img in imgs]
                 ech, piv = kernel(_transpose(gmat, len(cons)), len(rng))
@@ -724,9 +671,7 @@ class CoordinateModel:
                     "saturation chain failed to grow monotonically at "
                     "step %d" % k)
             pieces.append(piece)
-        result = SaturationResult(y, z, nu, bound, by, pieces)
-        self._saturation[key] = result
-        return result
+        return SaturationResult(y, z, nu, bound, by, pieces)
 
     # -- support extremes and stratum recovery ---------------------------
 
@@ -771,6 +716,22 @@ class CoordinateModel:
             raise NonStratumError("support extreme is not an extreme "
                                   "weight of degree %s" % (nu,))
         return wy, wz, sat
+
+
+def _restrict(cell, trg, scale):
+    """Dense coordinates, times scale, of a sparse product row on the
+    index range trg of its target block."""
+    out = [ZERO] * len(trg)
+    for t, c in cell.items():
+        if not trg.start <= t < trg.stop:
+            raise AssertionError("product escapes the target block")
+        out[t - trg.start] = scale * c
+    return out
+
+
+def _full_block(n):
+    """Echelon rows and pivots of a whole n-dimensional block."""
+    return identity_matrix(n), list(range(n))
 
 
 def _transpose(rows, ncols):

@@ -94,11 +94,6 @@ class Laurent:
     def is_monomial(self):
         return len(self.coeffs) == 1
 
-    def constant_value(self):
-        if not self.is_constant():
-            raise ValueError("not a constant: %s" % self)
-        return self.coeffs.get(0, 0)
-
     def min_exp(self):
         if not self.coeffs:
             raise ValueError("zero polynomial has no exponents")

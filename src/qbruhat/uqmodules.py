@@ -15,7 +15,9 @@ delta_ij [<wt p, alpha_i^v>]_{d_i} p from its parent, so they follow from
 the lowering matrices by the relation [E_i, F_j] = delta_ij [h_i].  Every
 construction is then checked against the dimension formula, the weight
 multiset, all commutators and the quantum Serre relations (summed by
-Horner's scheme); that check is the only guard on the matrices.
+Horner's scheme); that check is the only guard on the matrices.  Verified
+modules are kept per type and highest weight, and extreme vectors per
+module and Weyl element, by ``memo``; no module above ``MAX_DIM`` is built.
 
 Conventions.  The comultiplication used for tensor actions is
 
@@ -36,7 +38,11 @@ from collections import Counter, deque
 from .exactalg import (Laurent, ONE, ZERO, Subspace, kernel, q_binomial,
                        q_factorial, q_int, reduce_against, rref)
 from .characters import weyl_character, weyl_dim
+from .obs import memo
 from .weyl import WeylGroup
+
+# the largest module dimension built
+MAX_DIM = 400
 
 
 class ModuleScopeError(ValueError):
@@ -107,6 +113,21 @@ class _BlockSolver:
         return None
 
 
+def _row_apply(mat, row, dim):
+    """Dense row times sparse matrix (column -> {row: entry})."""
+    out = [ZERO] * dim
+    for k in range(dim):
+        col = mat.get(k)
+        if not col:
+            continue
+        acc = ZERO
+        for r, f in col.items():
+            if row[r]:
+                acc = acc + row[r] * f
+        out[k] = acc
+    return out
+
+
 def _apply(mat, vec):
     """Sparse matrix (column -> {row: entry}) times sparse vector."""
     out = {}
@@ -157,7 +178,6 @@ class UqModule:
             t = stop
         if self.weights[0] != self.lam:
             raise AssertionError("basis does not start at the highest weight")
-        self._extreme = {}
 
     def weight_indices(self, wt):
         return self.blocks.get(tuple(wt), range(0))
@@ -176,35 +196,28 @@ class UqModule:
         fact = q_factorial(n, self.datum.d[i])
         return {k: c / fact for k, c in vec.items()}
 
+    @memo(lambda self, w: w.idx)
+    def extreme_vector(self, w):
+        """Coordinates of the canonical extreme vector of weight w(lam),
+        produced by divided lowering powers along the canonical word."""
+        if w.length == 0:
+            return {0: ONE}
+        i = w.word[0]
+        grp = w.group
+        shorter = grp.multiply(grp.gens[i], w)
+        n = self.datum.coroot_pairing(shorter.act(self.lam), i)
+        if n < 0:
+            raise AssertionError("negative lowering exponent on the way "
+                                 "to %r" % (w,))
+        return self.f_divided(i, self.extreme_vector(shorter), n)
+
     # -- right action on rows (dense lists) -------------------------------
 
     def row_f(self, i, row):
-        mat = self.fmat[i]
-        out = [ZERO] * self.dim
-        for k in range(self.dim):
-            col = mat.get(k)
-            if not col:
-                continue
-            acc = ZERO
-            for r, f in col.items():
-                if row[r]:
-                    acc = acc + row[r] * f
-            out[k] = acc
-        return out
+        return _row_apply(self.fmat[i], row, self.dim)
 
     def row_e(self, i, row):
-        mat = self.emat[i]
-        out = [ZERO] * self.dim
-        for k in range(self.dim):
-            col = mat.get(k)
-            if not col:
-                continue
-            acc = ZERO
-            for r, f in col.items():
-                if row[r]:
-                    acc = acc + row[r] * f
-            out[k] = acc
-        return out
+        return _row_apply(self.emat[i], row, self.dim)
 
     def row_support_weight(self, row):
         """The single block weight carrying the support of the row."""
@@ -324,25 +337,19 @@ _SEED_TABLE = {
     },
 }
 
-_MODULE_CACHE = {}
-
-
-def build_irrep(datum, lam, max_dim=400):
+@memo(lambda datum, lam: (datum.label, tuple(lam)))
+def build_irrep(datum, lam):
     """The integrable module of highest weight lam, fully verified."""
     lam = tuple(lam)
-    key = (datum.label, lam)
-    if key in _MODULE_CACHE:
-        return _MODULE_CACHE[key]
     if len(lam) != datum.rank or any(c < 0 for c in lam):
         raise ValueError("bad dominant weight %s" % (lam,))
     group = WeylGroup.build(datum)
-    module = _build_irrep_inner(datum, group, lam, max_dim)
+    module = _build_irrep_inner(datum, group, lam)
     verify_module(module, group)
-    _MODULE_CACHE[key] = module
     return module
 
 
-def _build_irrep_inner(datum, group, lam, max_dim):
+def _build_irrep_inner(datum, group, lam):
     fam = (datum.family, datum.rank)
     if not any(lam):
         return UqModule(datum, lam, [lam], [None],
@@ -352,9 +359,9 @@ def _build_irrep_inner(datum, group, lam, max_dim):
         raise ModuleScopeError("module arithmetic is limited to types "
                                "A1, A2 and B2")
     expected = weyl_dim(datum, lam)
-    if expected > max_dim:
+    if expected > MAX_DIM:
         raise ModuleScopeError("dimension %d exceeds the cap %d"
-                               % (expected, max_dim))
+                               % (expected, MAX_DIM))
     seeds = _SEED_TABLE[fam]
     nz = [i for i in range(datum.rank) if lam[i]]
     if len(nz) == 1 and lam[nz[0]] == 1 and nz[0] in seeds:
@@ -547,26 +554,7 @@ def _reorder_module(datum, lam, wts, parents, fmat, emat):
 # -- extreme vectors and their duals --------------------------------------
 
 
-def extreme_vector(module, w):
-    """Coordinates of the canonical extreme vector of weight w(lam),
-    produced by divided lowering powers along the canonical word."""
-    cache = module._extreme
-    if w.idx in cache:
-        return cache[w.idx]
-    if w.length == 0:
-        vec = {0: ONE}
-    else:
-        i = w.word[0]
-        grp = w.group
-        shorter = grp.multiply(grp.gens[i], w)
-        prev = extreme_vector(module, shorter)
-        n = module.datum.coroot_pairing(shorter.act(module.lam), i)
-        if n < 0:
-            raise AssertionError("negative lowering exponent on the way "
-                                 "to %r" % (w,))
-        vec = module.f_divided(i, prev, n)
-    cache[w.idx] = vec
-    return vec
+extreme_vector = UqModule.extreme_vector
 
 
 def extreme_dual_row(module, w):
@@ -661,21 +649,20 @@ def string_counts(module, row, i):
     raising-side right actions for direction i."""
     if not any(row):
         return 0, 0
-    phi = 0
-    cur = module.row_f(i, row)
+    return (_string_length(module.row_f, i, row, module.dim),
+            _string_length(module.row_e, i, row, module.dim))
+
+
+def _string_length(act, i, row, dim):
+    """How often act(i, .) applied to the row stays nonzero."""
+    n = 0
+    cur = act(i, row)
     while any(cur):
-        cur = module.row_f(i, cur)
-        phi += 1
-        if phi > module.dim:
+        cur = act(i, cur)
+        n += 1
+        if n > dim:
             raise AssertionError("runaway string in direction %d" % i)
-    eps = 0
-    cur = module.row_e(i, row)
-    while any(cur):
-        cur = module.row_e(i, cur)
-        eps += 1
-        if eps > module.dim:
-            raise AssertionError("runaway string in direction %d" % i)
-    return phi, eps
+    return n
 
 
 def lowering_string_to(module, row, w):

@@ -2,14 +2,17 @@
 
 Elements are integer matrices.  The whole group is materialized eagerly
 by a breadth-first search from the identity, after its known order has
-been checked against a cap (``group_order``).  The search keeps, for each
-simple generator s_i, the table of left multiplication by s_i, and an
-element's length is the depth at which the search first reaches it.
-Canonical reduced words are the lexicographically least ones, and Bruhat
-order comes from Deodhar's descent recursion on the table.  The Bruhat
-covers of every element are filled in once per group, on first use, by
-the lifting property; intervals, lower and upper sets are traversals of
-those cover lists.  The subword test, a reflection-chain closure and the
+been checked against ``MAX_ORDER`` (``group_order``).  The search keeps,
+for each simple generator s_i, the table of left multiplication by s_i,
+and an element's length is the depth at which the search first reaches
+it.  Canonical reduced words are the lexicographically least ones, and
+Bruhat order comes from Deodhar's descent recursion on the table.  The
+Bruhat covers of every element are filled in once per group, on first
+use, by the lifting property; intervals, lower and upper sets are
+traversals of those cover lists.  One group is kept per type; words,
+covers, fixed-space ranks and the sorted order are ``memo`` tables on
+the group, and Bruhat comparisons keep a table of every pair the descent
+recursion meets.  The subword test, a reflection-chain closure and the
 covers found by scanning neighbouring length levels live in the test
 suite as oracles.
 """
@@ -19,6 +22,10 @@ from __future__ import annotations
 from math import factorial
 
 from .cartan import build_cartan
+from .obs import memo
+
+# the largest group enumerated; E7 and E8 are refused before any work
+MAX_ORDER = 500000
 
 
 class WeylElem:
@@ -104,15 +111,13 @@ _EXCEPTIONAL_ORDERS = {("E", 6): 51840, ("E", 7): 2903040,
 class WeylGroup:
     """A finite Weyl group with its Bruhat combinatorics."""
 
-    _CACHE = {}
-
-    def __init__(self, datum, max_order=500000):
+    def __init__(self, datum):
         self.datum = datum
         self.rank = datum.rank
         expected = group_order(datum.family, datum.rank)
-        if expected > max_order:
+        if expected > MAX_ORDER:
             raise ValueError("the Weyl group of %s has order %d, over the "
-                             "cap %d" % (datum.label, expected, max_order))
+                             "cap %d" % (datum.label, expected, MAX_ORDER))
         # g_i . m changes only the rows k with a[k][i] != 0:
         # row_k -= a[k][i] * row_i.
         a = datum.cartan
@@ -149,10 +154,9 @@ class WeylGroup:
         self._length = lengths
         self.identity = self.elements[0]
         self.gens = [self.elements[lmul[i][0]] for i in range(self.rank)]
-        self._words = {0: ()}
+        # filled by bruhat_leq with every pair its descent loop meets,
+        # so it is a path table rather than one memo entry per call
         self._bruhat = {}
-        self._fixed_rank = {}
-        self._lower = self._upper = self._position = self._order = None
         self.longest = max(self.elements, key=lambda e: e.length)
         n_pos = len(datum.positive_roots)
         if self.longest.length != n_pos:
@@ -161,15 +165,10 @@ class WeylGroup:
         self._theta = self._diagram_involution()
 
     @classmethod
-    def build(cls, datum_or_label, max_order=500000):
-        if isinstance(datum_or_label, str):
-            datum = build_cartan(datum_or_label)
-        else:
-            datum = datum_or_label
-        key = datum.label
-        if key not in cls._CACHE:
-            cls._CACHE[key] = cls(datum, max_order=max_order)
-        return cls._CACHE[key]
+    @memo(lambda cls, datum_or_label: _as_datum(datum_or_label).label)
+    def build(cls, datum_or_label):
+        """The group of a datum or type label, one per type."""
+        return cls(_as_datum(datum_or_label))
 
     # -- group structure ------------------------------------------------
 
@@ -200,13 +199,13 @@ class WeylGroup:
     def parse(self, text):
         return self.from_word(parse_word(text, self.rank))
 
+    @memo(lambda self, w: w.idx)
     def canonical_word(self, w):
         """The lexicographically least reduced word of w."""
-        if w.idx not in self._words:
-            i = self._first_descent(w.idx)
-            rest = self.elements[self._lmul[i][w.idx]]
-            self._words[w.idx] = (i,) + self.canonical_word(rest)
-        return self._words[w.idx]
+        if w.idx == 0:
+            return ()
+        i = self._first_descent(w.idx)
+        return (i,) + self.canonical_word(self.elements[self._lmul[i][w.idx]])
 
     def _first_descent(self, idx):
         """The least i with s_i a left descent of elements[idx]."""
@@ -265,34 +264,33 @@ class WeylGroup:
 
     # -- Bruhat covers ---------------------------------------------------
 
+    @memo()
     def cover_lists(self):
         """Lower and upper Bruhat covers of every element, as index lists
-        sorted by index; built once per group.
+        sorted by index; built once per group, on first use.
 
         Lifting property (Bjorner-Brenti, Prop. 2.2.7): for a left
         descent s of w, the coatoms of w are sw and s.x for each coatom x
         of sw with s.x > x.  Breadth-first indices grow with length, so
         sw is done before w.  Upper covers are the transposed lists.
         """
-        if self._lower is None:
-            length, lmul = self._length, self._lmul
-            lower = [[]]
-            for w in range(1, len(length)):
-                row = lmul[self._first_descent(w)]
-                v = row[w]
-                covers = [v]
-                for x in lower[v]:
-                    sx = row[x]
-                    if length[sx] > length[x]:
-                        covers.append(sx)
-                covers.sort()
-                lower.append(covers)
-            upper = [[] for _ in lower]
-            for w, covers in enumerate(lower):
-                for u in covers:
-                    upper[u].append(w)
-            self._lower, self._upper = lower, upper
-        return self._lower, self._upper
+        length, lmul = self._length, self._lmul
+        lower = [[]]
+        for w in range(1, len(length)):
+            row = lmul[self._first_descent(w)]
+            v = row[w]
+            covers = [v]
+            for x in lower[v]:
+                sx = row[x]
+                if length[sx] > length[x]:
+                    covers.append(sx)
+            covers.sort()
+            lower.append(covers)
+        upper = [[] for _ in lower]
+        for w, covers in enumerate(lower):
+            for u in covers:
+                upper[u].append(w)
+        return lower, upper
 
     def _reach(self, start, covers, keep=None):
         """Elements reachable from index ``start`` through ``covers``,
@@ -306,7 +304,7 @@ class WeylGroup:
                     seen.add(v)
                     stack.append(v)
         return [self.elements[u]
-                for u in sorted(seen, key=self._positions().__getitem__)]
+                for u in sorted(seen, key=self._sorted()[1].__getitem__)]
 
     def interval(self, y, z):
         """All w with y <= w <= z, sorted by (length, word); empty unless
@@ -328,16 +326,13 @@ class WeylGroup:
 
     # -- reflection-length data -----------------------------------------
 
+    @memo(lambda self, w: w.idx)
     def fixed_space_rank(self, w):
-        """Dimension of the fixed lattice of w, the corank of w - 1,
-        memoised by element."""
-        rank = self._fixed_rank.get(w.idx)
-        if rank is None:
-            n = self.rank
-            rows = [[w.mat[i][j] - (1 if i == j else 0) for j in range(n)]
-                    for i in range(n)]
-            rank = self._fixed_rank[w.idx] = n - _integer_rank(rows)
-        return rank
+        """Dimension of the fixed lattice of w, the corank of w - 1."""
+        n = self.rank
+        rows = [[w.mat[i][j] - (1 if i == j else 0) for j in range(n)]
+                for i in range(n)]
+        return n - _integer_rank(rows)
 
     def reflection_length(self, w):
         """Codimension of the fixed space (Carter's theorem)."""
@@ -367,24 +362,28 @@ class WeylGroup:
             out.append(column.index(-1))
         return tuple(out)
 
-    def _positions(self):
-        """Position of each element in (length, word) order, by index;
-        built once per group."""
-        if self._position is None:
-            self._order = sorted(self.elements,
-                                 key=lambda w: (w.length, w.word))
-            self._position = [0] * len(self._order)
-            for k, w in enumerate(self._order):
-                self._position[w.idx] = k
-        return self._position
+    @memo()
+    def _sorted(self):
+        """The elements in (length, word) order, and the position of each
+        element in it, by index."""
+        order = sorted(self.elements, key=lambda w: (w.length, w.word))
+        position = [0] * len(order)
+        for k, w in enumerate(order):
+            position[w.idx] = k
+        return order, position
 
     def sorted_elements(self):
         """All elements in (length, word) order."""
-        self._positions()
-        return list(self._order)
+        return list(self._sorted()[0])
 
     def __repr__(self):
         return "WeylGroup(%s, order %d)" % (self.datum.label, len(self))
+
+
+def _as_datum(datum_or_label):
+    if isinstance(datum_or_label, str):
+        return build_cartan(datum_or_label)
+    return datum_or_label
 
 
 def _integer_rank(rows):

@@ -6,10 +6,12 @@ from unittest import mock
 
 import pytest
 
+from qbruhat.characters import weight_multiplicity
 from qbruhat.coordring import (CoordinateModel, EigenvalueError,
                                SufficiencyError)
 from qbruhat.exactalg import ONE, ZERO, Laurent, Subspace, kernel, mat_mul
-from test_acceptance import eta_sweep
+from qbruhat.uqmodules import ModuleScopeError
+from test_acceptance import brute_cone_count, eta_sweep
 
 Q = Laurent({1: 1})
 
@@ -184,6 +186,73 @@ class TestTwistedDecomposition:
         m = a2_model.module(lam)
         blk = a2_model.datum.add(g.longest.act(lam), (0, 0))
         assert len(m.weight_indices(blk)) == mult
+
+
+class TestStabilisingDegree:
+    @pytest.mark.parametrize("label,cases", [("A2", 294), ("B2", 392)])
+    def test_degree_carries_the_cone_count(self, label, cases):
+        """For every w and beta in [0, 6]^rank, with eta = w(-beta): the
+        multiplicity returned is the cone count p(beta), the eta-block
+        has it at the returned degree k.rho, and has less at (k-1).rho."""
+        model = CoordinateModel.get(label)
+        datum, group = model.datum, model.group
+        positives = [tuple(int(c) for c in rc)
+                     for rc in datum.positive_roots]
+
+        def mult(w, eta, k):
+            lam = (k,) * datum.rank
+            return weight_multiplicity(datum, group, lam,
+                                       datum.add(w.act(lam), eta))
+
+        checked = 0
+        for w in group.elements:
+            for beta in itertools.product(range(7), repeat=datum.rank):
+                eta = w.act(datum.root_to_fund([-c for c in beta]))
+                lam, m = model.sufficient_degree(w, eta)
+                k = lam[0]
+                assert lam == (k,) * datum.rank
+                assert m == brute_cone_count(datum, beta, positives)
+                assert mult(w, eta, k) == m
+                assert k == 1 or mult(w, eta, k - 1) < m
+                checked += 1
+        assert checked == cases
+
+    def test_offsets_off_the_cone_are_empty(self, a2_model):
+        g = a2_model.group
+        # beta = -w^-1 eta: (1, 0) and (4, 0) are off the root lattice,
+        # -alpha_1 and 3 alpha_1 - alpha_2 have a negative coordinate
+        for w, eta in [(g.identity, (-1, 0)), (g.identity, (-4, 0)),
+                       (g.identity, (2, -1)), (g.longest, (-2, 1)),
+                       (g.identity, (-7, 5))]:
+            assert a2_model.sufficient_degree(w, eta) == ((1, 1), 0)
+
+    def test_plateau_before_the_stable_degree(self, a2_model):
+        """The multiplicities at k.rho for k = 1..4 are 0, 0, 1, 1: the
+        first repeat is not the stable value."""
+        e = a2_model.group.identity
+        assert a2_model.sufficient_degree(e, (3, -6)) == ((3, 3), 1)
+        parts = a2_model.twisted_decomposition(e, (3, -6))
+        assert [(mu, sub.dim) for mu, sub in parts] == [((6, -12), 1)]
+
+    def test_escalation_names_the_block_and_degree_out_of_scope(self):
+        """Escalation starts at the stabilising degree, steps past a
+        failed solve, and stops at the first degree out of scope."""
+        model = CoordinateModel("A2")
+        tried = []
+
+        def solve(w, eta, lam):
+            tried.append(lam)
+            if lam == (2, 2):
+                raise SufficiencyError("conjugation solve inconsistent")
+            raise ModuleScopeError("dimension 420 exceeds the cap 400")
+
+        with mock.patch.object(CoordinateModel, "_twisted_decomposition",
+                               side_effect=solve):
+            with pytest.raises(ModuleScopeError) as err:
+                model.twisted_decomposition(model.group.identity, (2, -4))
+        assert tried == [(2, 2), (3, 3)]
+        assert str(err.value) == ("block (5, -1) of degree (3, 3): "
+                                  "dimension 420 exceeds the cap 400")
 
 
 def box_decomposition(model, w, eta, lam, margin=2):

@@ -264,7 +264,7 @@ def test_raising_matrices_match_tensor_oracle(label, lam):
     built = module_of(label, lam)  # caches every smaller module first
     with mock.patch.object(uqmodules, "_close_tensor", oracle_close_tensor):
         oracle = uqmodules._build_irrep_inner(
-            datum, WeylGroup.build(datum), lam, 400)
+            datum, WeylGroup.build(datum), lam)
     assert module_strings(built) == module_strings(oracle)
 
 

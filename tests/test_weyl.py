@@ -289,12 +289,25 @@ def test_cover_lists_match_level_scan(label):
     assert group.cover_lists() == (lower, upper)
 
 
-def test_cover_lists_are_built_lazily_once():
+def test_cover_lists_are_built_lazily_once(monkeypatch):
+    """Construction builds no covers; the first call builds them, with
+    one descent lookup per non-identity element; the second call returns
+    the same lists."""
+    calls = []
+    real = WeylGroup._first_descent
+
+    def counted(self, idx):
+        calls.append(idx)
+        return real(self, idx)
+
+    monkeypatch.setattr(WeylGroup, "_first_descent", counted)
     group = WeylGroup(build_cartan("B3"))
-    assert group._lower is None and group._upper is None
+    assert calls == []
     lower, upper = group.cover_lists()
-    assert group.cover_lists()[0] is lower
-    assert group.cover_lists()[1] is upper
+    assert sorted(calls) == list(range(1, len(group)))
+    again = group.cover_lists()
+    assert again[0] is lower and again[1] is upper
+    assert len(calls) == len(group) - 1
 
 
 def test_interval_empty_when_incomparable():
