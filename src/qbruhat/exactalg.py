@@ -14,12 +14,16 @@ scalars always compare equal and print identically.
 
 The canonical form is kept cheaply.  Laurent sums, negations and
 products build their results through a trusted constructor that
-normalises only the coefficients that are not ints.  Fraction-field
-operators use that their operands are already reduced and run a gcd
-only on the factors that can still share a divisor (Henrici, J. ACM 3,
-1956): adding a Laurent polynomial, negating, multiplying by a power of
-q, taking a reciprocal or a power runs no gcd at all.  ``RatFun`` lists
-every case with the reason its result is reduced.
+normalises only the coefficients that are not ints; a sum with zero, a
+product with one and a product with an integer monomial skip the
+general loops.  Fraction-field operators use that their operands are
+already reduced and run a gcd only on the factors that can still share
+a divisor (Henrici, J. ACM 3, 1956): adding a Laurent polynomial,
+negating, multiplying by a power of q, taking a reciprocal or a power
+runs no gcd at all.  The cancellations of a product are memoised
+(``obs.memo``) on their operand pair, since a matrix reduction meets
+the same pairs again and again.  ``RatFun`` lists every case with the
+reason its result is reduced.
 
 The matrix layer is deliberately plain: matrices are lists of lists of
 scalars, and the central routine is a canonical reduced row echelon form.
@@ -33,6 +37,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+
+from .obs import memo
 
 
 def _fr(x):
@@ -116,10 +122,15 @@ class Laurent:
         return p
 
     def __add__(self, other):
-        other = coerce_scalar(other)
-        if isinstance(other, RatFun):
-            return other + self
+        if type(other) is not Laurent:
+            other = coerce_scalar(other)
+            if isinstance(other, RatFun):
+                return other + self
         a, b = self.coeffs, other.coeffs
+        if not b:
+            return self
+        if not a:
+            return other
         if len(a) < len(b):
             a, b = b, a
         out = dict(a)
@@ -143,14 +154,26 @@ class Laurent:
         return coerce_scalar(other) + (-self)
 
     def __mul__(self, other):
-        other = coerce_scalar(other)
-        if isinstance(other, RatFun):
-            return other * self
-        if not self.coeffs or not other.coeffs:
+        if type(other) is not Laurent:
+            other = coerce_scalar(other)
+            if isinstance(other, RatFun):
+                return other * self
+        small, big = ((self, other) if len(self.coeffs) <= len(other.coeffs)
+                      else (other, self))
+        a, b = small.coeffs, big.coeffs
+        if not a:
             return ZERO
-        a, b = self.coeffs, other.coeffs
-        if len(a) > len(b):
-            a, b = b, a
+        if len(a) == 1:
+            (s, c), = a.items()
+            if type(c) is int:
+                # an integer monomial shifts and scales the other factor
+                if c == 1 and not s:
+                    return big
+                out = {e + s: c * v for e, v in b.items()}
+                for e, v in out.items():
+                    if type(v) is not int:
+                        out[e] = _fr(v)
+                return Laurent._raw(out)
         out = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
@@ -340,6 +363,21 @@ def _common_factor(a, b):
     return Laurent._raw(g) if max(g) else None
 
 
+def _cancel(a, b):
+    """(a/g, b/g) for the common factor g of two nonzero Laurent
+    polynomials, or None when they share none.  A monomial is a unit and
+    shares none, so it is answered before the memo table is consulted."""
+    if len(a.coeffs) == 1 or len(b.coeffs) == 1:
+        return None
+    return _cancel_nonunits(a, b)
+
+
+@memo(lambda a, b: (a, b))
+def _cancel_nonunits(a, b):
+    g = _common_factor(a, b)
+    return None if g is None else (_exact_quo(a, g), _exact_quo(b, g))
+
+
 def _exact_quo(a, g):
     """a/g for a Laurent polynomial g known to divide a; raises if any
     remainder is left."""
@@ -416,6 +454,9 @@ class RatFun:
     - ``n/d * l`` for a Laurent polynomial l divides l and d by gcd(l, d).
     - ``n1/d + n2/d`` divides n1 + n2 and d by gcd(n1 + n2, d).
     - ``n1/d1 * n2/d2`` uses the cross gcds gcd(n1, d2) and gcd(n2, d1).
+      The product cancellations, here and for a Laurent l, are memoised
+      on their operand pair; the other gcds repeat less often and are
+      not kept, which keeps the table small.
     - ``n1/d1 + n2/d2`` with g = gcd(d1, d2) forms t = n1*(d2/g) +
       n2*(d1/g); t is coprime to d1/g and d2/g, so only g2 = gcd(t, g)
       remains, and the sum is (t/g2) / ((d1/g) * (d2/g2)).
@@ -467,18 +508,18 @@ class RatFun:
         if isinstance(other, Laurent):
             if not other:
                 return ZERO
-            g = _common_factor(other, d1)
-            if g is None:
+            pair = _cancel(other, d1)
+            if pair is None:
                 return _ratfun(n1 * other, d1)
-            return _coprime_quotient(n1 * _exact_quo(other, g),
-                                     _exact_quo(d1, g))
+            other, d1 = pair
+            return _coprime_quotient(n1 * other, d1)
         n2, d2 = other.num, other.den
-        g = _common_factor(n1, d2)
-        if g is not None:
-            n1, d2 = _exact_quo(n1, g), _exact_quo(d2, g)
-        g = _common_factor(n2, d1)
-        if g is not None:
-            n2, d1 = _exact_quo(n2, g), _exact_quo(d1, g)
+        pair = _cancel(n1, d2)
+        if pair is not None:
+            n1, d2 = pair
+        pair = _cancel(n2, d1)
+        if pair is not None:
+            n2, d1 = pair
         return _coprime_quotient(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
@@ -563,7 +604,7 @@ def format_laurent(p):
     for e in sorted(p.coeffs):
         c = p.coeffs[e]
         if e == 0:
-            body = _format_coeff(c, standalone=True)
+            body = _format_coeff(c)
         else:
             qpart = "q" if e == 1 else "q^%d" % e
             if c == 1:
@@ -571,7 +612,7 @@ def format_laurent(p):
             elif c == -1:
                 body = "-" + qpart
             else:
-                body = "%s*%s" % (_format_coeff(c, standalone=True), qpart)
+                body = "%s*%s" % (_format_coeff(c), qpart)
         parts.append(body)
     text = parts[0]
     for body in parts[1:]:
@@ -582,7 +623,7 @@ def format_laurent(p):
     return text
 
 
-def _format_coeff(c, standalone=False):
+def _format_coeff(c):
     if c.denominator == 1:
         return str(c.numerator)
     return "%d/%d" % (c.numerator, c.denominator)

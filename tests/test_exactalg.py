@@ -15,6 +15,8 @@ from qbruhat.exactalg import (Laurent, ONE, RatFun, Subspace, ZERO,
                               q_factorial, q_int, q_power_roots,
                               reduce_against, rref, solve)
 
+from oracles import laurent_add, laurent_mul, ratfun_mul
+
 q = Laurent.q_power(1)
 qi = Laurent.q_power(-1)
 
@@ -382,7 +384,18 @@ class TestReducedOperandArithmetic:
                      * Laurent({0: Fraction(3, 2)})).coeffs[1]) is Fraction
 
     def test_gcd_runs_only_where_a_factor_can_remain(self):
-        x = RatFun(parse_laurent("2 + q"), parse_laurent("1 + q + q^3"))
+        """The coefficient 97 keeps these operands out of every other
+        test, so the product's cancellations meet a cold table: the two
+        cross pairs run one gcd each, and the same product again, with
+        operands built anew, runs none."""
+        def operands():
+            return (RatFun(parse_laurent("97 + q"),
+                           parse_laurent("1 + q + q^3")),
+                    RatFun(parse_laurent("97 - q^2"),
+                           parse_laurent("1 + 97*q + q^2")))
+
+        x, y = operands()
+        x2, y2 = operands()
         free = [lambda: -x, lambda: x + parse_laurent("q^-2 - 5*q"),
                 lambda: parse_laurent("3 + q^4") - x, lambda: x * q ** -3,
                 lambda: ONE / x, lambda: x ** 3, lambda: x ** -2]
@@ -391,8 +404,59 @@ class TestReducedOperandArithmetic:
             for op in free:
                 op()
             assert gcd.call_count == 0
-            x * x
+            first = x * y
             assert gcd.call_count == 2
+            again = x2 * y2
+            assert gcd.call_count == 2
+        assert_same(again, first)
+
+
+monomials = st.builds(
+    lambda e, c: Laurent({e: c}), st.integers(-3, 3),
+    st.sampled_from([1, -1, 2, -7]) | nonzero_coeffs)
+laurent_operands = st.one_of(st.just(ZERO), st.just(ONE), monomials,
+                             laurents())
+plain_numbers = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)
+
+
+@st.composite
+def sharing_products(draw):
+    """A RatFun x and a Laurent or RatFun y whose product has a factor
+    to cancel: f divides the denominator of x and the numerator of y,
+    and g the numerator of x and, for a RatFun y, the denominator of y."""
+    f, g = draw(st.sampled_from(FACTORS)), draw(st.sampled_from(FACTORS))
+    x = RatFun(g * draw(laurents().filter(bool)), f * draw(factor_products))
+    assume(isinstance(x, RatFun))
+    y = f * draw(laurents().filter(bool))
+    if draw(st.booleans()):
+        y = RatFun(y, g * draw(factor_products))
+    return x, y
+
+
+class TestRingFastPaths:
+    """The monomial, ZERO and ONE shortcuts and the remembered
+    cancellations give what the general loops and a fresh gcd give.
+    Every example is evaluated twice, so that the second pass is
+    answered from the cancellation table."""
+
+    @given(laurent_operands, laurent_operands | plain_numbers)
+    @settings(max_examples=300, deadline=None)
+    def test_laurent_sum_and_product(self, x, y):
+        for _ in range(2):
+            assert_same(x + y, laurent_add(x, y))
+            assert_same(y + x, laurent_add(x, y))
+            assert_same(x * y, laurent_mul(x, y))
+            assert_same(y * x, laurent_mul(x, y))
+
+    @given(st.one_of(ratfun_pairs(), sharing_products()))
+    @settings(max_examples=200, deadline=None)
+    def test_ratfun_product(self, pair):
+        x, y = pair
+        for _ in range(2):
+            assert_same(x * y, ratfun_mul(x, y))
+            assert_same(y * x, ratfun_mul(x, y))
+            if isinstance(y, Laurent):
+                assert_same(y * x, laurent_mul(y, x))
 
 
 @st.composite

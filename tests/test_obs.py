@@ -9,10 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from qbruhat import cartan, characters, coordring, uqmodules, weyl
+from qbruhat import cartan, characters, coordring, exactalg, uqmodules, weyl
 from qbruhat.cartan import build_cartan
 from qbruhat.characters import weyl_character
 from qbruhat.coordring import CoordinateModel, GradedPiece
+from qbruhat.exactalg import parse_laurent
 from qbruhat.obs import memo
 from qbruhat.uqmodules import ModuleScopeError, UqModule, build_irrep
 from qbruhat.weyl import WeylGroup
@@ -40,6 +41,13 @@ def _extreme_vector_case():
             UqModule, "f_divided")
 
 
+def _cancel_case():
+    def call():
+        return exactalg._cancel_nonunits(parse_laurent("2 + 3*q + q^2"),
+                                         parse_laurent("1 - q^2"))
+    return call, call, exactalg, "_poly_gcd"
+
+
 def _a2():
     return build_cartan("A2"), WeylGroup.build("A2")
 
@@ -54,6 +62,7 @@ MEMOS = {
         lambda: WeylGroup.build("c4"),
         lambda: WeylGroup.build(build_cartan("C4")),
         WeylGroup, "__init__"),
+    "_cancel_nonunits": _cancel_case,
     "canonical_word": lambda: _group_case(
         lambda g: g.canonical_word(g.longest), WeylGroup, "_first_descent"),
     "fixed_space_rank": lambda: _group_case(
