@@ -16,11 +16,17 @@ linear algebra over the exact scalars:
   integer q-power roots of each operator's characteristic polynomial;
 * saturation chains that divide an ideal piece by an extreme
   coefficient until the chain stabilizes, and the support extremes
-  that recover the pair of Weyl elements labelling a stratum.
+  that recover the pair of Weyl elements labelling a stratum.  In each
+  block the pair piece of (y, z) is A^perp + B^perp, with A the lowering
+  closure of the y-extreme vector and B the raising closure of the
+  z-extreme vector.  A step reads the kernel of that piece only on the
+  blocks shift + wt, and that kernel is (A^perp + B^perp)^perp = A meet
+  B, so a step meets two closure blocks and builds no pair piece above
+  the starting degree.
 
 One model is kept per type, and each model keeps its product tables,
-extreme rows, ideal pieces, saturations and decompositions in ``memo``
-tables that live as long as the model.
+extreme rows, closures, ideal pieces, saturations and decompositions in
+``memo`` tables that live as long as the model.
 """
 
 from __future__ import annotations
@@ -95,11 +101,8 @@ class GradedPiece:
 
     def block_subspace(self, wt):
         wt = tuple(wt)
-        b = len(self.module.weight_indices(wt))
-        entry = self.blocks.get(wt)
-        if not entry:
-            return Subspace.zero(b)
-        return Subspace(b, [list(r) for r in entry[0]], list(entry[1]))
+        return _block_space(self.blocks, wt,
+                            len(self.module.weight_indices(wt)))
 
     def weight_dims(self):
         """Sorted (weight, piece dim) list over the nonzero blocks."""
@@ -290,11 +293,17 @@ class CoordinateModel:
     # -- graded ideal pieces --------------------------------------------
 
     @memo(lambda self, w, sign, lam: (w.idx, sign, tuple(lam)))
+    def closure(self, w, sign, lam):
+        """Per-block echelon rows of the extreme-vector closure of w with
+        the given sign: raising ('+') or lowering ('-')."""
+        return demazure_blocks(self.module(lam), w, sign)
+
+    @memo(lambda self, w, sign, lam: (w.idx, sign, tuple(lam)))
     def demazure_orth(self, w, sign, lam):
         """Dual rows vanishing on the extreme-vector closure of w with
         the given sign, block by block."""
         module = self.module(lam)
-        closure = demazure_blocks(module, w, sign)
+        closure = self.closure(w, sign, lam)
         blocks = {}
         for wt in module.block_order:
             rng = module.weight_indices(wt)
@@ -551,8 +560,7 @@ class CoordinateModel:
                     power = mat_mul(power, shifted)
                 spaces.append((e, Subspace(b, *kernel(_transpose(power, b),
                                                       b))))
-            parts = [(es + (e,), space if sub.dim == b
-                      else sub.intersect(space))
+            parts = [(es + (e,), sub.intersect(space))
                      for es, sub in parts for e, space in spaces]
             parts = [(es, sub) for es, sub in parts if sub.dim]
         found = []
@@ -630,7 +638,17 @@ class CoordinateModel:
           (y.idx, z.idx, tuple(nu), bound, by))
     def saturation(self, y, z, nu, bound, by="z"):
         """Chain of preimages of the pair piece under left multiplication
-        by extreme rows of growing degree k.rho."""
+        by extreme rows of growing degree k.rho.
+
+        Step k keeps the rows of degree nu whose product with the anchor's
+        extreme row of degree k.rho lies in the pair piece of degree
+        lam = nu + k.rho.  Such a product lies in the block shift + wt of
+        degree lam, shift the anchor's image of k.rho, and only those
+        blocks are read.  There the pair piece is A^perp + B^perp, A and B
+        the lowering closure of y and the raising closure of z, and
+        (A^perp + B^perp)^perp = A meet B; so the step takes the canonical
+        meet of the two closure blocks instead of the kernel of the pair
+        piece's block, with the same rows."""
         if by not in ("y", "z"):
             raise ValueError("by must be 'y' or 'z'")
         datum = self.datum
@@ -641,8 +659,9 @@ class CoordinateModel:
         for k in range(1, bound + 1):
             krho = tuple(k * c for c in rho)
             lam_t = datum.add(nu, krho)
-            target = self.pair_piece(y, z, lam_t)
             big = self.module(lam_t)
+            lower = self.closure(y, "-", lam_t)
+            upper = self.closure(z, "+", lam_t)
             ex = self.extreme_row(krho, anchor)
             j0 = next(t for t, c in enumerate(ex) if c)
             cex = ex[j0]
@@ -655,9 +674,8 @@ class CoordinateModel:
                 trg = big.weight_indices(twt)
                 imgs = [_restrict(table.get((j0, t), {}), trg, cex)
                         for t in rng]
-                entry = target.blocks.get(twt)
-                srows = [list(r) for r in entry[0]] if entry else []
-                cons = kernel(srows, len(trg))[0] if len(trg) else []
+                cons = _block_space(lower, twt, len(trg)).intersect(
+                    _block_space(upper, twt, len(trg))).rows
                 if not cons:
                     blocks[wt] = _full_block(len(rng))
                     continue
@@ -727,6 +745,12 @@ def _restrict(cell, trg, scale):
             raise AssertionError("product escapes the target block")
         out[t - trg.start] = scale * c
     return out
+
+
+def _block_space(blocks, wt, n):
+    """Block wt of per-block echelon rows, as a Subspace of n-space."""
+    entry = blocks.get(wt)
+    return Subspace(n, *entry) if entry else Subspace.zero(n)
 
 
 def _full_block(n):

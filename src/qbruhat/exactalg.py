@@ -949,10 +949,15 @@ class Subspace:
     def intersect(self, other):
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
+        n = self.ambient
+        # a zero or full operand decides the meet without a reduction
+        if not self.rows or len(other.rows) == n:
+            return self
+        if not other.rows or len(self.rows) == n:
+            return other
         # Zassenhaus: rref of [[U, U], [W, 0]]; the rows pivoting in the
         # right half are zero on the left and their right halves are the
         # canonical basis of U meet W.
-        n = self.ambient
         ech, piv = rref([row + row for row in self.rows]
                         + [row + [ZERO] * n for row in other.rows])
         meet = [(row[n:], p - n) for row, p in zip(ech, piv) if p >= n]

@@ -9,8 +9,21 @@ vector inside a tensor product without choosing new bases.
 
 Modules beyond the fundamentals are generated as cyclic lowering closures
 inside a tensor product of smaller ones; independence is decided one
-weight block at a time.  The raising matrices are not computed in the
-tensor product: each basis vector t = F_i p gets E_j t = F_i E_j p +
+weight block at a time.  V(lam) is closed inside V(lam - omega_i) ox
+V(omega_i), with omega_i the fundamental weight of least dimension among
+lam's nonzero coordinates, ties going to the larger coordinate and then
+to the higher index.  On A2 this walks the staircase k.rho, (k, k-1),
+(k-1, k-1), ... that the coordinate ring needs anyway; on B2 it steps
+off the spin module whenever lam has a spin coordinate.  The module does
+not depend on that choice.  The closure replays F-words on the highest
+weight vector breadth first and keeps a word exactly when it is
+independent of the earlier ones in its weight block.  What it records,
+the kept words (parents) and the coefficients of each dependent word
+over them (fmat), are linear relations among F-words applied to v_lam,
+which hold in V(lam) itself, whatever tensor product realizes it.
+
+The raising matrices are not computed in the tensor product: each basis
+vector t = F_i p gets E_j t = F_i E_j p +
 delta_ij [<wt p, alpha_i^v>]_{d_i} p from its parent, so they follow from
 the lowering matrices by the relation [E_i, F_j] = delta_ij [h_i].  Every
 construction is then checked against the dimension formula, the weight
@@ -33,10 +46,12 @@ satisfy <support weight, coroot_i> = eps_i - phi_i.
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections import Counter, deque
 
-from .exactalg import (Laurent, ONE, ZERO, Subspace, kernel, q_binomial,
-                       q_factorial, q_int, reduce_against, rref)
+from .exactalg import (Laurent, ONE, ZERO, Subspace, identity_matrix,
+                       kernel, q_binomial, q_factorial, q_int,
+                       reduce_against)
 from .characters import weyl_character, weyl_dim
 from .obs import memo
 from .weyl import WeylGroup
@@ -370,8 +385,10 @@ def _build_irrep_inner(datum, group, lam):
     if fam == ("B", 2) and lam == (1, 0):
         spin = build_irrep(datum, (0, 1))
         return _submodule_from_highest(datum, spin, spin, lam, expected)
-    i = max(nz)
-    step = tuple(1 if j == i else 0 for j in range(datum.rank))
+    # the least-dimensional fundamental weight in lam, ties to the larger
+    # coordinate, then to the higher index
+    i = max(nz, key=lambda j: (-weyl_dim(datum, datum.fund(j)), lam[j], j))
+    step = datum.fund(i)
     m1 = build_irrep(datum, datum.sub(lam, step))
     m2 = build_irrep(datum, step)
     seed = {(0, 0): ONE}
@@ -579,9 +596,17 @@ def extreme_dual_row(module, w):
 
 def demazure_blocks(module, w, sign):
     """Per-weight echelon bases of the span of the extreme vector under
-    raising (sign '+') or lowering (sign '-') closure."""
+    raising (sign '+') or lowering (sign '-') closure.  Each block is kept
+    in reduced echelon form as it grows, one residue at a time.  The two
+    closures that are the whole module, lowering at e and raising at the
+    longest element, are returned as identity blocks without a search."""
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
+    if w == (w.group.identity if sign == "-" else w.group.longest):
+        # the highest weight vector spans the module under lowering, and
+        # so, the module being irreducible, does the lowest under raising
+        return {wt: (identity_matrix(len(rng)), list(range(len(rng))))
+                for wt, rng in module.blocks.items()}
     apply_gen = module.e_apply if sign == "+" else module.f_apply
     blocks = {}
 
@@ -592,12 +617,27 @@ def demazure_blocks(module, w, sign):
         dense = [ZERO] * len(rng)
         for k, c in vec.items():
             dense[k - rng.start] = c
-        rows, piv = blocks.get(wt, ([], []))
+        rows, piv = blocks.setdefault(wt, ([], []))
         res = reduce_against(rows, piv, dense)
-        if not any(res):
+        p = next((t for t, c in enumerate(res) if c), None)
+        if p is None:
             return False
-        nr, np_ = rref(rows + [res])
-        blocks[wt] = (nr, np_)
+        # keep the block in reduced echelon form: the residue is zero at
+        # every pivot, so scaling it and clearing its pivot column from
+        # the earlier rows gives the canonical rows of the larger span
+        inv = ONE / res[p]
+        res = [c * inv if c else ZERO for c in res]
+        res[p] = ONE
+        for row in rows:
+            f = row[p]
+            if f:
+                for t in range(p + 1, len(row)):
+                    if res[t]:
+                        row[t] = row[t] - f * res[t]
+                row[p] = ZERO
+        at = bisect(piv, p)
+        rows.insert(at, res)
+        piv.insert(at, p)
         return True
 
     start = extreme_vector(module, w)

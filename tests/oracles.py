@@ -3,13 +3,23 @@
 Each computes the same thing as a faster routine of the library by a
 different road: the fixed lattice by an exact kernel over Laurent
 scalars, Bruhat covers by scanning the neighbouring length level, the
-pair poset by testing every pair of the group, and scalar sums and
-products by the general loops and an uncached gcd on every product.
+pair poset by testing every pair of the group, scalar sums and products
+by the general loops and an uncached gcd on every product, subspace
+meets by a Zassenhaus reduction whatever the operands, closures by an
+``rref`` on every insertion, modules by stepping off the fundamental
+weight of the highest index, and saturation steps by the kernel of the
+whole pair piece of degree nu + k rho.
 """
 
-from qbruhat.exactalg import (Laurent, RatFun, Subspace, ZERO, _common_factor,
-                              _coprime_quotient, _exact_quo, _fr, _ratfun,
-                              coerce_scalar, kernel)
+from qbruhat.characters import weyl_dim
+from qbruhat.coordring import GradedPiece, _full_block, _restrict, _transpose
+from qbruhat.exactalg import (Laurent, ONE, RatFun, Subspace, ZERO,
+                              _common_factor, _coprime_quotient, _exact_quo,
+                              _fr, _ratfun, coerce_scalar, dot, kernel,
+                              reduce_against, rref)
+from qbruhat.uqmodules import (_SEED_TABLE, _close_tensor,
+                               _module_from_edges, _submodule_from_highest,
+                               extreme_vector)
 
 
 def fixed_lattice(group, w):
@@ -114,3 +124,108 @@ def ratfun_mul(x, other):
     if g is not None:
         n2, d1 = _exact_quo(n2, g), _exact_quo(d1, g)
     return _coprime_quotient(n1 * n2, d1 * d2)
+
+
+def zassenhaus_intersect(a, b):
+    """U meet W by one Zassenhaus reduction, for every pair of operands."""
+    n = a.ambient
+    ech, piv = rref([row + row for row in a.rows]
+                    + [row + [ZERO] * n for row in b.rows])
+    meet = [(row[n:], p - n) for row, p in zip(ech, piv) if p >= n]
+    return Subspace(n, [r for r, _ in meet], [p for _, p in meet])
+
+
+def rref_demazure_blocks(module, w, sign):
+    """Per-weight echelon bases of the closure of the extreme vector,
+    each block reduced afresh by ``rref`` whenever it grows."""
+    apply_gen = module.e_apply if sign == "+" else module.f_apply
+    blocks = {}
+
+    def insert(vec):
+        wt = module.weights[min(vec)]
+        rng = module.weight_indices(wt)
+        dense = [ZERO] * len(rng)
+        for k, c in vec.items():
+            dense[k - rng.start] = c
+        rows, piv = blocks.get(wt, ([], []))
+        res = reduce_against(rows, piv, dense)
+        if not any(res):
+            return False
+        blocks[wt] = rref(rows + [res])
+        return True
+
+    start = extreme_vector(module, w)
+    insert(start)
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i in range(module.datum.rank):
+                img = apply_gen(i, v)
+                if img and insert(img):
+                    nxt.append(img)
+        frontier = nxt
+    return blocks
+
+
+def max_index_irrep(datum, lam, built):
+    """The module of highest weight lam, stepping off the fundamental
+    weight of the highest index in lam's support; every smaller module
+    is built the same way and kept in ``built``, none is taken from the
+    library's table.  Modules are not verified."""
+    lam = tuple(lam)
+    if lam in built:
+        return built[lam]
+    seeds = _SEED_TABLE[(datum.family, datum.rank)]
+    nz = [i for i in range(datum.rank) if lam[i]]
+    expected = weyl_dim(datum, lam)
+    if len(nz) == 1 and lam[nz[0]] == 1 and nz[0] in seeds:
+        module = _module_from_edges(datum, lam, *seeds[nz[0]])
+    elif (datum.family, datum.rank) == ("B", 2) and lam == (1, 0):
+        spin = max_index_irrep(datum, (0, 1), built)
+        module = _submodule_from_highest(datum, spin, spin, lam, expected)
+    else:
+        step = datum.fund(max(nz))
+        module = _close_tensor(
+            datum, max_index_irrep(datum, datum.sub(lam, step), built),
+            max_index_irrep(datum, step, built), {(0, 0): ONE}, lam,
+            expected)
+    built[lam] = module
+    return module
+
+
+def pair_piece_saturation(model, y, z, nu, bound, by="z"):
+    """The pieces of ``model.saturation``, each step k taking the kernel
+    of the pair piece of degree nu + k rho on the blocks it reads."""
+    datum = model.datum
+    anchor = z if by == "z" else y
+    mnu = model.module(nu)
+    pieces = [model.pair_piece(y, z, nu)]
+    for k in range(1, bound + 1):
+        krho = tuple(k * c for c in datum.rho())
+        lam_t = datum.add(nu, krho)
+        target = model.pair_piece(y, z, lam_t)
+        big = model.module(lam_t)
+        ex = model.extreme_row(krho, anchor)
+        j0 = next(t for t, c in enumerate(ex) if c)
+        table = model.pair_table(krho, nu)
+        shift = anchor.act(krho)
+        blocks = {}
+        for wt in mnu.block_order:
+            rng = mnu.weight_indices(wt)
+            twt = datum.add(shift, wt)
+            trg = big.weight_indices(twt)
+            imgs = [_restrict(table.get((j0, t), {}), trg, ex[j0])
+                    for t in rng]
+            entry = target.blocks.get(twt)
+            srows = [list(r) for r in entry[0]] if entry else []
+            cons = kernel(srows, len(trg))[0] if len(trg) else []
+            if not cons:
+                blocks[wt] = _full_block(len(rng))
+                continue
+            gmat = [[dot(img, kr) for kr in cons] for img in imgs]
+            ech, piv = kernel(_transpose(gmat, len(cons)), len(rng))
+            if ech:
+                blocks[wt] = (ech, piv)
+        pieces.append(GradedPiece(mnu, blocks))
+    return pieces

@@ -11,7 +11,8 @@ from qbruhat.coordring import (CoordinateModel, EigenvalueError,
                                SufficiencyError)
 from qbruhat.exactalg import ONE, ZERO, Laurent, Subspace, kernel, mat_mul
 from qbruhat.uqmodules import ModuleScopeError
-from test_acceptance import brute_cone_count, eta_sweep
+from oracles import pair_piece_saturation
+from test_acceptance import brute_cone_count, bruhat_pairs, eta_sweep
 
 Q = Laurent({1: 1})
 
@@ -434,6 +435,36 @@ class TestSaturation:
         assert a2_model.weight_to_element((1, 0), (0, 0)) is None
         w = a2_model.weight_to_element((1, 1), (-1, -1))
         assert w == a2_model.group.longest
+
+    @pytest.mark.parametrize("label,nus,bound,anchors", [
+        ("A2", [(1, 0), (0, 1)], 3, ["y", "z"]),
+        ("B2", [(0, 1)], 2, ["z"]),
+    ])
+    def test_steps_match_pair_piece_kernels(self, label, nus, bound,
+                                            anchors):
+        """Each step's closure intersections give the rows and pivots of
+        the kernel of the whole pair piece of degree nu + k rho."""
+        model = CoordinateModel.get(label)
+        for y, z in bruhat_pairs(model.group):
+            for nu in nus:
+                for by in anchors:
+                    sat = model.saturation(y, z, nu, bound, by=by)
+                    assert sat.pieces == pair_piece_saturation(
+                        model, y, z, nu, bound, by), (y, z, nu, by)
+
+    def test_steps_build_no_pair_piece_above_nu(self, monkeypatch):
+        model = CoordinateModel("A2")
+        g = model.group
+        degrees = []
+        real = CoordinateModel.pair_piece
+
+        def spy(self, y, z, lam):
+            degrees.append(tuple(lam))
+            return real(self, y, z, lam)
+
+        monkeypatch.setattr(CoordinateModel, "pair_piece", spy)
+        model.saturation(g.gens[0], g.longest, (1, 0), 3, by="y")
+        assert degrees == [(1, 0)]
 
     def test_bad_anchor_flag(self, a2_model):
         g = a2_model.group

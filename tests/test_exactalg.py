@@ -15,7 +15,8 @@ from qbruhat.exactalg import (Laurent, ONE, RatFun, Subspace, ZERO,
                               q_factorial, q_int, q_power_roots,
                               reduce_against, rref, solve)
 
-from oracles import laurent_add, laurent_mul, ratfun_mul
+from oracles import (laurent_add, laurent_mul, ratfun_mul,
+                     zassenhaus_intersect)
 
 q = Laurent.q_power(1)
 qi = Laurent.q_power(-1)
@@ -747,6 +748,29 @@ class TestSubspace:
         assert meet == oracle_intersect(a, b)
         assert meet == b.intersect(a)
         assert meet.is_subspace_of(a) and meet.is_subspace_of(b)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_intersect_matches_zassenhaus(self, data):
+        """Zero, full and proper operands, on either side, meet as the
+        Zassenhaus reduction says."""
+        n = data.draw(st.integers(min_value=1, max_value=4))
+        vec = st.lists(laurents(max_terms=2, max_exp=2), min_size=n,
+                       max_size=n)
+        proper = Subspace.from_vectors(n, data.draw(st.lists(vec,
+                                                             max_size=3)))
+        for a in (Subspace.zero(n), Subspace.full(n), proper):
+            for b in (Subspace.zero(n), Subspace.full(n), proper):
+                assert a.intersect(b) == zassenhaus_intersect(a, b)
+
+    def test_trivial_operands_skip_the_reduction(self, monkeypatch):
+        line = Subspace.from_vectors(3, [[ONE, q, ZERO]])
+        monkeypatch.setattr(exactalg, "rref", None)
+        for other in (Subspace.zero(3), Subspace.full(3)):
+            assert line.intersect(other) == other.intersect(line)
+        assert line.intersect(Subspace.full(3)) is line
+        assert Subspace.full(3).intersect(line) is line
+        assert line.intersect(Subspace.zero(3)).dim == 0
 
 
 def oracle_intersect(a, b):

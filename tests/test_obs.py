@@ -91,6 +91,10 @@ MEMOS = {
         lambda m, g: m.extreme_row([1, 1], g.longest),
         lambda m, g: m.extreme_row((1, 1), g.longest),
         coordring, "extreme_dual_row"),
+    "closure": lambda: _model_case(
+        lambda m, g: m.closure(g.gens[1], "-", [2, 1]),
+        lambda m, g: m.closure(g.gens[1], "-", (2, 1)),
+        coordring, "demazure_blocks"),
     "demazure_orth": lambda: _model_case(
         lambda m, g: m.demazure_orth(g.gens[0], "+", [1, 1]),
         lambda m, g: m.demazure_orth(g.gens[0], "+", (1, 1)),

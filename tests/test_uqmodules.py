@@ -15,10 +15,13 @@ from qbruhat.exactalg import Laurent, ONE, RatFun, ZERO, q_binomial
 from qbruhat.uqmodules import (ModuleScopeError, _BlockSolver, _compose,
                                _mat_accum, _reorder_module, _serre_sum,
                                _tensor_e, _tensor_f, build_irrep,
-                               demazure_submodule, extreme_dual_row,
-                               extreme_vector, lowering_string_to,
-                               string_counts, verify_module)
+                               demazure_blocks, demazure_submodule,
+                               extreme_dual_row, extreme_vector,
+                               lowering_string_to, string_counts,
+                               verify_module)
 from qbruhat.weyl import WeylGroup
+
+from oracles import max_index_irrep, rref_demazure_blocks
 
 q = Laurent.q_power(1)
 
@@ -266,6 +269,64 @@ def test_raising_matrices_match_tensor_oracle(label, lam):
         oracle = uqmodules._build_irrep_inner(
             datum, WeylGroup.build(datum), lam)
     assert module_strings(built) == module_strings(oracle)
+
+
+@pytest.mark.parametrize("label,lams", [
+    ("A2", [lam for lam in itertools.product(range(5), repeat=2)
+            if any(lam) and sum(lam) <= 7]),
+    ("B2", [lam for lam in itertools.product(range(3), repeat=2)
+            if any(lam)]),
+])
+def test_step_rule_does_not_change_the_module(label, lams):
+    """Stepping off the highest index gives the same weights, parents
+    and matrices as the library's least-dimension rule."""
+    datum = build_cartan(label)
+    built = {}
+    for lam in lams:
+        assert module_strings(module_of(label, lam)) == \
+            module_strings(max_index_irrep(datum, lam, built)), lam
+
+
+@pytest.mark.parametrize("label,lam,asked", [
+    ("A2", (4, 3), [(3, 3), (1, 0)]),
+    ("A2", (3, 3), [(3, 2), (0, 1)]),
+    ("B2", (2, 2), [(2, 1), (0, 1)]),
+])
+def test_step_requests_only_its_two_factors(label, lam, asked, monkeypatch):
+    datum = build_cartan(label)
+    requests = []
+    real = uqmodules.build_irrep
+
+    def spy(d, mu):
+        requests.append(tuple(mu))
+        return real(d, mu)
+
+    monkeypatch.setattr(uqmodules, "build_irrep", spy)
+    uqmodules._build_irrep_inner(datum, WeylGroup.build(datum), lam)
+    assert requests == asked
+
+
+def _blocks_strings(blocks):
+    return {wt: ([[str(c) for c in row] for row in rows], list(piv))
+            for wt, (rows, piv) in blocks.items()}
+
+
+@pytest.mark.parametrize("label,top", [("A2", 3), ("B2", 2)])
+def test_incremental_closures_match_rref_oracle(label, top):
+    """Blocks kept in echelon form as they grow equal those reduced
+    afresh.  B2 (2, 1) is the smallest module here where a new residue's
+    pivot column must be cleared from earlier rows (at s2 with sign '-'
+    and s1 s2 s1 with '+'); no A2 module up to (3, 3) needs it."""
+    datum = build_cartan(label)
+    group = WeylGroup.build(datum)
+    for lam in itertools.product(range(top + 1), repeat=datum.rank):
+        m = module_of(label, lam)
+        for w in group.elements:
+            for sign in "+-":
+                got = demazure_blocks(m, w, sign)
+                want = rref_demazure_blocks(m, w, sign)
+                assert got == want
+                assert _blocks_strings(got) == _blocks_strings(want)
 
 
 # -- verify_module: Horner Serre sums and rejections ------------------------
