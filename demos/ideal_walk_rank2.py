@@ -23,7 +23,7 @@ def show_piece(model, piece, title):
         if not entry:
             continue
         rng = module.weight_indices(wt)
-        for row in entry[0]:
+        for row in entry.rows:
             cells = ", ".join(format_scalar(c) for c in row)
             print("    weight %-8s rows %d..%d  [%s]"
                   % (wt, rng.start, rng.stop - 1, cells))

@@ -203,7 +203,7 @@ def ideal_demazure(label, lamtext, ytext, sign, fmt):
         if not entry:
             continue
         rng = module.weight_indices(wt)
-        for row in entry[0]:
+        for row in entry.rows:
             values = [format_scalar(c) for c in row]
             basis.append({"weight": list(wt),
                           "indices": [rng.start, rng.stop],

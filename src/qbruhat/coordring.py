@@ -35,8 +35,7 @@ from fractions import Fraction
 
 from .cartan import build_cartan
 from .exactalg import (Laurent, ONE, ZERO, Subspace, charpoly, dot,
-                       identity_matrix, kernel, mat_mul, q_power_roots,
-                       reduce_against, rref)
+                       kernel, mat_mul, q_power_roots, rref)
 from .characters import weight_multiplicity
 from .obs import memo
 from .uqmodules import (ModuleScopeError, build_irrep, demazure_blocks,
@@ -59,14 +58,15 @@ class NonStratumError(RuntimeError):
 class GradedPiece:
     """Weight-graded subspace of the dual of one module.
 
-    Stored per weight block as canonical echelon rows over block-local
-    coordinates, so equality of pieces is plain equality of data.
+    ``blocks`` maps each weight whose block the piece meets nonzero to a
+    ``Subspace`` of that block's local coordinates; a missing weight is a
+    zero block.  Subspaces are canonical, so equality of pieces is plain
+    equality of data.
     """
 
     def __init__(self, module, blocks):
         self.module = module
-        self.blocks = {wt: (rows, piv) for wt, (rows, piv) in blocks.items()
-                       if rows}
+        self.blocks = {wt: sub for wt, sub in blocks.items() if sub.dim}
 
     @classmethod
     def from_rows(cls, module, rows):
@@ -81,33 +81,24 @@ class GradedPiece:
                 raise ValueError("row spans more than one weight block")
             per.setdefault(wt, []).append(
                 [row[k] for k in rng])
-        blocks = {}
-        for wt, rws in per.items():
-            ech, piv = rref(rws)
-            blocks[wt] = (ech, piv)
-        return cls(module, blocks)
-
-    @classmethod
-    def zero(cls, module):
-        return cls(module, {})
+        return cls(module, {wt: Subspace.from_vectors(len(rws[0]), rws)
+                            for wt, rws in per.items()})
 
     @property
     def dim(self):
-        return sum(len(rows) for rows, _ in self.blocks.values())
+        return sum(sub.dim for sub in self.blocks.values())
 
     def block_dim(self, wt):
-        entry = self.blocks.get(tuple(wt))
-        return len(entry[0]) if entry else 0
+        return self.block_subspace(wt).dim
 
     def block_subspace(self, wt):
         wt = tuple(wt)
-        return _block_space(self.blocks, wt,
-                            len(self.module.weight_indices(wt)))
+        return self.blocks.get(wt) or Subspace.zero(
+            len(self.module.weight_indices(wt)))
 
     def weight_dims(self):
         """Sorted (weight, piece dim) list over the nonzero blocks."""
-        return sorted((wt, len(rows))
-                      for wt, (rows, _) in self.blocks.items())
+        return sorted((wt, sub.dim) for wt, sub in self.blocks.items())
 
     def contains_row(self, row):
         per = {}
@@ -115,58 +106,37 @@ class GradedPiece:
             if c:
                 per.setdefault(self.module.weights[k], []).append((k, c))
         for wt, items in per.items():
-            rng = self.module.weight_indices(wt)
-            dense = [ZERO] * len(rng)
-            for k, c in items:
-                dense[k - rng.start] = c
-            entry = self.blocks.get(wt)
-            if entry is None:
+            sub = self.blocks.get(wt)
+            if sub is None:
                 return False
-            res = reduce_against(entry[0], entry[1], dense)
-            if any(res):
+            dense = [ZERO] * sub.ambient
+            start = self.module.weight_indices(wt).start
+            for k, c in items:
+                dense[k - start] = c
+            if not sub.contains(dense):
                 return False
         return True
 
     def is_subpiece(self, other):
         if self.module is not other.module:
             raise ValueError("pieces live over different modules")
-        for wt, (rows, _) in self.blocks.items():
-            oth = other.blocks.get(wt)
-            if oth is None:
-                return False
-            for row in rows:
-                if any(reduce_against(oth[0], oth[1], row)):
-                    return False
-        return True
+        return all(wt in other.blocks and sub.is_subspace_of(other.blocks[wt])
+                   for wt, sub in self.blocks.items())
 
     def sum(self, other):
         if self.module is not other.module:
             raise ValueError("pieces live over different modules")
         blocks = {}
         for wt in set(self.blocks) | set(other.blocks):
-            rws = []
-            for src in (self, other):
-                entry = src.blocks.get(wt)
-                if entry:
-                    rws.extend([list(r) for r in entry[0]])
-            ech, piv = rref(rws)
-            blocks[wt] = (ech, piv)
+            zero = Subspace.zero(len(self.module.weight_indices(wt)))
+            blocks[wt] = self.blocks.get(wt, zero).sum(
+                other.blocks.get(wt, zero))
         return GradedPiece(self.module, blocks)
 
     def __eq__(self, other):
         if not isinstance(other, GradedPiece):
             return NotImplemented
-        if self.module is not other.module:
-            return False
-        if set(self.blocks) != set(other.blocks):
-            return False
-        for wt, (rows, piv) in self.blocks.items():
-            orows, opiv = other.blocks[wt]
-            if list(piv) != list(opiv):
-                return False
-            if [list(r) for r in rows] != [list(r) for r in orows]:
-                return False
-        return True
+        return self.module is other.module and self.blocks == other.blocks
 
     def __repr__(self):
         return "GradedPiece(dim %d of %d)" % (self.dim, self.module.dim)
@@ -294,27 +264,21 @@ class CoordinateModel:
 
     @memo(lambda self, w, sign, lam: (w.idx, sign, tuple(lam)))
     def closure(self, w, sign, lam):
-        """Per-block echelon rows of the extreme-vector closure of w with
-        the given sign: raising ('+') or lowering ('-')."""
+        """The extreme-vector closure of w with the given sign, raising
+        ('+') or lowering ('-'), as a Subspace of each block it meets."""
         return demazure_blocks(self.module(lam), w, sign)
 
     @memo(lambda self, w, sign, lam: (w.idx, sign, tuple(lam)))
     def demazure_orth(self, w, sign, lam):
         """Dual rows vanishing on the extreme-vector closure of w with
-        the given sign, block by block."""
+        the given sign: the orthogonal complement of each closure block,
+        a block the closure misses being zero."""
         module = self.module(lam)
         closure = self.closure(w, sign, lam)
         blocks = {}
-        for wt in module.block_order:
-            rng = module.weight_indices(wt)
-            entry = closure.get(wt)
-            if entry is None:
-                blocks[wt] = _full_block(len(rng))
-                continue
-            rows = entry[0]
-            if len(rows) == len(rng):
-                continue
-            blocks[wt] = kernel([list(r) for r in rows], len(rng))
+        for wt, rng in module.blocks.items():
+            zero = Subspace.zero(len(rng))
+            blocks[wt] = closure.get(wt, zero).orthogonal_complement()
         return GradedPiece(module, blocks)
 
     @memo(lambda self, y, z, lam: (y.idx, z.idx, tuple(lam)))
@@ -674,15 +638,15 @@ class CoordinateModel:
                 trg = big.weight_indices(twt)
                 imgs = [_restrict(table.get((j0, t), {}), trg, cex)
                         for t in rng]
-                cons = _block_space(lower, twt, len(trg)).intersect(
-                    _block_space(upper, twt, len(trg))).rows
+                zero = Subspace.zero(len(trg))
+                cons = lower.get(twt, zero).intersect(
+                    upper.get(twt, zero)).rows
                 if not cons:
-                    blocks[wt] = _full_block(len(rng))
+                    blocks[wt] = Subspace.full(len(rng))
                     continue
                 gmat = [[dot(img, kr) for kr in cons] for img in imgs]
-                ech, piv = kernel(_transpose(gmat, len(cons)), len(rng))
-                if ech:
-                    blocks[wt] = (ech, piv)
+                blocks[wt] = Subspace(len(rng), *kernel(
+                    _transpose(gmat, len(cons)), len(rng)))
             piece = GradedPiece(mnu, blocks)
             if not pieces[-1].is_subpiece(piece):
                 raise AssertionError(
@@ -745,17 +709,6 @@ def _restrict(cell, trg, scale):
             raise AssertionError("product escapes the target block")
         out[t - trg.start] = scale * c
     return out
-
-
-def _block_space(blocks, wt, n):
-    """Block wt of per-block echelon rows, as a Subspace of n-space."""
-    entry = blocks.get(wt)
-    return Subspace(n, *entry) if entry else Subspace.zero(n)
-
-
-def _full_block(n):
-    """Echelon rows and pivots of a whole n-dimensional block."""
-    return identity_matrix(n), list(range(n))
 
 
 def _transpose(rows, ncols):

@@ -942,8 +942,11 @@ class Subspace:
 
     def orthogonal_complement(self):
         """All x with r . x = 0 for every basis row r (standard pairing)."""
+        # a zero or full operand decides the complement without a reduction
         if not self.rows:
             return Subspace.full(self.ambient)
+        if len(self.rows) == self.ambient:
+            return Subspace.zero(self.ambient)
         return Subspace(self.ambient, *kernel(self.rows, self.ambient))
 
     def intersect(self, other):

@@ -49,9 +49,8 @@ from __future__ import annotations
 from bisect import bisect
 from collections import Counter, deque
 
-from .exactalg import (Laurent, ONE, ZERO, Subspace, identity_matrix,
-                       kernel, q_binomial, q_factorial, q_int,
-                       reduce_against)
+from .exactalg import (Laurent, ONE, ZERO, Subspace, kernel, q_binomial,
+                       q_factorial, q_int, reduce_against)
 from .characters import weyl_character, weyl_dim
 from .obs import memo
 from .weyl import WeylGroup
@@ -595,17 +594,18 @@ def extreme_dual_row(module, w):
 
 
 def demazure_blocks(module, w, sign):
-    """Per-weight echelon bases of the span of the extreme vector under
-    raising (sign '+') or lowering (sign '-') closure.  Each block is kept
-    in reduced echelon form as it grows, one residue at a time.  The two
-    closures that are the whole module, lowering at e and raising at the
-    longest element, are returned as identity blocks without a search."""
+    """The span of the extreme vector under raising (sign '+') or
+    lowering (sign '-') closure, as {weight: Subspace} over the blocks it
+    meets, in block-local coordinates.  Each block is kept in reduced
+    echelon form as it grows, one residue at a time.  The two closures
+    that are the whole module, lowering at e and raising at the longest
+    element, are returned as full blocks without a search."""
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     if w == (w.group.identity if sign == "-" else w.group.longest):
         # the highest weight vector spans the module under lowering, and
         # so, the module being irreducible, does the lowest under raising
-        return {wt: (identity_matrix(len(rng)), list(range(len(rng))))
+        return {wt: Subspace.full(len(rng))
                 for wt, rng in module.blocks.items()}
     apply_gen = module.e_apply if sign == "+" else module.f_apply
     blocks = {}
@@ -617,7 +617,10 @@ def demazure_blocks(module, w, sign):
         dense = [ZERO] * len(rng)
         for k, c in vec.items():
             dense[k - rng.start] = c
-        rows, piv = blocks.setdefault(wt, ([], []))
+        # the block's Subspace is fresh and not yet handed out, so its
+        # lists may grow in place
+        sub = blocks.setdefault(wt, Subspace.zero(len(rng)))
+        rows, piv = sub.rows, sub.pivots
         res = reduce_against(rows, piv, dense)
         p = next((t for t, c in enumerate(res) if c), None)
         if p is None:
@@ -655,7 +658,7 @@ def demazure_blocks(module, w, sign):
 
 
 def blocks_to_subspace(module, blocks):
-    """Assemble per-block echelon rows into one global canonical Subspace.
+    """Assemble per-block Subspaces into one global canonical Subspace.
 
     Valid because rows from different weight blocks have disjoint support
     and block index ranges increase along the basis order.
@@ -666,8 +669,7 @@ def blocks_to_subspace(module, blocks):
         if wt not in blocks:
             continue
         rng = module.weight_indices(wt)
-        brows, bpiv = blocks[wt]
-        for row, p in zip(brows, bpiv):
+        for row, p in zip(blocks[wt].rows, blocks[wt].pivots):
             g = [ZERO] * module.dim
             for t, c in enumerate(row):
                 if c:

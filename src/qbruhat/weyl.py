@@ -52,9 +52,6 @@ class WeylElem:
     def inverse(self):
         return self.group.inverse(self)
 
-    def is_identity(self):
-        return self.length == 0
-
     def __eq__(self, other):
         if not isinstance(other, WeylElem):
             return NotImplemented
@@ -215,14 +212,6 @@ class WeylGroup:
 
     def left_descent(self, w, i):
         return self._length[self._lmul[i][w.idx]] < w.length
-
-    def right_descent(self, w, i):
-        return self.multiply(w, self.gens[i]).length < w.length
-
-    def demazure_product(self, i, w):
-        """The longer of s_i w and w."""
-        sw = self.elements[self._lmul[i][w.idx]]
-        return sw if sw.length > w.length else w
 
     # -- Bruhat order ---------------------------------------------------
 

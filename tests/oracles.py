@@ -6,17 +6,18 @@ scalars, Bruhat covers by scanning the neighbouring length level, the
 pair poset by testing every pair of the group, scalar sums and products
 by the general loops and an uncached gcd on every product, subspace
 meets by a Zassenhaus reduction whatever the operands, closures by an
-``rref`` on every insertion, modules by stepping off the fundamental
-weight of the highest index, and saturation steps by the kernel of the
-whole pair piece of degree nu + k rho.
+``rref`` on every insertion, their orthogonals as (rows, pivots) tuples
+by ``kernel``, modules by stepping off the fundamental weight of the
+highest index, and saturation steps by the kernel of the whole pair
+piece of degree nu + k rho.
 """
 
 from qbruhat.characters import weyl_dim
-from qbruhat.coordring import GradedPiece, _full_block, _restrict, _transpose
+from qbruhat.coordring import GradedPiece, _restrict, _transpose
 from qbruhat.exactalg import (Laurent, ONE, RatFun, Subspace, ZERO,
                               _common_factor, _coprime_quotient, _exact_quo,
-                              _fr, _ratfun, coerce_scalar, dot, kernel,
-                              reduce_against, rref)
+                              _fr, _ratfun, coerce_scalar, dot,
+                              identity_matrix, kernel, reduce_against, rref)
 from qbruhat.uqmodules import (_SEED_TABLE, _close_tensor,
                                _module_from_edges, _submodule_from_highest,
                                extreme_vector)
@@ -168,6 +169,23 @@ def rref_demazure_blocks(module, w, sign):
     return blocks
 
 
+def tuple_demazure_orth(module, w, sign):
+    """The blocks of ``CoordinateModel.demazure_orth`` as (rows, pivots)
+    tuples over the ``rref`` closure: a block the closure misses is the
+    full block, a full closure block is skipped, and any other block is
+    the ``kernel`` of the closure rows."""
+    closure = rref_demazure_blocks(module, w, sign)
+    blocks = {}
+    for wt in module.block_order:
+        n = len(module.weight_indices(wt))
+        entry = closure.get(wt)
+        if entry is None:
+            blocks[wt] = (identity_matrix(n), list(range(n)))
+        elif len(entry[0]) < n:
+            blocks[wt] = kernel([list(r) for r in entry[0]], n)
+    return blocks
+
+
 def max_index_irrep(datum, lam, built):
     """The module of highest weight lam, stepping off the fundamental
     weight of the highest index in lam's support; every smaller module
@@ -218,14 +236,14 @@ def pair_piece_saturation(model, y, z, nu, bound, by="z"):
             imgs = [_restrict(table.get((j0, t), {}), trg, ex[j0])
                     for t in rng]
             entry = target.blocks.get(twt)
-            srows = [list(r) for r in entry[0]] if entry else []
+            srows = [list(r) for r in entry.rows] if entry else []
             cons = kernel(srows, len(trg))[0] if len(trg) else []
             if not cons:
-                blocks[wt] = _full_block(len(rng))
+                blocks[wt] = Subspace.full(len(rng))
                 continue
             gmat = [[dot(img, kr) for kr in cons] for img in imgs]
             ech, piv = kernel(_transpose(gmat, len(cons)), len(rng))
             if ech:
-                blocks[wt] = (ech, piv)
+                blocks[wt] = Subspace(len(rng), ech, piv)
         pieces.append(GradedPiece(mnu, blocks))
     return pieces

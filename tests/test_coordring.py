@@ -11,7 +11,7 @@ from qbruhat.coordring import (CoordinateModel, EigenvalueError,
                                SufficiencyError)
 from qbruhat.exactalg import ONE, ZERO, Laurent, Subspace, kernel, mat_mul
 from qbruhat.uqmodules import ModuleScopeError
-from oracles import pair_piece_saturation
+from oracles import pair_piece_saturation, tuple_demazure_orth
 from test_acceptance import brute_cone_count, bruhat_pairs, eta_sweep
 
 Q = Laurent({1: 1})
@@ -140,6 +140,63 @@ class TestIdealPieces:
         assert set(support) == holes
         assert maximal == sorted(holes)
         assert minimal == sorted(holes)
+
+
+def assert_subspace_blocks(module, blocks):
+    """Every block value is a nonzero Subspace of its block's size."""
+    for wt, sub in blocks.items():
+        assert isinstance(sub, Subspace), wt
+        assert sub.ambient == len(module.weight_indices(wt)), wt
+        assert sub.dim > 0, wt
+
+
+class TestBlockRepresentation:
+    @pytest.mark.parametrize("label,top", [("A2", 3), ("B2", 2)])
+    def test_orthogonals_match_tuple_oracle(self, label, top):
+        """Complements of the closure blocks give the weights, rows and
+        pivots of the tuple blocks taken by ``kernel``."""
+        model = CoordinateModel.get(label)
+        for lam in itertools.product(range(top + 1),
+                                     repeat=model.datum.rank):
+            m = model.module(lam)
+            for w in model.group.elements:
+                for sign in "+-":
+                    got = model.demazure_orth(w, sign, lam).blocks
+                    want = tuple_demazure_orth(m, w, sign)
+                    assert list(got) == list(want), (lam, w.word, sign)
+                    for wt, (rows, piv) in want.items():
+                        sub = got[wt]
+                        assert sub.ambient == len(m.weight_indices(wt))
+                        assert sub.pivots == list(piv)
+                        assert sub.rows == [list(r) for r in rows]
+                        assert ([[str(c) for c in r] for r in sub.rows]
+                                == [[str(c) for c in r] for r in rows])
+
+    @pytest.mark.parametrize("label", ["A2", "B2"])
+    def test_closures_and_orthogonals_hold_subspaces(self, label):
+        model = CoordinateModel.get(label)
+        for lam in [(1, 0), (0, 1), (1, 1), (2, 1)]:
+            m = model.module(lam)
+            for w in model.group.elements:
+                for sign in "+-":
+                    assert_subspace_blocks(m, model.closure(w, sign, lam))
+                    assert_subspace_blocks(
+                        m, model.demazure_orth(w, sign, lam).blocks)
+
+    def test_pair_left_ideal_and_saturation_pieces_hold_subspaces(
+            self, a2_model):
+        g = a2_model.group
+        for y, z in bruhat_pairs(g):
+            piece = a2_model.pair_piece(y, z, (1, 1))
+            assert_subspace_blocks(piece.module, piece.blocks)
+            for by in "yz":
+                for piece in a2_model.saturation(y, z, (1, 0), 2,
+                                                 by=by).pieces:
+                    assert_subspace_blocks(piece.module, piece.blocks)
+        for eta in a2_model.module((1, 0)).block_order:
+            for side in "+-":
+                piece = a2_model.left_ideal_piece((1, 0), eta, side, (0, 1))
+                assert_subspace_blocks(piece.module, piece.blocks)
 
 
 class TestTwistedDecomposition:

@@ -765,12 +765,23 @@ class TestSubspace:
 
     def test_trivial_operands_skip_the_reduction(self, monkeypatch):
         line = Subspace.from_vectors(3, [[ONE, q, ZERO]])
-        monkeypatch.setattr(exactalg, "rref", None)
-        for other in (Subspace.zero(3), Subspace.full(3)):
+        zero, full = Subspace.zero(3), Subspace.full(3)
+        # what a reduction gives for the complements of trivial operands
+        reduced = {"zero": Subspace(3, *kernel(zero.rows, 3)),
+                   "full": Subspace(3, *kernel(full.rows, 3))}
+
+        def no_reduction(*args, **kwargs):
+            raise AssertionError("trivial operand ran a reduction")
+
+        monkeypatch.setattr(exactalg, "rref", no_reduction)
+        monkeypatch.setattr(exactalg, "kernel", no_reduction)
+        for other in (zero, full):
             assert line.intersect(other) == other.intersect(line)
-        assert line.intersect(Subspace.full(3)) is line
-        assert Subspace.full(3).intersect(line) is line
-        assert line.intersect(Subspace.zero(3)).dim == 0
+        assert line.intersect(full) is line
+        assert full.intersect(line) is line
+        assert line.intersect(zero).dim == 0
+        assert zero.orthogonal_complement() == reduced["zero"] == full
+        assert full.orthogonal_complement() == reduced["full"] == zero
 
 
 def oracle_intersect(a, b):
