@@ -11,7 +11,7 @@ case of its label.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .obs import memo
 
@@ -89,21 +89,10 @@ def _symmetrizers(a):
                 queue.append(j)
     if any(x is None for x in d):
         raise ValueError("Dynkin diagram is not connected")
-    denom = 1
-    for x in d:
-        denom = denom * x.denominator // _gcd(denom, x.denominator)
+    denom = lcm(*(x.denominator for x in d))
     ints = [x * denom for x in d]
-    g = 0
-    for x in ints:
-        g = _gcd(g, x.numerator)
+    g = gcd(*(x.numerator for x in ints))
     return tuple(int(x / g) for x in ints)
-
-
-def _gcd(a, b):
-    a, b = abs(int(a)), abs(int(b))
-    while b:
-        a, b = b, a % b
-    return a if a else 1
 
 
 def _invert_rational(mat):

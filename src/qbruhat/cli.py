@@ -189,6 +189,7 @@ def ideal():
               type=click.Choice(["json", "text"]))
 def ideal_demazure(label, lamtext, ytext, sign, fmt):
     """One graded piece: dual rows vanishing on the extreme closure."""
+    _load_group(label)
     model = CoordinateModel.get(label)
     lam = _parse_weight(model.datum, lamtext, "--lambda")
     if not model.datum.is_dominant(lam):
@@ -243,6 +244,7 @@ def ideal_stratum(label, ytext, ztext, nutext, bound, fmt):
     if bound < 1:
         raise click.BadParameter("bound must be at least 1",
                                  param_hint="--bound")
+    _load_group(label)
     model = CoordinateModel.get(label)
     nu = _parse_weight(model.datum, nutext, "--nu")
     if not model.datum.is_dominant(nu):

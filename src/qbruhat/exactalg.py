@@ -938,6 +938,11 @@ class Subspace:
     def sum(self, other):
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
+        # a zero or full operand decides the sum without a reduction
+        if not other.rows or len(self.rows) == self.ambient:
+            return self
+        if not self.rows or len(other.rows) == self.ambient:
+            return other
         return Subspace.from_vectors(self.ambient, self.rows + other.rows)
 
     def orthogonal_complement(self):

@@ -17,15 +17,19 @@ to the higher index.  On A2 this walks the staircase k.rho, (k, k-1),
 off the spin module whenever lam has a spin coordinate.  The module does
 not depend on that choice.  The closure replays F-words on the highest
 weight vector breadth first and keeps a word exactly when it is
-independent of the earlier ones in its weight block.  What it records,
-the kept words (parents) and the coefficients of each dependent word
-over them (fmat), are linear relations among F-words applied to v_lam,
-which hold in V(lam) itself, whatever tensor product realizes it.
+independent of the earlier ones in its weight block; each block keeps
+an echelon basis whose rows carry their coordinates over the kept
+words, so ``reduce_against`` decides independence and leaves the
+coefficients of a dependent word in the residue.  What it records, the
+kept words (parents) and the coefficients of each dependent word over
+them (fmat), are linear relations among F-words applied to v_lam, which
+hold in V(lam) itself, whatever tensor product realizes it.
 
 The raising matrices are not computed in the tensor product: each basis
 vector t = F_i p gets E_j t = F_i E_j p +
 delta_ij [<wt p, alpha_i^v>]_{d_i} p from its parent, so they follow from
-the lowering matrices by the relation [E_i, F_j] = delta_ij [h_i].  Every
+the lowering matrices by the relation [E_i, F_j] = delta_ij [h_i].  The
+fundamental modules entered by hand get theirs by the same rule.  Every
 construction is then checked against the dimension formula, the weight
 multiset, all commutators and the quantum Serre relations (summed by
 Horner's scheme); that check is the only guard on the matrices.  Verified
@@ -61,70 +65,6 @@ MAX_DIM = 400
 
 class ModuleScopeError(ValueError):
     """Module arithmetic was requested outside the supported scope."""
-
-
-class _BlockSolver:
-    """Growing independent family inside one weight block.
-
-    Vectors live in an ambient space indexed by arbitrary hashable keys.
-    Adopted vectors keep their raw coordinates; an echelon copy plus a
-    change-of-basis table lets dependent vectors be written exactly over
-    the adopted ones.
-    """
-
-    def __init__(self, keys):
-        self.keys = list(keys)
-        self.pos = {k: t for t, k in enumerate(self.keys)}
-        self.rows = []
-        self.pivots = []
-        self.trans = []
-        self.adopted = []
-
-    def _reduce(self, vec):
-        v = [ZERO] * len(self.keys)
-        for k, c in vec.items():
-            v[self.pos[k]] = c
-        used = []
-        for k, (row, p) in enumerate(zip(self.rows, self.pivots)):
-            c = v[p]
-            if not c:
-                continue
-            used.append((k, c))
-            for t in range(len(v)):
-                if row[t]:
-                    v[t] = v[t] - c * row[t]
-        return v, used
-
-    def _combo(self, used):
-        coeffs = {}
-        for k, c in used:
-            for j, t in enumerate(self.trans[k]):
-                if t:
-                    coeffs[j] = coeffs.get(j, ZERO) + c * t
-        return [(self.adopted[j], c) for j, c in sorted(coeffs.items()) if c]
-
-    def add(self, vec, global_id):
-        """Adopt vec under global_id if independent (returning None),
-        otherwise return its expression over the earlier vectors."""
-        v, used = self._reduce(vec)
-        piv = next((t for t, c in enumerate(v) if c), None)
-        if piv is None:
-            return self._combo(used)
-        inv = ONE / v[piv]
-        tnew = [ZERO] * len(self.adopted)
-        for k, c in used:
-            for j, t in enumerate(self.trans[k]):
-                if t:
-                    tnew[j] = tnew[j] - c * t
-        tnew = [x * inv for x in tnew]
-        tnew.append(inv)
-        for t in self.trans:
-            t.append(ZERO)
-        self.rows.append([x * inv for x in v])
-        self.pivots.append(piv)
-        self.trans.append(tnew)
-        self.adopted.append(global_id)
-        return None
 
 
 def _row_apply(mat, row, dim):
@@ -335,8 +275,9 @@ def verify_module(module, group):
 # -- construction ----------------------------------------------------------
 
 # Fundamental modules entered by hand: weight list plus lowering edges
-# (generator, source, target), every matrix entry 1.  The raising edges
-# are the mirrors.  The startup verification pins these down completely.
+# (generator, source, target), every matrix entry 1, each target after
+# its source.  The raising matrices follow by ``_raising_matrices``, and
+# the verification in ``build_irrep`` pins these down completely.
 _SEED_TABLE = {
     ("A", 1): {
         0: ([(1,), (-1,)], [(0, 0, 1)]),
@@ -366,9 +307,7 @@ def build_irrep(datum, lam):
 def _build_irrep_inner(datum, group, lam):
     fam = (datum.family, datum.rank)
     if not any(lam):
-        return UqModule(datum, lam, [lam], [None],
-                        [dict() for _ in range(datum.rank)],
-                        [dict() for _ in range(datum.rank)])
+        return _module_from_edges(datum, lam, [lam], [])
     if fam not in _SEED_TABLE:
         raise ModuleScopeError("module arithmetic is limited to types "
                                "A1, A2 and B2")
@@ -395,18 +334,16 @@ def _build_irrep_inner(datum, group, lam):
 
 
 def _module_from_edges(datum, lam, weights, edges):
-    rank = datum.rank
-    fmat = [dict() for _ in range(rank)]
-    emat = [dict() for _ in range(rank)]
+    fmat = [dict() for _ in range(datum.rank)]
     parents = [None] * len(weights)
     for gen, src, dst in edges:
         fmat[gen].setdefault(src, {})[dst] = ONE
-        emat[gen].setdefault(dst, {})[src] = ONE
         if parents[dst] is None and dst:
             parents[dst] = (src, gen)
     if any(parents[t] is None for t in range(1, len(weights))):
         raise AssertionError("seed table leaves a basis vector unreached")
-    return UqModule(datum, lam, weights, parents, fmat, emat)
+    return UqModule(datum, lam, weights, parents, fmat,
+                    _raising_matrices(datum, weights, parents, fmat))
 
 
 def _tensor_f(datum, m1, m2, i, vec):
@@ -483,22 +420,42 @@ def _submodule_from_highest(datum, m1, m2, wt, expected):
 
 def _close_tensor(datum, m1, m2, seed, lam, expected):
     rank = datum.rank
-    blocks_keys = {}
+    # the position of each tensor key in its weight block, and per block
+    # an echelon basis of rows [v | e_j] over the vectors a_j it adopted,
+    # kept in adoption order
+    pos, size = {}, Counter()
     for r in range(m1.dim):
         for s in range(m2.dim):
             wt = datum.add(m1.weights[r], m2.weights[s])
-            blocks_keys.setdefault(wt, []).append((r, s))
-    solvers = {}
+            pos[r, s] = size[wt]
+            size[wt] += 1
+    blocks = {}
 
-    def solver_for(wt):
-        if wt not in solvers:
-            solvers[wt] = _BlockSolver(blocks_keys.get(wt, []))
-        return solvers[wt]
+    def adopt(vec, wt, idx):
+        """None after adopting vec as basis vector idx if it is
+        independent in its block, otherwise its coefficients over the
+        block's earlier vectors."""
+        rows, pivots, adopted = blocks.setdefault(wt, ([], [], []))
+        n = size[wt]
+        v = [ZERO] * (2 * n)
+        for key, c in vec.items():
+            v[pos[key]] = c
+        # the residue [x | t] has x = vec + sum_j t_j a_j
+        v = reduce_against(rows, pivots, v)
+        p = next((t for t in range(n) if v[t]), None)
+        if p is None:
+            return {adopted[j]: -c for j, c in enumerate(v[n:]) if c}
+        v[n + len(adopted)] = ONE
+        inv = ONE / v[p]
+        rows.append([c * inv for c in v])
+        pivots.append(p)
+        adopted.append(idx)
+        return None
 
     basis = [dict(seed)]
     wts = [lam]
     parents = [None]
-    if solver_for(lam).add(basis[0], 0) is not None:
+    if adopt(basis[0], lam, 0) is not None:
         raise AssertionError("seed vector is zero")
     fmat = [dict() for _ in range(rank)]
     queue = deque([0])
@@ -509,25 +466,30 @@ def _close_tensor(datum, m1, m2, seed, lam, expected):
             if not img:
                 continue
             wt2 = datum.sub(wts[k], datum.simple_root(i))
-            res = solver_for(wt2).add(img, len(basis))
+            idx = len(basis)
+            res = adopt(img, wt2, idx)
             if res is None:
-                idx = len(basis)
                 basis.append(img)
                 wts.append(wt2)
                 parents.append((k, i))
                 fmat[i].setdefault(k, {})[idx] = ONE
                 queue.append(idx)
-            else:
-                entry = {j: c for j, c in res}
-                if entry:
-                    fmat[i][k] = entry
+            elif res:
+                fmat[i][k] = res
     if len(basis) != expected:
         raise AssertionError("lowering closure reached dimension %d, "
                              "expected %d" % (len(basis), expected))
-    # E_j t for t = F_i p is F_i E_j p + delta_ij [<wt p, alpha_i^v>] p,
-    # and E_j p is known because parents precede children.
+    return _reorder_module(datum, lam, wts, parents, fmat,
+                           _raising_matrices(datum, wts, parents, fmat))
+
+
+def _raising_matrices(datum, wts, parents, fmat):
+    """The raising matrices from the lowering ones: E_j t for t = F_i p
+    is F_i E_j p + delta_ij [<wt p, alpha_i^v>]_{d_i} p, and E_j p is
+    known because parents precede children."""
+    rank = datum.rank
     emat = [dict() for _ in range(rank)]
-    for t in range(1, len(basis)):
+    for t in range(1, len(wts)):
         p, i = parents[t]
         for j in range(rank):
             col = _apply(fmat[i], emat[j].get(p, {}))
@@ -540,7 +502,7 @@ def _close_tensor(datum, m1, m2, seed, lam, expected):
                     col.pop(p, None)
             if col:
                 emat[j][t] = {k: col[k] for k in sorted(col)}
-    return _reorder_module(datum, lam, wts, parents, fmat, emat)
+    return emat
 
 
 def _reorder_module(datum, lam, wts, parents, fmat, emat):

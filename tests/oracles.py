@@ -8,8 +8,10 @@ by the general loops and an uncached gcd on every product, subspace
 meets by a Zassenhaus reduction whatever the operands, closures by an
 ``rref`` on every insertion, their orthogonals as (rows, pivots) tuples
 by ``kernel``, modules by stepping off the fundamental weight of the
-highest index, and saturation steps by the kernel of the whole pair
-piece of degree nu + k rho.
+highest index, saturation steps by the kernel of the whole pair
+piece of degree nu + k rho, tensor closures by a block solver with its
+own elimination and change-of-basis table, and the raising matrices of
+the fundamental seeds as the mirrors of their lowering edges.
 """
 
 from qbruhat.characters import weyl_dim
@@ -20,7 +22,86 @@ from qbruhat.exactalg import (Laurent, ONE, RatFun, Subspace, ZERO,
                               identity_matrix, kernel, reduce_against, rref)
 from qbruhat.uqmodules import (_SEED_TABLE, _close_tensor,
                                _module_from_edges, _submodule_from_highest,
-                               extreme_vector)
+                               UqModule, extreme_vector)
+
+
+class _BlockSolver:
+    """Growing independent family inside one weight block.
+
+    Vectors live in an ambient space indexed by arbitrary hashable keys.
+    Adopted vectors keep their raw coordinates; an echelon copy plus a
+    change-of-basis table lets dependent vectors be written exactly over
+    the adopted ones.
+    """
+
+    def __init__(self, keys):
+        self.keys = list(keys)
+        self.pos = {k: t for t, k in enumerate(self.keys)}
+        self.rows = []
+        self.pivots = []
+        self.trans = []
+        self.adopted = []
+
+    def _reduce(self, vec):
+        v = [ZERO] * len(self.keys)
+        for k, c in vec.items():
+            v[self.pos[k]] = c
+        used = []
+        for k, (row, p) in enumerate(zip(self.rows, self.pivots)):
+            c = v[p]
+            if not c:
+                continue
+            used.append((k, c))
+            for t in range(len(v)):
+                if row[t]:
+                    v[t] = v[t] - c * row[t]
+        return v, used
+
+    def _combo(self, used):
+        coeffs = {}
+        for k, c in used:
+            for j, t in enumerate(self.trans[k]):
+                if t:
+                    coeffs[j] = coeffs.get(j, ZERO) + c * t
+        return [(self.adopted[j], c) for j, c in sorted(coeffs.items()) if c]
+
+    def add(self, vec, global_id):
+        """Adopt vec under global_id if independent (returning None),
+        otherwise return its expression over the earlier vectors."""
+        v, used = self._reduce(vec)
+        piv = next((t for t, c in enumerate(v) if c), None)
+        if piv is None:
+            return self._combo(used)
+        inv = ONE / v[piv]
+        tnew = [ZERO] * len(self.adopted)
+        for k, c in used:
+            for j, t in enumerate(self.trans[k]):
+                if t:
+                    tnew[j] = tnew[j] - c * t
+        tnew = [x * inv for x in tnew]
+        tnew.append(inv)
+        for t in self.trans:
+            t.append(ZERO)
+        self.rows.append([x * inv for x in v])
+        self.pivots.append(piv)
+        self.trans.append(tnew)
+        self.adopted.append(global_id)
+        return None
+
+
+def mirror_module_from_edges(datum, lam, weights, edges):
+    """A seed module from its lowering edges, every raising edge the
+    mirror of a lowering one with entry 1."""
+    rank = datum.rank
+    fmat = [dict() for _ in range(rank)]
+    emat = [dict() for _ in range(rank)]
+    parents = [None] * len(weights)
+    for gen, src, dst in edges:
+        fmat[gen].setdefault(src, {})[dst] = ONE
+        emat[gen].setdefault(dst, {})[src] = ONE
+        if parents[dst] is None and dst:
+            parents[dst] = (src, gen)
+    return UqModule(datum, lam, weights, parents, fmat, emat)
 
 
 def fixed_lattice(group, w):

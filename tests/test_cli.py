@@ -212,6 +212,12 @@ class TestExitCodes:
          "--nu", "1,1"],
         ["ideal", "stratum", "--type", "A2", "--y", "e", "--z", "e",
          "--nu", "1,1", "--bound", "0"],
+        ["ideal", "demazure", "--type", "X9", "--lambda", "1,0",
+         "--y", "e", "--sign", "+"],
+        ["ideal", "stratum", "--type", "E7", "--y", "e", "--z", "e",
+         "--nu", "1,1"],
+        ["ideal", "stratum", "--type", "A9", "--y", "e", "--z", "e",
+         "--nu", "1,1"],
     ])
     def test_unusable_arguments_exit_two(self, runner, args):
         res = runner.invoke(cli, args)

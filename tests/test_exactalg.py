@@ -769,6 +769,9 @@ class TestSubspace:
         # what a reduction gives for the complements of trivial operands
         reduced = {"zero": Subspace(3, *kernel(zero.rows, 3)),
                    "full": Subspace(3, *kernel(full.rows, 3))}
+        # and for their sums with the line
+        summed = {"zero": Subspace.from_vectors(3, line.rows),
+                  "full": Subspace.from_vectors(3, line.rows + full.rows)}
 
         def no_reduction(*args, **kwargs):
             raise AssertionError("trivial operand ran a reduction")
@@ -782,6 +785,11 @@ class TestSubspace:
         assert line.intersect(zero).dim == 0
         assert zero.orthogonal_complement() == reduced["zero"] == full
         assert full.orthogonal_complement() == reduced["full"] == zero
+        for a, b in ((line, zero), (zero, line)):
+            assert a.sum(b) is line and line == summed["zero"]
+        for a, b in ((line, full), (full, line)):
+            assert a.sum(b) is full and full == summed["full"]
+        assert zero.sum(zero) == zero and full.sum(full) == full
 
 
 def oracle_intersect(a, b):

@@ -13,16 +13,18 @@ from qbruhat.cartan import build_cartan
 from qbruhat.characters import demazure_character, weyl_character, weyl_dim
 from qbruhat.exactalg import (Laurent, ONE, RatFun, Subspace, ZERO,
                               q_binomial)
-from qbruhat.uqmodules import (ModuleScopeError, _BlockSolver, _compose,
-                               _mat_accum, _reorder_module, _serre_sum,
-                               _tensor_e, _tensor_f, build_irrep,
+from qbruhat.uqmodules import (ModuleScopeError, _SEED_TABLE, _compose,
+                               _mat_accum, _module_from_edges,
+                               _reorder_module, _serre_sum, _tensor_e,
+                               _tensor_f, build_irrep,
                                demazure_blocks, demazure_submodule,
                                extreme_dual_row, extreme_vector,
                                lowering_string_to, string_counts,
                                verify_module)
 from qbruhat.weyl import WeylGroup
 
-from oracles import max_index_irrep, rref_demazure_blocks
+from oracles import (_BlockSolver, max_index_irrep,
+                     mirror_module_from_edges, rref_demazure_blocks)
 
 q = Laurent.q_power(1)
 
@@ -270,6 +272,18 @@ def test_raising_matrices_match_tensor_oracle(label, lam):
         oracle = uqmodules._build_irrep_inner(
             datum, WeylGroup.build(datum), lam)
     assert module_strings(built) == module_strings(oracle)
+
+
+@pytest.mark.parametrize("fam,i", [(fam, i) for fam, seeds in
+                                   sorted(_SEED_TABLE.items())
+                                   for i in sorted(seeds)])
+def test_seed_raising_matrices_are_the_mirrored_edges(fam, i):
+    datum = build_cartan("%s%d" % fam)
+    weights, edges = _SEED_TABLE[fam][i]
+    lam = datum.fund(i)
+    built = _module_from_edges(datum, lam, weights, edges)
+    assert module_strings(built) == module_strings(
+        mirror_module_from_edges(datum, lam, weights, edges))
 
 
 @pytest.mark.parametrize("label,lams", [
