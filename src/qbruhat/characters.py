@@ -152,7 +152,9 @@ def weyl_dim(datum, lam):
         den_f = datum.inner(rho, alpha)
         num *= num_f.numerator * den_f.denominator
         den *= num_f.denominator * den_f.numerator
-    assert num % den == 0
+    if num % den:
+        raise AssertionError("dimension product for %s is %d/%d, not an "
+                             "integer" % (lam, num, den))
     return num // den
 
 

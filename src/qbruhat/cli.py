@@ -347,7 +347,16 @@ def verify_cmd(suites):
 
 def main():
     try:
-        cli(standalone_mode=True)
+        sys.exit(cli(standalone_mode=False) or 0)
+    except click.exceptions.NoArgsIsHelpError as err:
+        err.show()  # a group without a subcommand prints its help
+        sys.exit(err.exit_code)
+    except click.UsageError as err:  # one line: no usage line, no hint
+        click.echo("Error: %s" % err.format_message(), err=True)
+        sys.exit(err.exit_code)
+    except click.Abort:
+        click.echo("Aborted!", err=True)
+        sys.exit(1)
     except ModuleScopeError as err:
         click.echo("out of scope: %s" % err, err=True)
         sys.exit(2)

@@ -12,11 +12,11 @@ Laurent polynomial, and results whose reduced denominator is a power of
 q are demoted back to Laurent form.  Consequently two equal
 scalars always compare equal and print identically.
 
-The canonical form is kept cheaply.  Laurent sums, negations and
-products build their results through a trusted constructor that
-normalises only the coefficients that are not ints; a sum with zero, a
-product with one and a product with an integer monomial skip the
-general loops.  Fraction-field operators use that their operands are
+The canonical form is kept cheaply.  Laurent sums, differences,
+negations and products build their results through a trusted
+constructor that normalises only the coefficients that are not ints; a
+sum with zero, a product with one and a product with an integer
+monomial skip the general loops.  Fraction-field operators use that their operands are
 already reduced and run a gcd only on the factors that can still share
 a divisor (Henrici, J. ACM 3, 1956): adding a Laurent polynomial,
 negating, multiplying by a power of q, taking a reciprocal or a power
@@ -148,12 +148,26 @@ class Laurent:
         return Laurent._raw({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        return self + (-coerce_scalar(other))
+        if type(other) is not Laurent or not other.coeffs:
+            return self + (-coerce_scalar(other))
+        out = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            s = out.get(e, 0) - c
+            if s:
+                out[e] = s if type(s) is int else _fr(s)
+            elif e in out:
+                del out[e]
+        return Laurent._raw(out)
 
     def __rsub__(self, other):
         return coerce_scalar(other) + (-self)
 
     def __mul__(self, other):
+        # a Laurent operand times ONE; an int or Fraction is coerced below
+        if other is ONE:
+            return self
+        if self is ONE and type(other) is Laurent:
+            return other
         if type(other) is not Laurent:
             other = coerce_scalar(other)
             if isinstance(other, RatFun):
@@ -592,7 +606,9 @@ def q_binomial(n, k, d=1):
     num = q_factorial(n, d)
     den = q_factorial(k, d) * q_factorial(n - k, d)
     out = num / den
-    assert isinstance(out, Laurent)
+    if not isinstance(out, Laurent):
+        raise AssertionError("q-binomial (n, k, d) = (%d, %d, %d) is not a "
+                             "Laurent polynomial: %s" % (n, k, d, out))
     return out
 
 
@@ -717,14 +733,16 @@ def rref(rows):
 
 
 def reduce_against(rows, pivots, vec):
-    """Reduce ``vec`` against an echelon basis; returns the residue."""
+    """Reduce ``vec`` against an echelon basis; returns the residue.
+    Each row is one at its pivot and zero at the earlier rows' pivots,
+    and is subtracted along its whole support, left of its pivot too."""
     v = [coerce_scalar(x) for x in vec]
     for row, p in zip(rows, pivots):
-        if v[p]:
-            f = v[p]
-            for j in range(p, len(v)):
-                if row[j]:
-                    v[j] = v[j] - f * row[j]
+        f = v[p]
+        if f:
+            for j, x in enumerate(row):
+                if x:
+                    v[j] = v[j] - f * x
             v[p] = ZERO
     return v
 

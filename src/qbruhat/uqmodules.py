@@ -20,10 +20,12 @@ weight vector breadth first and keeps a word exactly when it is
 independent of the earlier ones in its weight block; each block keeps
 an echelon basis whose rows carry their coordinates over the kept
 words, so ``reduce_against`` decides independence and leaves the
-coefficients of a dependent word in the residue.  What it records, the
-kept words (parents) and the coefficients of each dependent word over
-them (fmat), are linear relations among F-words applied to v_lam, which
-hold in V(lam) itself, whatever tensor product realizes it.
+coefficients of a dependent word in the residue.  A row pivots on a
+monomial coordinate, a unit of Z[q, q^-1], when it has one, so most
+rows stay in the Laurent ring.  What it records, the kept words
+(parents) and the coefficients of each dependent word over them (fmat),
+are linear relations among F-words applied to v_lam, which hold in
+V(lam) itself, whatever tensor product or echelon basis realizes it.
 
 The raising matrices are not computed in the tensor product: each basis
 vector t = F_i p gets E_j t = F_i E_j p +
@@ -31,10 +33,12 @@ delta_ij [<wt p, alpha_i^v>]_{d_i} p from its parent, so they follow from
 the lowering matrices by the relation [E_i, F_j] = delta_ij [h_i].  The
 fundamental modules entered by hand get theirs by the same rule.  Every
 construction is then checked against the dimension formula, the weight
-multiset, all commutators and the quantum Serre relations (summed by
-Horner's scheme); that check is the only guard on the matrices.  Verified
-modules are kept per type and highest weight, and extreme vectors per
-module and Weyl element, by ``memo``; no module above ``MAX_DIM`` is built.
+multiset, all commutators (E_i F_j against F_j E_i + delta_ij [h_i]) and
+the quantum Serre relations (summed by Horner's scheme, the (i, j) and
+(j, i) sums sharing X_i X_j and X_j X_i); that check is the only guard
+on the matrices.  Verified modules are kept per type and highest
+weight, and extreme vectors per module and Weyl element, by ``memo``;
+no module above ``MAX_DIM`` is built.
 
 Conventions.  The comultiplication used for tensor actions is
 
@@ -82,19 +86,28 @@ def _row_apply(mat, row, dim):
     return out
 
 
+def _bump(out, key, c):
+    """out[key] += c in a sparse vector: c is stored on first touch, and
+    a zero sum is dropped."""
+    s = out.get(key)
+    if s is None:
+        out[key] = c
+    elif s := s + c:
+        out[key] = s
+    else:
+        del out[key]
+
+
 def _apply(mat, vec):
-    """Sparse matrix (column -> {row: entry}) times sparse vector."""
+    """Sparse matrix (column -> {row: entry}) times sparse vector; an
+    entry ONE skips its product."""
     out = {}
     for k, c in vec.items():
         col = mat.get(k)
         if not col:
             continue
         for r, f in col.items():
-            s = out.get(r, ZERO) + c * f
-            if s:
-                out[r] = s
-            elif r in out:
-                del out[r]
+            _bump(out, r, f if c is ONE else c if f is ONE else c * f)
     return out
 
 
@@ -197,11 +210,7 @@ def _compose(a, b):
             if not arow:
                 continue
             for r2, c2 in arow.items():
-                s = acc.get(r2, ZERO) + c * c2
-                if s:
-                    acc[r2] = s
-                elif r2 in acc:
-                    del acc[r2]
+                _bump(acc, r2, c2 if c is ONE else c if c2 is ONE else c * c2)
         if acc:
             out[col] = acc
     return out
@@ -211,21 +220,21 @@ def _mat_accum(total, mat, scal):
     for col, roww in mat.items():
         dst = total.setdefault(col, {})
         for r, c in roww.items():
-            s = dst.get(r, ZERO) + scal * c
-            if s:
-                dst[r] = s
-            elif r in dst:
-                del dst[r]
+            _bump(dst, r, scal * c)
         if not dst:
             del total[col]
     return total
 
 
-def _serre_sum(xi, xj, m, d):
+def _serre_sum(xi, xj, m, d, xixj, xjxi):
     """sum_k (-1)^k [m k]_d xi^(m-k) xj xi^k, by Horner in xi: with
-    R_k = xj xi^k, S <- xi S + c_k R_k for k = 1..m from S = R_0."""
-    term = total = xj  # _compose returns fresh dicts, so xj is not mutated
-    for k in range(1, m + 1):
+    R_k = xj xi^k, S <- xi S + c_k R_k for k = 1..m from S = R_0.  The
+    (j, i) sum shares the products xixj = xi xj and xjxi = R_1, so the
+    first step accumulates into a copy; later ones own their dicts."""
+    term = xjxi
+    total = _mat_accum({col: dict(r) for col, r in xixj.items()}, term,
+                       -q_binomial(m, 1, d))
+    for k in range(2, m + 1):
         term = _compose(term, xi)
         coeff = q_binomial(m, k, d)
         total = _mat_accum(_compose(xi, total), term,
@@ -249,25 +258,27 @@ def verify_module(module, group):
                              % (module.lam,))
     for i in range(rank):
         for j in range(rank):
-            comm = _compose(module.emat[i], module.fmat[j])
-            _mat_accum(comm, _compose(module.fmat[j], module.emat[i]), -ONE)
-            want = {}
+            # E_i F_j = F_j E_i + delta_ij [h_i]_{d_i}
+            want = _compose(module.fmat[j], module.emat[i])
             if i == j:
                 for k in range(module.dim):
                     m = datum.coroot_pairing(module.weights[k], i)
                     val = q_int(m, datum.d[i])
                     if val:
-                        want[k] = {k: val}
-            if comm != want:
+                        _mat_accum(want, {k: {k: val}}, ONE)
+            if _compose(module.emat[i], module.fmat[j]) != want:
                 raise AssertionError("commutator relation fails at (%d, %d)"
                                      % (i, j))
     for mats in (module.emat, module.fmat):
+        prods = {(i, j): _compose(mats[i], mats[j])
+                 for i in range(rank) for j in range(rank) if i != j}
         for i in range(rank):
             for j in range(rank):
                 if i == j:
                     continue
                 m = 1 - datum.cartan[i][j]
-                if _serre_sum(mats[i], mats[j], m, datum.d[i]):
+                if _serre_sum(mats[i], mats[j], m, datum.d[i], prods[i, j],
+                              prods[j, i]):
                     raise AssertionError("Serre relation fails at (%d, %d)"
                                          % (i, j))
 
@@ -349,50 +360,34 @@ def _module_from_edges(datum, lam, weights, edges):
 def _tensor_f(datum, m1, m2, i, vec):
     out = {}
     di = datum.d[i]
-
-    def bump(key, c):
-        s = out.get(key, ZERO) + c
-        if s:
-            out[key] = s
-        elif key in out:
-            del out[key]
-
     for (r, s), c in vec.items():
         col = m1.fmat[i].get(r)
         if col:
             for r2, f in col.items():
-                bump((r2, s), c * f)
+                _bump(out, (r2, s), c * f)
         col = m2.fmat[i].get(s)
         if col:
             kpow = di * datum.coroot_pairing(m1.weights[r], i)
             cc = c * Laurent.q_power(kpow)
             for s2, f in col.items():
-                bump((r, s2), cc * f)
+                _bump(out, (r, s2), cc * f)
     return out
 
 
 def _tensor_e(datum, m1, m2, i, vec):
     out = {}
     di = datum.d[i]
-
-    def bump(key, c):
-        s = out.get(key, ZERO) + c
-        if s:
-            out[key] = s
-        elif key in out:
-            del out[key]
-
     for (r, s), c in vec.items():
         col = m1.emat[i].get(r)
         if col:
             kpow = -di * datum.coroot_pairing(m2.weights[s], i)
             cc = c * Laurent.q_power(kpow)
             for r2, f in col.items():
-                bump((r2, s), cc * f)
+                _bump(out, (r2, s), cc * f)
         col = m2.emat[i].get(s)
         if col:
             for s2, f in col.items():
-                bump((r, s2), c * f)
+                _bump(out, (r, s2), c * f)
     return out
 
 
@@ -442,12 +437,16 @@ def _close_tensor(datum, m1, m2, seed, lam, expected):
             v[pos[key]] = c
         # the residue [x | t] has x = vec + sum_j t_j a_j
         v = reduce_against(rows, pivots, v)
-        p = next((t for t in range(n) if v[t]), None)
-        if p is None:
+        nz = [t for t in range(n) if v[t]]
+        if not nz:
             return {adopted[j]: -c for j, c in enumerate(v[n:]) if c}
+        # pivot on a monomial, a unit of Z[q, q^-1], when x has one, so
+        # that dividing by it keeps the row in the Laurent ring
+        p = next((t for t in nz if type(v[t]) is Laurent
+                  and v[t].is_monomial()), nz[0])
         v[n + len(adopted)] = ONE
         inv = ONE / v[p]
-        rows.append([c * inv for c in v])
+        rows.append([c * inv if c else ZERO for c in v])
         pivots.append(p)
         adopted.append(idx)
         return None

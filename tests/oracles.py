@@ -11,17 +11,25 @@ by ``kernel``, modules by stepping off the fundamental weight of the
 highest index, saturation steps by the kernel of the whole pair
 piece of degree nu + k rho, tensor closures by a block solver with its
 own elimination and change-of-basis table, and the raising matrices of
-the fundamental seeds as the mirrors of their lowering edges.
+the fundamental seeds as the mirrors of their lowering edges.  Tensor
+closures also by rows pivoting on their first nonzero coordinate, and
+module relations by the commutator E_i F_j - F_j E_i, negated product
+and all, and Serre sums that each compute their own products.
 """
 
-from qbruhat.characters import weyl_dim
+from collections import Counter, deque
+
+from qbruhat.characters import weyl_character, weyl_dim
 from qbruhat.coordring import GradedPiece, _restrict, _transpose
 from qbruhat.exactalg import (Laurent, ONE, RatFun, Subspace, ZERO,
                               _common_factor, _coprime_quotient, _exact_quo,
                               _fr, _ratfun, coerce_scalar, dot,
-                              identity_matrix, kernel, reduce_against, rref)
-from qbruhat.uqmodules import (_SEED_TABLE, _close_tensor,
-                               _module_from_edges, _submodule_from_highest,
+                              identity_matrix, kernel, q_binomial, q_int,
+                              reduce_against, rref)
+from qbruhat.uqmodules import (_SEED_TABLE, _close_tensor, _compose,
+                               _mat_accum, _module_from_edges,
+                               _raising_matrices, _reorder_module,
+                               _submodule_from_highest, _tensor_f,
                                UqModule, extreme_vector)
 
 
@@ -328,3 +336,111 @@ def pair_piece_saturation(model, y, z, nu, bound, by="z"):
                 blocks[wt] = Subspace(len(rng), ech, piv)
         pieces.append(GradedPiece(mnu, blocks))
     return pieces
+
+
+def first_pivot_close_tensor(datum, m1, m2, seed, lam, expected):
+    """The lowering closure inside m1 ox m2 whose echelon rows pivot on
+    the first nonzero coordinate of their residue, whatever it is."""
+    rank = datum.rank
+    pos, size = {}, Counter()
+    for r in range(m1.dim):
+        for s in range(m2.dim):
+            wt = datum.add(m1.weights[r], m2.weights[s])
+            pos[r, s] = size[wt]
+            size[wt] += 1
+    blocks = {}
+
+    def adopt(vec, wt, idx):
+        rows, pivots, adopted = blocks.setdefault(wt, ([], [], []))
+        n = size[wt]
+        v = [ZERO] * (2 * n)
+        for key, c in vec.items():
+            v[pos[key]] = c
+        v = reduce_against(rows, pivots, v)
+        p = next((t for t in range(n) if v[t]), None)
+        if p is None:
+            return {adopted[j]: -c for j, c in enumerate(v[n:]) if c}
+        v[n + len(adopted)] = ONE
+        inv = ONE / v[p]
+        rows.append([c * inv for c in v])
+        pivots.append(p)
+        adopted.append(idx)
+        return None
+
+    basis, wts, parents = [dict(seed)], [lam], [None]
+    if adopt(basis[0], lam, 0) is not None:
+        raise AssertionError("seed vector is zero")
+    fmat = [dict() for _ in range(rank)]
+    queue = deque([0])
+    while queue:
+        k = queue.popleft()
+        for i in range(rank):
+            img = _tensor_f(datum, m1, m2, i, basis[k])
+            if not img:
+                continue
+            wt2 = datum.sub(wts[k], datum.simple_root(i))
+            idx = len(basis)
+            res = adopt(img, wt2, idx)
+            if res is None:
+                basis.append(img)
+                wts.append(wt2)
+                parents.append((k, i))
+                fmat[i].setdefault(k, {})[idx] = ONE
+                queue.append(idx)
+            elif res:
+                fmat[i][k] = res
+    if len(basis) != expected:
+        raise AssertionError("lowering closure reached dimension %d, "
+                             "expected %d" % (len(basis), expected))
+    return _reorder_module(datum, lam, wts, parents, fmat,
+                           _raising_matrices(datum, wts, parents, fmat))
+
+
+def unshared_serre_sum(xi, xj, m, d):
+    """The Serre sum by Horner in xi, computing xi xj and xj xi itself."""
+    term = total = xj
+    for k in range(1, m + 1):
+        term = _compose(term, xi)
+        coeff = q_binomial(m, k, d)
+        total = _mat_accum(_compose(xi, total), term,
+                           -coeff if k % 2 else coeff)
+    return total
+
+
+def negated_verify_module(module, group):
+    """The defining relations checked as E_i F_j - F_j E_i = delta_ij
+    [h_i], the product F_j E_i multiplied by -1, and every Serre sum on
+    its own products; raises with the library's messages."""
+    datum = module.datum
+    rank = datum.rank
+    if module.dim != weyl_dim(datum, module.lam):
+        raise AssertionError("dimension %d differs from the character "
+                             "prediction %d"
+                             % (module.dim, weyl_dim(datum, module.lam)))
+    expected = weyl_character(datum, group, module.lam).terms
+    if dict(Counter(module.weights)) != expected:
+        raise AssertionError("weight multiset mismatch for %s"
+                             % (module.lam,))
+    for i in range(rank):
+        for j in range(rank):
+            comm = _compose(module.emat[i], module.fmat[j])
+            _mat_accum(comm, _compose(module.fmat[j], module.emat[i]), -ONE)
+            want = {}
+            if i == j:
+                for k in range(module.dim):
+                    m = datum.coroot_pairing(module.weights[k], i)
+                    val = q_int(m, datum.d[i])
+                    if val:
+                        want[k] = {k: val}
+            if comm != want:
+                raise AssertionError("commutator relation fails at (%d, %d)"
+                                     % (i, j))
+    for mats in (module.emat, module.fmat):
+        for i in range(rank):
+            for j in range(rank):
+                if i == j:
+                    continue
+                m = 1 - datum.cartan[i][j]
+                if unshared_serre_sum(mats[i], mats[j], m, datum.d[i]):
+                    raise AssertionError("Serre relation fails at (%d, %d)"
+                                         % (i, j))

@@ -1,10 +1,12 @@
 """Formal characters: Weyl, Demazure, and truncated cell cones."""
 
 import itertools
+from fractions import Fraction
+from unittest import mock
 
 import pytest
 
-from qbruhat.cartan import _invert_rational, build_cartan
+from qbruhat.cartan import CartanDatum, _invert_rational, build_cartan
 from qbruhat.characters import (FormalCharacter, cell_translate_character,
                                 character_to_json, demazure_character,
                                 demazure_step, weight_multiplicity,
@@ -37,6 +39,17 @@ WEYL_DIMS = [
 @pytest.mark.parametrize("label,lam,dim", WEYL_DIMS)
 def test_weyl_dim_frozen(label, lam, dim):
     assert weyl_dim(build_cartan(label), lam) == dim
+
+
+def test_weyl_dim_raises_on_a_fractional_product():
+    """The divisibility check raises under ``python -O`` too, naming lam."""
+    datum = CartanDatum("A1", "A", 1)
+    rho = datum.rho()
+    with mock.patch.object(datum, "inner", lambda mu, nu:
+                           Fraction(2) if mu == rho else Fraction(3)):
+        with pytest.raises(AssertionError,
+                           match=r"^dimension product for \(1,\) is 3/2"):
+            weyl_dim(datum, (1,))
 
 
 @pytest.mark.parametrize("label", ["A2", "B2"])

@@ -201,27 +201,65 @@ class TestVerify:
         assert res.exit_code == 2
 
 
+UNUSABLE_ARGS = [
+    ["strata", "build", "--type", "Z9"],
+    ["weyl", "info", "--type", "A2", "--w", "s9"],
+    ["char", "sw", "--type", "A2", "--depth", "-1"],
+    ["ideal", "demazure", "--type", "A2", "--lambda", "1,-1",
+     "--y", "e", "--sign", "+"],
+    ["ideal", "stratum", "--type", "A2", "--y", "s1", "--z", "s2",
+     "--nu", "1,1"],
+    ["ideal", "stratum", "--type", "A2", "--y", "e", "--z", "e",
+     "--nu", "1,1", "--bound", "0"],
+    ["ideal", "demazure", "--type", "X9", "--lambda", "1,0",
+     "--y", "e", "--sign", "+"],
+    ["ideal", "stratum", "--type", "E7", "--y", "e", "--z", "e",
+     "--nu", "1,1"],
+    ["ideal", "stratum", "--type", "A9", "--y", "e", "--z", "e",
+     "--nu", "1,1"],
+    ["centre", "dim", "--type", "A0"],
+    ["weyl", "info"],
+    ["weyl", "info", "--type", "A2", "--bogus"],
+    ["nosuch"],
+]
+
+
 class TestExitCodes:
-    @pytest.mark.parametrize("args", [
-        ["strata", "build", "--type", "Z9"],
-        ["weyl", "info", "--type", "A2", "--w", "s9"],
-        ["char", "sw", "--type", "A2", "--depth", "-1"],
-        ["ideal", "demazure", "--type", "A2", "--lambda", "1,-1",
-         "--y", "e", "--sign", "+"],
-        ["ideal", "stratum", "--type", "A2", "--y", "s1", "--z", "s2",
-         "--nu", "1,1"],
-        ["ideal", "stratum", "--type", "A2", "--y", "e", "--z", "e",
-         "--nu", "1,1", "--bound", "0"],
-        ["ideal", "demazure", "--type", "X9", "--lambda", "1,0",
-         "--y", "e", "--sign", "+"],
-        ["ideal", "stratum", "--type", "E7", "--y", "e", "--z", "e",
-         "--nu", "1,1"],
-        ["ideal", "stratum", "--type", "A9", "--y", "e", "--z", "e",
-         "--nu", "1,1"],
-    ])
+    @pytest.mark.parametrize("args", UNUSABLE_ARGS)
     def test_unusable_arguments_exit_two(self, runner, args):
         res = runner.invoke(cli, args)
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("args", UNUSABLE_ARGS)
+    def test_unusable_arguments_print_one_line(self, monkeypatch, capsys,
+                                               args):
+        monkeypatch.setattr(sys, "argv", ["qbruhat"] + args)
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("Error: ")
+
+    def test_bare_group_still_prints_its_help(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["qbruhat", "ideal"])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("Usage: ")
+        assert "ideal [OPTIONS] COMMAND" in err and "Commands:" in err
+
+    @pytest.mark.parametrize("args", [["--help"], ["ideal", "--help"]])
+    def test_help_exits_zero(self, monkeypatch, capsys, args):
+        monkeypatch.setattr(sys, "argv", ["qbruhat"] + args)
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("Usage: ")
+        assert captured.err == ""
 
     def test_invariant_violation_exits_one(self, monkeypatch, capsys):
         def boom(standalone_mode=True):

@@ -448,6 +448,8 @@ class TestRingFastPaths:
             assert_same(y + x, laurent_add(x, y))
             assert_same(x * y, laurent_mul(x, y))
             assert_same(y * x, laurent_mul(x, y))
+            assert_same(x - y, laurent_add(x, -y))
+            assert_same(y - x, laurent_add(-x, y))
 
     @given(st.one_of(ratfun_pairs(), sharing_products()))
     @settings(max_examples=200, deadline=None)
@@ -640,6 +642,15 @@ class TestQCombinatorics:
             "q^-4 + q^-2 + 2 + q^2 + q^4")
         assert q_binomial(5, 0) == ONE
 
+    def test_binomial_outside_the_ring_raises(self):
+        """The check raises under ``python -O`` too, naming (n, k, d)."""
+        fake = {3: ONE, 1: ONE + q, 2: ONE + q}
+        with mock.patch.object(exactalg, "q_factorial",
+                               lambda n, d=1: fake[n]):
+            with pytest.raises(AssertionError,
+                               match=r"^q-binomial \(n, k, d\) = \(3, 1, 2\)"):
+                q_binomial(3, 1, 2)
+
     def test_binomial_pascal(self):
         # balanced Pascal rule: [n k] = q^k [n-1 k] + q^(k-n) [n-1 k-1]
         for n in range(2, 7):
@@ -706,6 +717,48 @@ class TestLinearAlgebra:
     def test_rank_nullity(self, rows):
         _, piv = rref(rows)
         assert len(piv) + len(kernel(rows, 3)[0]) == 3
+
+
+_echelon_entries = st.sampled_from([ZERO, ZERO, ZERO, ONE, -ONE, q, 2 * qi,
+                                    ONE + q, Laurent.const(Fraction(1, 2))])
+
+
+class TestReduceAgainst:
+    @given(st.lists(st.lists(_echelon_entries, min_size=4, max_size=4),
+                    min_size=1, max_size=4),
+           st.lists(_echelon_entries, min_size=4, max_size=4), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_pivoting_anywhere_match_solve(self, gens, target, data):
+        """Rows [x | t] kept as the tensor closures keep them, each
+        pivoting on any nonzero coordinate of its residue, give the same
+        membership and coefficients as ``solve`` on the kept vectors."""
+        n, m = 4, len(gens)
+        rows, pivots, kept = [], [], []
+        for g in gens:
+            v = reduce_against(rows, pivots, list(g) + [ZERO] * m)
+            support = [t for t in range(n) if v[t]]
+            if not support:
+                continue
+            p = data.draw(st.sampled_from(support))
+            v[n + len(kept)] = ONE
+            inv = ONE / v[p]
+            rows.append([c * inv for c in v])
+            pivots.append(p)
+            kept.append(g)
+        assert len(kept) == len(rref(gens)[1])
+        if data.draw(st.booleans()):
+            # a member of the span half of the time
+            coeffs = data.draw(st.lists(_echelon_entries, min_size=len(kept),
+                                        max_size=len(kept)))
+            target = [sum((c * g[t] for c, g in zip(coeffs, kept)), ZERO)
+                      for t in range(n)]
+        res = reduce_against(rows, pivots, target + [ZERO] * m)
+        assert not any(res[p] for p in pivots)
+        cols = [[g[t] for g in kept] for t in range(n)]
+        x = solve(cols, target)
+        assert (x is not None) == (not any(res[:n]))
+        if x is not None:
+            assert [-c for c in res[n:n + len(kept)]] == x
 
 
 class TestSubspace:

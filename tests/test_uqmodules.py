@@ -1,6 +1,7 @@
 """Integrable highest-weight modules and their string combinatorics."""
 
 import copy
+import hashlib
 import itertools
 from collections import deque
 from unittest import mock
@@ -23,8 +24,9 @@ from qbruhat.uqmodules import (ModuleScopeError, _SEED_TABLE, _compose,
                                verify_module)
 from qbruhat.weyl import WeylGroup
 
-from oracles import (_BlockSolver, max_index_irrep,
-                     mirror_module_from_edges, rref_demazure_blocks)
+from oracles import (_BlockSolver, first_pivot_close_tensor,
+                     max_index_irrep, mirror_module_from_edges,
+                     negated_verify_module, rref_demazure_blocks)
 
 q = Laurent.q_power(1)
 
@@ -385,24 +387,45 @@ def sparse_mats(draw, n=3):
     return mat
 
 
+def serre(xi, xj, m, d):
+    """``_serre_sum`` on products computed here."""
+    return _serre_sum(xi, xj, m, d, _compose(xi, xj), _compose(xj, xi))
+
+
 @given(sparse_mats(), sparse_mats(), st.sampled_from([2, 3]),
        st.sampled_from([1, 2]))
 @settings(max_examples=60, deadline=None)
 def test_serre_horner_matches_expansion(xi, xj, m, d):
-    assert _serre_sum(xi, xj, m, d) == serre_terms(xi, xj, m, d)
+    assert serre(xi, xj, m, d) == serre_terms(xi, xj, m, d)
+
+
+@given(sparse_mats(), sparse_mats(), st.sampled_from([1, 2, 3]),
+       st.sampled_from([1, 2]))
+@settings(max_examples=60, deadline=None)
+def test_serre_sum_leaves_the_shared_products_alone(xi, xj, m, d):
+    """The (i, j) and (j, i) sums of ``verify_module`` read the same two
+    products, so neither may change them."""
+    xixj, xjxi = _compose(xi, xj), _compose(xj, xi)
+    before = ({c: dict(r) for c, r in xixj.items()},
+              {c: dict(r) for c, r in xjxi.items()})
+    assert _serre_sum(xi, xj, m, d, xixj, xjxi) == \
+        serre_terms(xi, xj, m, d)
+    assert _serre_sum(xj, xi, m, d, xjxi, xixj) == \
+        serre_terms(xj, xi, m, d)
+    assert (xixj, xjxi) == before
 
 
 def test_serre_sum_zero_and_nonzero():
     # xi = xj = (q) gives q^3 (1 - [2] + 1), which is not zero
-    assert _serre_sum({0: {0: q}}, {0: {0: q}}, 2, 1) == \
+    assert serre({0: {0: q}}, {0: {0: q}}, 2, 1) == \
         {0: {0: q ** 3 * (Laurent.const(2) - q - q ** -1)}}
     datum = build_cartan("B2")
     m = module_of("B2", (1, 1))
     for mats in (m.emat, m.fmat):
         for i, j in [(0, 1), (1, 0)]:
             mij = 1 - datum.cartan[i][j]
-            assert _serre_sum(mats[i], mats[j], mij, datum.d[i]) == {}
-            assert _serre_sum(mats[i], mats[j], mij, 3 - datum.d[i])
+            assert serre(mats[i], mats[j], mij, datum.d[i]) == {}
+            assert serre(mats[i], mats[j], mij, 3 - datum.d[i])
 
 
 def _scaled_entry(mats, i):
@@ -441,3 +464,90 @@ def test_verify_module_rejects_spoiled_copies(label, lam, spoil, message):
     with pytest.raises(AssertionError, match=message):
         verify_module(bad, WeylGroup.build(datum))
     verify_module(good, WeylGroup.build(datum))
+
+
+def _drop_weight(m):
+    m.dim -= 1
+
+
+def _repeat_weight(m):
+    m.weights = list(m.weights)
+    m.weights[-1] = m.weights[0]
+
+
+def _zero_first_generator(m):
+    m.fmat = [dict(mat) for mat in m.fmat]
+    m.emat = [dict(mat) for mat in m.emat]
+    m.fmat[0], m.emat[0] = {}, {}
+
+
+@pytest.mark.parametrize("label,lam", [("A2", (1, 1)), ("A2", (2, 1)),
+                                       ("B2", (1, 1)), ("B2", (0, 2))])
+@pytest.mark.parametrize("spoil", [None, _bad_e1, _bad_f1, _swap_weights,
+                                   _drop_weight, _repeat_weight,
+                                   _zero_first_generator])
+def test_verify_module_matches_negated_commutator_oracle(label, lam, spoil):
+    """Comparing E_i F_j with F_j E_i + delta_ij [h_i] and sharing the
+    Serre products accepts what the earlier check accepts and rejects
+    the rest with its message."""
+    datum = build_cartan(label)
+    group = WeylGroup.build(datum)
+    bad = copy.copy(module_of(label, lam))
+    if spoil is not None:
+        spoil(bad)
+    outcomes = []
+    for check in (verify_module, negated_verify_module):
+        try:
+            check(bad, group)
+            outcomes.append(None)
+        except AssertionError as err:
+            outcomes.append(str(err))
+    assert outcomes[0] == outcomes[1]
+    assert (outcomes[0] is None) == (spoil is None)
+
+
+# -- closures on unit pivots ------------------------------------------------
+
+_DIGEST_RANGES = {"A1": [(a,) for a in range(8)],
+                  "A2": list(itertools.product(range(5), repeat=2)),
+                  "B2": list(itertools.product(range(3), repeat=2))}
+
+
+def module_text(m):
+    def mats(ms):
+        return [[(c, [(r, str(x)) for r, x in sorted(mat[c].items())])
+                 for c in sorted(mat)] for mat in ms]
+    return repr((m.lam, m.weights, m.parents, mats(m.fmat), mats(m.emat)))
+
+
+# generated by closures whose rows pivot on their first nonzero coordinate
+_DIGESTS = {
+    "A1": "d3b8f337e3c1dd1e2c903475f618d2bc404c92dfe028e13c66089fd3e23bbc5c",
+    "A2": "e6b67cbeef607358a46b84c101b4fac96eb1c8c010c9462afc87422917aacd34",
+    "B2": "e662c45a818191e0568cfe619a038803bdd44baad0a819887361935bfe5fb330",
+}
+
+
+@pytest.mark.parametrize("label", sorted(_DIGESTS))
+def test_module_strings_match_pinned_digest(label):
+    """One sha256 over the weights, parents and matrices of every module
+    of A1 up to 7, A2 up to (4, 4) and B2 up to (2, 2)."""
+    h = hashlib.sha256()
+    for lam in _DIGEST_RANGES[label]:
+        h.update(module_text(module_of(label, lam)).encode())
+    assert h.hexdigest() == _DIGESTS[label]
+
+
+@pytest.mark.parametrize("label", sorted(_DIGEST_RANGES))
+def test_unit_pivots_match_first_pivot_oracle(label):
+    """Rows pivoting on a monomial give the same modules as rows
+    pivoting on their first nonzero coordinate: fmat holds the unique
+    coefficients of a dependent word over the adopted ones."""
+    datum = build_cartan(label)
+    group = WeylGroup.build(datum)
+    for lam in _DIGEST_RANGES[label]:
+        built = module_of(label, lam)  # caches every smaller module first
+        with mock.patch.object(uqmodules, "_close_tensor",
+                               first_pivot_close_tensor):
+            oracle = uqmodules._build_irrep_inner(datum, group, lam)
+        assert module_strings(built) == module_strings(oracle), lam
