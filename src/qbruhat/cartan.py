@@ -16,8 +16,7 @@ from math import gcd, lcm
 from .obs import memo
 
 
-_CHAIN_FAMILIES = {"A", "B", "C", "D", "E", "F", "G"}
-
+# the supported families, each with its least and greatest rank
 _RANK_RANGE = {
     "A": (1, 8),
     "B": (2, 4),
@@ -238,7 +237,7 @@ class CartanDatum:
 def build_cartan(label):
     """Cartan datum for a type label such as ``A2``, ``B3`` or ``G2``;
     labels that spell the same type (``a2``, ``A2``) give one datum."""
-    if not label or label[0].upper() not in _CHAIN_FAMILIES:
+    if not label or label[0].upper() not in _RANK_RANGE:
         raise ValueError("unknown type label %r" % (label,))
     family = label[0].upper()
     try:

@@ -24,22 +24,17 @@ SCHEMA_CHAR = "qbruhat/char-v1"
 
 
 class FormalCharacter:
-    """Finite integer combination of weights, with an optional depth window.
+    """Finite integer combination of weights."""
 
-    The window marks the depth up to which coefficients are trustworthy;
-    combining two characters keeps the smaller window.
-    """
+    __slots__ = ("datum", "terms")
 
-    __slots__ = ("datum", "terms", "window")
-
-    def __init__(self, datum, terms=None, window=None):
+    def __init__(self, datum, terms=None):
         self.datum = datum
         self.terms = dict(terms or {})
-        self.window = window
 
     @classmethod
-    def monomial(cls, datum, mu, coeff=1, window=None):
-        return cls(datum, {tuple(mu): coeff}, window)
+    def monomial(cls, datum, mu, coeff=1):
+        return cls(datum, {tuple(mu): coeff})
 
     def coefficient(self, mu):
         return self.terms.get(tuple(mu), 0)
@@ -50,30 +45,22 @@ class FormalCharacter:
     def mass(self):
         return sum(self.terms.values())
 
-    def _merge_window(self, other):
-        if self.window is None:
-            return other.window
-        if other.window is None:
-            return self.window
-        return min(self.window, other.window)
-
     def __add__(self, other):
         out = dict(self.terms)
         for mu, c in other.terms.items():
             out[mu] = out.get(mu, 0) + c
             if not out[mu]:
                 del out[mu]
-        return FormalCharacter(self.datum, out, self._merge_window(other))
+        return FormalCharacter(self.datum, out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
         if not c:
-            return FormalCharacter(self.datum, {}, self.window)
+            return FormalCharacter(self.datum, {})
         return FormalCharacter(self.datum,
-                               {mu: c * v for mu, v in self.terms.items()},
-                               self.window)
+                               {mu: c * v for mu, v in self.terms.items()})
 
     def __mul__(self, other):
         out = {}
@@ -84,7 +71,7 @@ class FormalCharacter:
                 out[key] = out.get(key, 0) + c * d
                 if not out[key]:
                     del out[key]
-        return FormalCharacter(self.datum, out, self._merge_window(other))
+        return FormalCharacter(self.datum, out)
 
     def __eq__(self, other):
         if not isinstance(other, FormalCharacter):
@@ -118,7 +105,7 @@ def demazure_step(char, i):
         else:
             for k in range(1, -m):
                 bump(datum.add(mu, tuple(k * a for a in alpha)), -c)
-    return FormalCharacter(datum, out, char.window)
+    return FormalCharacter(datum, out)
 
 
 def demazure_character(datum, group, w, lam):
@@ -213,7 +200,7 @@ def cell_translate_character(group, w, depth):
         counts = new
     terms = {datum.root_to_fund(mu): c for mu, c in counts.items()
              if sum(map(abs, mu)) <= depth}
-    return FormalCharacter(datum, terms, window=depth)
+    return FormalCharacter(datum, terms)
 
 
 def character_to_json(char, label, w_text, depth):

@@ -484,6 +484,10 @@ class RatFun:
         when the quotient is one."""
         return _make_ratfun(coerce_scalar(num), coerce_scalar(den))
 
+    def __reduce__(self):
+        # copies and pickles rebuild the canonical form as it stands
+        return _ratfun, (self.num, self.den)
+
     def __bool__(self):
         return bool(self.num)
 

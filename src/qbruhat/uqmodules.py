@@ -7,10 +7,11 @@ that produced each basis vector from the highest one (its parent chain).
 That last piece is what lets the coordinate-ring layer replay any basis
 vector inside a tensor product without choosing new bases.
 
-Modules beyond the fundamentals are generated as cyclic lowering closures
-inside a tensor product of smaller ones; independence is decided one
-weight block at a time.  V(lam) is closed inside V(lam - omega_i) ox
-V(omega_i), with omega_i the fundamental weight of least dimension among
+Every fundamental module is a seed entered by hand.  Every other module
+is one cyclic lowering closure inside a tensor product of smaller ones;
+independence is decided one weight block at a time.  V(lam) is closed
+from v_lam' ox v_omega_i inside V(lam') ox V(omega_i), lam' = lam -
+omega_i, with omega_i the fundamental weight of least dimension among
 lam's nonzero coordinates, ties going to the larger coordinate and then
 to the higher index.  On A2 this walks the staircase k.rho, (k, k-1),
 (k-1, k-1), ... that the coordinate ring needs anyway; on B2 it steps
@@ -57,7 +58,7 @@ from __future__ import annotations
 from bisect import bisect
 from collections import Counter, deque
 
-from .exactalg import (Laurent, ONE, ZERO, Subspace, kernel, q_binomial,
+from .exactalg import (Laurent, ONE, ZERO, Subspace, q_binomial,
                        q_factorial, q_int, reduce_against)
 from .characters import weyl_character, weyl_dim
 from .obs import memo
@@ -285,10 +286,14 @@ def verify_module(module, group):
 
 # -- construction ----------------------------------------------------------
 
-# Fundamental modules entered by hand: weight list plus lowering edges
-# (generator, source, target), every matrix entry 1, each target after
-# its source.  The raising matrices follow by ``_raising_matrices``, and
-# the verification in ``build_irrep`` pins these down completely.
+# The fundamental modules, entered by hand: weight list plus lowering
+# edges (generator, source, target), every entry 1, each target after
+# its source.  Each weight has multiplicity one and each weight below
+# the top is reached from exactly one weight by one simple root, so the
+# F-words along the edges are a basis with these entries.  The raising
+# matrices follow by ``_raising_matrices`` (B2's V(omega_1) gets [2]_q
+# on its short string), and the verification in ``build_irrep`` pins
+# these down completely.
 _SEED_TABLE = {
     ("A", 1): {
         0: ([(1,), (-1,)], [(0, 0, 1)]),
@@ -298,6 +303,8 @@ _SEED_TABLE = {
         1: ([(0, 1), (1, -1), (-1, 0)], [(1, 0, 1), (0, 1, 2)]),
     },
     ("B", 2): {
+        0: ([(1, 0), (-1, 2), (0, 0), (1, -2), (-1, 0)],
+            [(0, 0, 1), (1, 1, 2), (1, 2, 3), (0, 3, 4)]),
         1: ([(0, 1), (1, -1), (-1, 1), (0, -1)],
             [(1, 0, 1), (0, 1, 2), (1, 2, 3)]),
     },
@@ -326,22 +333,16 @@ def _build_irrep_inner(datum, group, lam):
     if expected > MAX_DIM:
         raise ModuleScopeError("dimension %d exceeds the cap %d"
                                % (expected, MAX_DIM))
-    seeds = _SEED_TABLE[fam]
     nz = [i for i in range(datum.rank) if lam[i]]
-    if len(nz) == 1 and lam[nz[0]] == 1 and nz[0] in seeds:
-        weights, edges = seeds[nz[0]]
-        return _module_from_edges(datum, lam, weights, edges)
-    if fam == ("B", 2) and lam == (1, 0):
-        spin = build_irrep(datum, (0, 1))
-        return _submodule_from_highest(datum, spin, spin, lam, expected)
+    if len(nz) == 1 and lam[nz[0]] == 1:
+        return _module_from_edges(datum, lam, *_SEED_TABLE[fam][nz[0]])
     # the least-dimensional fundamental weight in lam, ties to the larger
     # coordinate, then to the higher index
     i = max(nz, key=lambda j: (-weyl_dim(datum, datum.fund(j)), lam[j], j))
     step = datum.fund(i)
     m1 = build_irrep(datum, datum.sub(lam, step))
     m2 = build_irrep(datum, step)
-    seed = {(0, 0): ONE}
-    return _close_tensor(datum, m1, m2, seed, lam, expected)
+    return _close_tensor(datum, m1, m2, lam, expected)
 
 
 def _module_from_edges(datum, lam, weights, edges):
@@ -374,46 +375,7 @@ def _tensor_f(datum, m1, m2, i, vec):
     return out
 
 
-def _tensor_e(datum, m1, m2, i, vec):
-    out = {}
-    di = datum.d[i]
-    for (r, s), c in vec.items():
-        col = m1.emat[i].get(r)
-        if col:
-            kpow = -di * datum.coroot_pairing(m2.weights[s], i)
-            cc = c * Laurent.q_power(kpow)
-            for r2, f in col.items():
-                _bump(out, (r2, s), cc * f)
-        col = m2.emat[i].get(s)
-        if col:
-            for s2, f in col.items():
-                _bump(out, (r, s2), c * f)
-    return out
-
-
-def _submodule_from_highest(datum, m1, m2, wt, expected):
-    """Cyclic module generated by the highest-weight line of the given
-    weight inside m1 ox m2; the line must be one-dimensional."""
-    rank = datum.rank
-    block = [(r, s) for r in range(m1.dim) for s in range(m2.dim)
-             if datum.add(m1.weights[r], m2.weights[s]) == wt]
-    rows = []
-    for i in range(rank):
-        imgs = {}
-        for t, key in enumerate(block):
-            img = _tensor_e(datum, m1, m2, i, {key: ONE})
-            for pair, c in img.items():
-                imgs.setdefault(pair, [ZERO] * len(block))[t] = c
-        rows.extend(imgs.values())
-    null, _ = kernel(rows, len(block))
-    if len(null) != 1:
-        raise AssertionError("highest-weight line at %s has dimension %d"
-                             % (wt, len(null)))
-    seed = {key: c for key, c in zip(block, null[0]) if c}
-    return _close_tensor(datum, m1, m2, seed, wt, expected)
-
-
-def _close_tensor(datum, m1, m2, seed, lam, expected):
+def _close_tensor(datum, m1, m2, lam, expected):
     rank = datum.rank
     # the position of each tensor key in its weight block, and per block
     # an echelon basis of rows [v | e_j] over the vectors a_j it adopted,
@@ -451,11 +413,11 @@ def _close_tensor(datum, m1, m2, seed, lam, expected):
         adopted.append(idx)
         return None
 
-    basis = [dict(seed)]
+    # the product of the highest weight vectors of m1 and m2
+    basis = [{(0, 0): ONE}]
     wts = [lam]
     parents = [None]
-    if adopt(basis[0], lam, 0) is not None:
-        raise AssertionError("seed vector is zero")
+    adopt(basis[0], lam, 0)
     fmat = [dict() for _ in range(rank)]
     queue = deque([0])
     while queue:

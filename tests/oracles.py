@@ -14,7 +14,11 @@ own elimination and change-of-basis table, and the raising matrices of
 the fundamental seeds as the mirrors of their lowering edges.  Tensor
 closures also by rows pivoting on their first nonzero coordinate, and
 module relations by the commutator E_i F_j - F_j E_i, negated product
-and all, and Serre sums that each compute their own products.
+and all, and Serre sums that each compute their own products.  B2's
+vector module V(omega_1), a seed in the library, also as the closure
+from the highest-weight line of spin ox spin, the kernel of the tensor
+raising action ``_tensor_e`` on its weight block
+(``_submodule_from_highest``).
 """
 
 from collections import Counter, deque
@@ -26,11 +30,10 @@ from qbruhat.exactalg import (Laurent, ONE, RatFun, Subspace, ZERO,
                               _fr, _ratfun, coerce_scalar, dot,
                               identity_matrix, kernel, q_binomial, q_int,
                               reduce_against, rref)
-from qbruhat.uqmodules import (_SEED_TABLE, _close_tensor, _compose,
-                               _mat_accum, _module_from_edges,
+from qbruhat.uqmodules import (_SEED_TABLE, _bump, _close_tensor,
+                               _compose, _mat_accum, _module_from_edges,
                                _raising_matrices, _reorder_module,
-                               _submodule_from_highest, _tensor_f,
-                               UqModule, extreme_vector)
+                               _tensor_f, UqModule, extreme_vector)
 
 
 class _BlockSolver:
@@ -283,20 +286,15 @@ def max_index_irrep(datum, lam, built):
     lam = tuple(lam)
     if lam in built:
         return built[lam]
-    seeds = _SEED_TABLE[(datum.family, datum.rank)]
     nz = [i for i in range(datum.rank) if lam[i]]
-    expected = weyl_dim(datum, lam)
-    if len(nz) == 1 and lam[nz[0]] == 1 and nz[0] in seeds:
-        module = _module_from_edges(datum, lam, *seeds[nz[0]])
-    elif (datum.family, datum.rank) == ("B", 2) and lam == (1, 0):
-        spin = max_index_irrep(datum, (0, 1), built)
-        module = _submodule_from_highest(datum, spin, spin, lam, expected)
+    if len(nz) == 1 and lam[nz[0]] == 1:
+        module = _module_from_edges(
+            datum, lam, *_SEED_TABLE[datum.family, datum.rank][nz[0]])
     else:
         step = datum.fund(max(nz))
         module = _close_tensor(
             datum, max_index_irrep(datum, datum.sub(lam, step), built),
-            max_index_irrep(datum, step, built), {(0, 0): ONE}, lam,
-            expected)
+            max_index_irrep(datum, step, built), lam, weyl_dim(datum, lam))
     built[lam] = module
     return module
 
@@ -394,6 +392,45 @@ def first_pivot_close_tensor(datum, m1, m2, seed, lam, expected):
                              "expected %d" % (len(basis), expected))
     return _reorder_module(datum, lam, wts, parents, fmat,
                            _raising_matrices(datum, wts, parents, fmat))
+
+
+def _tensor_e(datum, m1, m2, i, vec):
+    out = {}
+    di = datum.d[i]
+    for (r, s), c in vec.items():
+        col = m1.emat[i].get(r)
+        if col:
+            kpow = -di * datum.coroot_pairing(m2.weights[s], i)
+            cc = c * Laurent.q_power(kpow)
+            for r2, f in col.items():
+                _bump(out, (r2, s), cc * f)
+        col = m2.emat[i].get(s)
+        if col:
+            for s2, f in col.items():
+                _bump(out, (r, s2), c * f)
+    return out
+
+
+def _submodule_from_highest(datum, m1, m2, wt, expected):
+    """Cyclic module generated by the highest-weight line of the given
+    weight inside m1 ox m2; the line must be one-dimensional."""
+    rank = datum.rank
+    block = [(r, s) for r in range(m1.dim) for s in range(m2.dim)
+             if datum.add(m1.weights[r], m2.weights[s]) == wt]
+    rows = []
+    for i in range(rank):
+        imgs = {}
+        for t, key in enumerate(block):
+            img = _tensor_e(datum, m1, m2, i, {key: ONE})
+            for pair, c in img.items():
+                imgs.setdefault(pair, [ZERO] * len(block))[t] = c
+        rows.extend(imgs.values())
+    null, _ = kernel(rows, len(block))
+    if len(null) != 1:
+        raise AssertionError("highest-weight line at %s has dimension %d"
+                             % (wt, len(null)))
+    seed = {key: c for key, c in zip(block, null[0]) if c}
+    return first_pivot_close_tensor(datum, m1, m2, seed, wt, expected)
 
 
 def unshared_serre_sum(xi, xj, m, d):

@@ -147,3 +147,16 @@ def test_bad_labels_rejected():
         build_cartan("A0")
     with pytest.raises(ValueError):
         build_cartan("G5")
+
+
+@pytest.mark.parametrize("label", ["", "Z9", "h3", "1A"])
+def test_unknown_family_is_named_in_the_message(label):
+    with pytest.raises(ValueError) as err:
+        build_cartan(label)
+    assert str(err.value) == "unknown type label %r" % (label,)
+
+
+@pytest.mark.parametrize("label", ["a1", "b2", "c3", "d4", "e6", "f4",
+                                   "g2"])
+def test_every_family_is_accepted_in_either_case(label):
+    assert build_cartan(label).label == label.upper()

@@ -1,6 +1,8 @@
 """Scalar tower and exact linear algebra."""
 
+import copy
 import itertools
+import pickle
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -432,6 +434,17 @@ def sharing_products(draw):
     if draw(st.booleans()):
         y = RatFun(y, g * draw(factor_products))
     return x, y
+
+
+class TestCopies:
+    @pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
+    def test_ratfun_round_trips(self, how):
+        x = RatFun(ONE, ONE + q)
+        y = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+             "pickle": lambda v: pickle.loads(pickle.dumps(v))}[how](x)
+        assert type(y) is RatFun
+        assert y == x and hash(y) == hash(x)
+        assert (y.num, y.den) == (x.num, x.den)
 
 
 class TestRingFastPaths:

@@ -1,9 +1,13 @@
 """Checks on the package source itself."""
 
 import ast
+import functools
+import importlib
 import pathlib
 
 import qbruhat
+
+TRACER = pathlib.Path(__file__).resolve().parents[1] / "qbench" / "tracer.py"
 
 
 def test_no_bare_assert_statements():
@@ -15,3 +19,22 @@ def test_no_bare_assert_statements():
         found += ["%s:%d" % (path.name, node.lineno)
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_traced_target_resolves():
+    """Each (layer, name, attr) of the bench tracer's ``TARGETS`` names
+    an attribute of ``qbruhat.<layer>``, so ``--trace 1`` can wrap it.
+    The list is read from the tracer's source, not imported."""
+    tree = ast.parse(TRACER.read_text(), filename=str(TRACER))
+    targets = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["TARGETS"])
+    assert targets
+    missing = []
+    for layer, name, attr in targets:
+        obj = importlib.import_module("qbruhat." + layer)
+        try:
+            functools.reduce(getattr, attr.split("."), obj)
+        except AttributeError:
+            missing.append("%s.%s" % (layer, attr))
+    assert missing == []

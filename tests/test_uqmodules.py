@@ -16,15 +16,16 @@ from qbruhat.exactalg import (Laurent, ONE, RatFun, Subspace, ZERO,
                               q_binomial)
 from qbruhat.uqmodules import (ModuleScopeError, _SEED_TABLE, _compose,
                                _mat_accum, _module_from_edges,
-                               _reorder_module, _serre_sum, _tensor_e,
-                               _tensor_f, build_irrep,
+                               _reorder_module, _serre_sum, _tensor_f,
+                               build_irrep,
                                demazure_blocks, demazure_submodule,
                                extreme_dual_row, extreme_vector,
                                lowering_string_to, string_counts,
                                verify_module)
 from qbruhat.weyl import WeylGroup
 
-from oracles import (_BlockSolver, first_pivot_close_tensor,
+import oracles
+from oracles import (_BlockSolver, _tensor_e, first_pivot_close_tensor,
                      max_index_irrep, mirror_module_from_edges,
                      negated_verify_module, rref_demazure_blocks)
 
@@ -249,6 +250,14 @@ def oracle_close_tensor(datum, m1, m2, seed, lam, expected):
     return _reorder_module(datum, lam, wts, parents, fmat, emat)
 
 
+def from_highest_pair(close):
+    """A closure taking a seed, called as the library's seedless
+    ``_close_tensor`` from the product of the two highest vectors."""
+    def closed(datum, m1, m2, lam, expected):
+        return close(datum, m1, m2, {(0, 0): ONE}, lam, expected)
+    return closed
+
+
 def module_strings(m):
     def mats(ms):
         return [{c: {r: str(x) for r, x in col.items()}
@@ -270,15 +279,45 @@ def _a2_small():
 def test_raising_matrices_match_tensor_oracle(label, lam):
     datum = build_cartan(label)
     built = module_of(label, lam)  # caches every smaller module first
-    with mock.patch.object(uqmodules, "_close_tensor", oracle_close_tensor):
+    with mock.patch.object(uqmodules, "_close_tensor",
+                           from_highest_pair(oracle_close_tensor)):
         oracle = uqmodules._build_irrep_inner(
             datum, WeylGroup.build(datum), lam)
     assert module_strings(built) == module_strings(oracle)
 
 
-@pytest.mark.parametrize("fam,i", [(fam, i) for fam, seeds in
-                                   sorted(_SEED_TABLE.items())
-                                   for i in sorted(seeds)])
+@pytest.mark.parametrize("close", [first_pivot_close_tensor,
+                                   oracle_close_tensor])
+def test_b2_vector_seed_is_the_highest_line_of_spin_squared(close):
+    """The B2 V(omega_1) seed is the module generated by the highest
+    line of weight (1, 0) in spin ox spin, raising matrices included:
+    ``oracle_close_tensor`` computes them inside the tensor product."""
+    datum = build_cartan("B2")
+    spin = module_of("B2", (0, 1))
+    seed = module_of("B2", (1, 0))
+    with mock.patch.object(oracles, "first_pivot_close_tensor", close):
+        oracle = oracles._submodule_from_highest(datum, spin, spin, (1, 0),
+                                                 5)
+    assert module_strings(seed) == module_strings(oracle)
+
+
+def test_deep_copy_keeps_ratfun_entries():
+    emat = module_of("A2", (2, 2)).emat
+    entries = [c for mat in emat for col in mat.values()
+               for c in col.values() if isinstance(c, RatFun)]
+    assert entries
+    dup = copy.deepcopy(emat)
+    assert dup == emat
+    for mat, twin in zip(emat, dup):
+        for k, col in mat.items():
+            for r, c in col.items():
+                assert hash(twin[k][r]) == hash(c)
+
+
+# the four seeds whose raising entries are all 1; B2's V(omega_1) has
+# [2]_q entries on its short string
+@pytest.mark.parametrize("fam,i", [(("A", 1), 0), (("A", 2), 0),
+                                   (("A", 2), 1), (("B", 2), 1)])
 def test_seed_raising_matrices_are_the_mirrored_edges(fam, i):
     datum = build_cartan("%s%d" % fam)
     weights, edges = _SEED_TABLE[fam][i]
@@ -548,6 +587,6 @@ def test_unit_pivots_match_first_pivot_oracle(label):
     for lam in _DIGEST_RANGES[label]:
         built = module_of(label, lam)  # caches every smaller module first
         with mock.patch.object(uqmodules, "_close_tensor",
-                               first_pivot_close_tensor):
+                               from_highest_pair(first_pivot_close_tensor)):
             oracle = uqmodules._build_irrep_inner(datum, group, lam)
         assert module_strings(built) == module_strings(oracle), lam
