@@ -15,9 +15,9 @@ coordinates.
 
 from __future__ import annotations
 
-import json
 from operator import add
 
+from .emit import json_document
 from .obs import memo
 
 SCHEMA_CHAR = "qbruhat/char-v1"
@@ -214,4 +214,4 @@ def character_to_json(char, label, w_text, depth):
         "depth": depth,
         "terms": [{"weight": list(mu), "coeff": c} for mu, c in items],
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json_document(doc)

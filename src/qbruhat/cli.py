@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import sys
 
 import click
@@ -23,6 +22,7 @@ from .cartan import build_cartan
 from .centre import centre_table
 from .characters import cell_translate_character, character_to_json
 from .coordring import CoordinateModel
+from .emit import json_document
 from .exactalg import format_scalar
 from .strata import DiamondPoset
 from .uqmodules import ModuleScopeError
@@ -94,7 +94,7 @@ def weyl_info(label, wtext):
                           if group.left_descent(w, i)],
         "is_longest": w.idx == group.longest.idx,
     }
-    click.echo(json.dumps(doc, indent=2, sort_keys=True))
+    click.echo(json_document(doc))
 
 
 @weyl.command("elements")
@@ -220,7 +220,7 @@ def ideal_demazure(label, lamtext, ytext, sign, fmt):
             "module_dim": module.dim,
             "basis": basis,
         }
-        click.echo(json.dumps(doc, indent=2, sort_keys=True))
+        click.echo(json_document(doc))
         return
     click.echo("piece dim %d inside a module of dim %d"
                % (piece.dim, module.dim))
@@ -274,7 +274,7 @@ def ideal_stratum(label, ytext, ztext, nutext, bound, fmt):
         "D_plus": [list(wt) for wt in minimal],
     }
     if fmt == "json":
-        click.echo(json.dumps(doc, indent=2, sort_keys=True))
+        click.echo(json_document(doc))
         return
     click.echo("piece dim %d, chain %s, stabilized %s"
                % (doc["piece_dim"], doc["chain_dims"], doc["stabilized"]))
@@ -305,7 +305,7 @@ def centre_dim(label, fmt):
                       "generators": data.generators()}
                      for w, data in table],
         }
-        click.echo(json.dumps(doc, indent=2, sort_keys=True))
+        click.echo(json_document(doc))
         return
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

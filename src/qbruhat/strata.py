@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 
+from .emit import json_document
 from .weyl import WeylGroup, format_word
 
 SCHEMA_STRATA = "qbruhat/strata-v1"
@@ -118,7 +118,7 @@ class DiamondPoset:
             ],
             "edges": [[i, j] for i, j in self.hasse_edges()],
         }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return json_document(doc)
 
     def to_dot(self):
         lines = ["digraph strata {"]

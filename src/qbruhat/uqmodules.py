@@ -35,9 +35,9 @@ the lowering matrices by the relation [E_i, F_j] = delta_ij [h_i].  The
 fundamental modules entered by hand get theirs by the same rule.  Every
 construction is then checked against the dimension formula, the weight
 multiset, all commutators (E_i F_j against F_j E_i + delta_ij [h_i]) and
-the quantum Serre relations (summed by Horner's scheme, the (i, j) and
-(j, i) sums sharing X_i X_j and X_j X_i); that check is the only guard
-on the matrices.  Verified modules are kept per type and highest
+the weight grading of every matrix entry; the quantum Serre relations
+follow from those (see ``verify_module``), and that check is the only
+guard on the matrices.  Verified modules are kept per type and highest
 weight, and extreme vectors per module and Weyl element, by ``memo``;
 no module above ``MAX_DIM`` is built.
 
@@ -58,8 +58,8 @@ from __future__ import annotations
 from bisect import bisect
 from collections import Counter, deque
 
-from .exactalg import (Laurent, ONE, ZERO, Subspace, q_binomial,
-                       q_factorial, q_int, reduce_against)
+from .exactalg import (Laurent, ONE, ZERO, Subspace, q_factorial, q_int,
+                       reduce_against)
 from .characters import weyl_character, weyl_dim
 from .obs import memo
 from .weyl import WeylGroup
@@ -217,43 +217,49 @@ def _compose(a, b):
     return out
 
 
-def _mat_accum(total, mat, scal):
-    for col, roww in mat.items():
-        dst = total.setdefault(col, {})
-        for r, c in roww.items():
-            _bump(dst, r, scal * c)
-        if not dst:
-            del total[col]
-    return total
-
-
-def _serre_sum(xi, xj, m, d, xixj, xjxi):
-    """sum_k (-1)^k [m k]_d xi^(m-k) xj xi^k, by Horner in xi: with
-    R_k = xj xi^k, S <- xi S + c_k R_k for k = 1..m from S = R_0.  The
-    (j, i) sum shares the products xixj = xi xj and xjxi = R_1, so the
-    first step accumulates into a copy; later ones own their dicts."""
-    term = xjxi
-    total = _mat_accum({col: dict(r) for col, r in xixj.items()}, term,
-                       -q_binomial(m, 1, d))
-    for k in range(2, m + 1):
-        term = _compose(term, xi)
-        coeff = q_binomial(m, k, d)
-        total = _mat_accum(_compose(xi, total), term,
-                           -coeff if k % 2 else coeff)
-    return total
-
-
 def verify_module(module, group):
-    """Recheck the defining relations and the weight multiset; raises on
-    any failure."""
+    """Recheck the dimension, the weight multiset, the commutators and
+    the weight grading of the generators; raises on the first failure.
+
+    The quantum Serre relations follow from these checks and are not
+    summed.  Let K_i act on weight mu by q_i^{mu_i}, q_i = q^{d_i}.  If
+    every F_i (E_i) maps weight mu to mu - alpha_i (mu + alpha_i), with
+    alpha_i the i-th column of the Cartan matrix, then K_i E_j K_i^-1 =
+    q_i^{a_ij} E_j and K_i F_j K_i^-1 = q_i^{-a_ij} F_j; with [E_i, F_j]
+    = delta_ij [h_i]_{d_i}, each E_i, F_i, K_i make the module M a
+    U_{q_i}(sl_2)-module whose K_i-eigenvalues are integral powers of
+    q_i.  So is End(M) under the adjoint action of the coproduct
+    Delta E = E ox 1 + K ox E, Delta F = F ox K^-1 + 1 ox F (Jantzen,
+    Lectures on Quantum Groups, ch. 4):
+
+        ad E_i(phi) = E_i phi - K_i phi K_i^-1 E_i,
+        ad F_i(phi) = (F_i phi - phi F_i) K_i.
+
+    Take j != i and N = 1 - a_ij.  Then ad E_i(F_j K_j) = [E_i, F_j] K_j
+    = 0, so F_j K_j is primitive of weight -a_ij = N - 1, and ad F_i(E_j)
+    = [F_i, E_j] K_i = 0, so E_j is killed by ad F_i at weight a_ij.  In
+    a finite-dimensional U_q(sl_2)-module with integral weights, a
+    primitive vector of weight n is killed by F^{n+1}, and a vector of
+    weight -n that F kills is killed by E^{n+1} (Jantzen, ch. 2: if F^s v
+    != 0 = F^{s+1} v, then 0 = E F^{s+1} v = [s+1][n-s] F^s v forces
+    s = n).  Using only the K relations,
+
+        (ad F_i)^N (F_j K_j) = sum_r (-1)^r [N r]_{q_i}
+                               F_i^{N-r} F_j F_i^r K_j K_i^N,
+        (ad E_i)^N (E_j) = sum_r (-1)^r [N r]_{q_i} E_i^{N-r} E_j E_i^r,
+
+    so both Serre sums vanish on M, K being invertible.  The grading is
+    one pass over the matrix entries, after the commutators.
+    """
     datum = module.datum
     rank = datum.rank
+    weights = module.weights
     if module.dim != weyl_dim(datum, module.lam):
         raise AssertionError("dimension %d differs from the character "
                              "prediction %d"
                              % (module.dim, weyl_dim(datum, module.lam)))
     expected = weyl_character(datum, group, module.lam).terms
-    got = Counter(module.weights)
+    got = Counter(weights)
     if dict(got) != expected:
         raise AssertionError("weight multiset mismatch for %s"
                              % (module.lam,))
@@ -263,25 +269,27 @@ def verify_module(module, group):
             want = _compose(module.fmat[j], module.emat[i])
             if i == j:
                 for k in range(module.dim):
-                    m = datum.coroot_pairing(module.weights[k], i)
-                    val = q_int(m, datum.d[i])
+                    val = q_int(datum.coroot_pairing(weights[k], i),
+                                datum.d[i])
                     if val:
-                        _mat_accum(want, {k: {k: val}}, ONE)
+                        col = want.setdefault(k, {})
+                        _bump(col, k, val)
+                        if not col:
+                            del want[k]
             if _compose(module.emat[i], module.fmat[j]) != want:
                 raise AssertionError("commutator relation fails at (%d, %d)"
                                      % (i, j))
-    for mats in (module.emat, module.fmat):
-        prods = {(i, j): _compose(mats[i], mats[j])
-                 for i in range(rank) for j in range(rank) if i != j}
-        for i in range(rank):
-            for j in range(rank):
-                if i == j:
-                    continue
-                m = 1 - datum.cartan[i][j]
-                if _serre_sum(mats[i], mats[j], m, datum.d[i], prods[i, j],
-                              prods[j, i]):
-                    raise AssertionError("Serre relation fails at (%d, %d)"
-                                         % (i, j))
+    for name, mats, step in (("F", module.fmat, datum.sub),
+                             ("E", module.emat, datum.add)):
+        for i, mat in enumerate(mats):
+            root = datum.simple_root(i)
+            for col, image in mat.items():
+                target = step(weights[col], root)
+                for r in image:
+                    if weights[r] != target:
+                        raise AssertionError(
+                            "%s_%d maps column %d of weight %s to weight %s"
+                            % (name, i, col, weights[col], weights[r]))
 
 
 # -- construction ----------------------------------------------------------

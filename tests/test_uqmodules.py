@@ -15,9 +15,8 @@ from qbruhat.characters import demazure_character, weyl_character, weyl_dim
 from qbruhat.exactalg import (Laurent, ONE, RatFun, Subspace, ZERO,
                               q_binomial)
 from qbruhat.uqmodules import (ModuleScopeError, _SEED_TABLE, _compose,
-                               _mat_accum, _module_from_edges,
-                               _reorder_module, _serre_sum, _tensor_f,
-                               build_irrep,
+                               _module_from_edges, _reorder_module,
+                               _tensor_f, build_irrep,
                                demazure_blocks, demazure_submodule,
                                extreme_dual_row, extreme_vector,
                                lowering_string_to, string_counts,
@@ -25,9 +24,10 @@ from qbruhat.uqmodules import (ModuleScopeError, _SEED_TABLE, _compose,
 from qbruhat.weyl import WeylGroup
 
 import oracles
-from oracles import (_BlockSolver, _tensor_e, first_pivot_close_tensor,
-                     max_index_irrep, mirror_module_from_edges,
-                     negated_verify_module, rref_demazure_blocks)
+from oracles import (_BlockSolver, _mat_accum, _serre_sum, _tensor_e,
+                     first_pivot_close_tensor, max_index_irrep,
+                     mirror_module_from_edges, negated_verify_module,
+                     rref_demazure_blocks)
 
 q = Laurent.q_power(1)
 
@@ -271,18 +271,42 @@ def _a2_small():
             if weyl_dim(datum, lam) <= 64]
 
 
+# the modules the library enters without a closure, the seeds and V(0),
+# with two modules whose product has a one-dimensional highest line of
+# weight lam
+_HIGHEST_LINES = {
+    ("A1", (0,)): ((1,), (1,)),
+    ("A1", (1,)): ((2,), (1,)),
+    ("A2", (0, 0)): ((1, 0), (0, 1)),
+    ("A2", (1, 0)): ((0, 1), (0, 1)),
+    ("A2", (0, 1)): ((1, 0), (1, 0)),
+    ("B2", (1, 0)): ((0, 1), (0, 1)),
+}
+
+
 @pytest.mark.parametrize("label,lam",
                          [("A1", (a,)) for a in range(7)]
                          + [("A2", lam) for lam in _a2_small()]
                          + [("B2", lam) for lam in
                             [(1, 0), (1, 1), (2, 0), (2, 2)]])
 def test_raising_matrices_match_tensor_oracle(label, lam):
+    """Every module equals the closure that solves each raising image
+    inside a tensor product: a closed module inside the product of its
+    two factors, and a module entered without a closure inside the
+    product named in ``_HIGHEST_LINES``, from its highest line."""
     datum = build_cartan(label)
     built = module_of(label, lam)  # caches every smaller module first
-    with mock.patch.object(uqmodules, "_close_tensor",
-                           from_highest_pair(oracle_close_tensor)):
-        oracle = uqmodules._build_irrep_inner(
-            datum, WeylGroup.build(datum), lam)
+    if (label, lam) in _HIGHEST_LINES:
+        m1, m2 = (module_of(label, mu) for mu in _HIGHEST_LINES[label, lam])
+        with mock.patch.object(oracles, "first_pivot_close_tensor",
+                               oracle_close_tensor):
+            oracle = oracles._submodule_from_highest(datum, m1, m2, lam,
+                                                     built.dim)
+    else:
+        with mock.patch.object(uqmodules, "_close_tensor",
+                               from_highest_pair(oracle_close_tensor)):
+            oracle = uqmodules._build_irrep_inner(
+                datum, WeylGroup.build(datum), lam)
     assert module_strings(built) == module_strings(oracle)
 
 
@@ -489,11 +513,31 @@ def _swap_weights(m):
     m.weights[0], m.weights[-1] = m.weights[-1], m.weights[0]
 
 
+def _lowest_to_highest(m):
+    """F_0 sends the lowest vector to the highest one.  Every E_i F_j
+    and F_j E_i is unchanged: E_i F_0 v_low = E_i v_high = 0 as before,
+    and no E_i image has a part on the lowest vector."""
+    m.fmat = [dict(mat) for mat in m.fmat]
+    m.fmat[0][m.dim - 1] = {0: ONE}
+
+
+def _highest_to_lowest(m):
+    """E_0 sends the highest vector to the lowest one, the mirror of
+    ``_lowest_to_highest``: no F_j image has a part on the highest
+    vector, and F_j E_0 v_high = F_j v_low = 0 as before."""
+    m.emat = [dict(mat) for mat in m.emat]
+    m.emat[0][0] = {m.dim - 1: ONE}
+
+
 @pytest.mark.parametrize("label,lam", [("A2", (1, 1)), ("B2", (1, 1))])
 @pytest.mark.parametrize("spoil,message", [
     (_bad_e1, r"^commutator relation fails at \(1, 0\)$"),
     (_bad_f1, r"^commutator relation fails at \(0, 1\)$"),
     (_swap_weights, r"^commutator relation fails at \(0, 0\)$"),
+    (_lowest_to_highest, r"^F_0 maps column \d+ of weight \(-1, -1\) "
+     r"to weight \(1, 1\)$"),
+    (_highest_to_lowest, r"^E_0 maps column 0 of weight \(1, 1\) "
+     r"to weight \(-1, -1\)$"),
 ])
 def test_verify_module_rejects_spoiled_copies(label, lam, spoil, message):
     datum = build_cartan(label)
@@ -503,6 +547,25 @@ def test_verify_module_rejects_spoiled_copies(label, lam, spoil, message):
     with pytest.raises(AssertionError, match=message):
         verify_module(bad, WeylGroup.build(datum))
     verify_module(good, WeylGroup.build(datum))
+
+
+@pytest.mark.parametrize("spoil,message", [
+    (_lowest_to_highest, r"^F_0 maps column 2 of weight \(-2,\) to weight "
+     r"\(2,\)$"),
+    (_highest_to_lowest, r"^E_0 maps column 0 of weight \(2,\) to weight "
+     r"\(-2,\)$"),
+])
+def test_grading_rejects_a1_spoils_the_commutators_accept(spoil, message):
+    """On A1 (2) these spoils pass the commutators and there is no Serre
+    relation, so the relations alone accept them; the grading does
+    not."""
+    datum = build_cartan("A1")
+    group = WeylGroup.build(datum)
+    bad = copy.copy(module_of("A1", (2,)))
+    spoil(bad)
+    negated_verify_module(bad, group)
+    with pytest.raises(AssertionError, match=message):
+        verify_module(bad, group)
 
 
 def _drop_weight(m):
@@ -524,11 +587,14 @@ def _zero_first_generator(m):
                                        ("B2", (1, 1)), ("B2", (0, 2))])
 @pytest.mark.parametrize("spoil", [None, _bad_e1, _bad_f1, _swap_weights,
                                    _drop_weight, _repeat_weight,
-                                   _zero_first_generator])
+                                   _zero_first_generator,
+                                   _lowest_to_highest, _highest_to_lowest])
 def test_verify_module_matches_negated_commutator_oracle(label, lam, spoil):
-    """Comparing E_i F_j with F_j E_i + delta_ij [h_i] and sharing the
-    Serre products accepts what the earlier check accepts and rejects
-    the rest with its message."""
+    """Comparing E_i F_j with F_j E_i + delta_ij [h_i] and checking the
+    grading accepts what the commutators and Serre sums accept and
+    rejects the rest, with the same message up to the commutators.  A
+    spoil that passes the commutators is caught by the grading here and
+    by a Serre sum in the oracle."""
     datum = build_cartan(label)
     group = WeylGroup.build(datum)
     bad = copy.copy(module_of(label, lam))
@@ -541,8 +607,64 @@ def test_verify_module_matches_negated_commutator_oracle(label, lam, spoil):
             outcomes.append(None)
         except AssertionError as err:
             outcomes.append(str(err))
-    assert outcomes[0] == outcomes[1]
+    if spoil in (_lowest_to_highest, _highest_to_lowest):
+        assert None not in outcomes
+    else:
+        assert outcomes[0] == outcomes[1]
     assert (outcomes[0] is None) == (spoil is None)
+
+
+def _k_power(m, i, power):
+    """K_i^power, K_i acting on weight mu by q^{d_i mu_i}."""
+    d = m.datum.d[i]
+    return {k: {k: Laurent.q_power(power * d * wt[i])}
+            for k, wt in enumerate(m.weights)}
+
+
+def _ad_f(m, i, phi):
+    """ad F_i(phi) = (F_i phi - phi F_i) K_i."""
+    comm = _mat_accum(_compose(m.fmat[i], phi), _compose(phi, m.fmat[i]),
+                      -ONE)
+    return _compose(comm, _k_power(m, i, 1))
+
+
+def _ad_e(m, i, phi):
+    """ad E_i(phi) = E_i phi - K_i phi K_i^-1 E_i."""
+    conj = _compose(_compose(_k_power(m, i, 1), phi),
+                    _compose(_k_power(m, i, -1), m.emat[i]))
+    return _mat_accum(_compose(m.emat[i], phi), conj, -ONE)
+
+
+@pytest.mark.parametrize("label,lam", [("A2", (2, 1)), ("B2", (1, 1))])
+@pytest.mark.parametrize("spoil", [None, _bad_e1, _bad_f1])
+def test_adjoint_action_gives_the_serre_sums(label, lam, spoil):
+    """The identities ``verify_module`` rests on, with K diagonal from
+    the weights and N = 1 - a_ij: (ad F_i)^N (F_j K_j) is the F Serre
+    sum times K_j K_i^N, and (ad E_i)^N (E_j) is the E Serre sum.  They
+    need only the grading, so they hold on the graded spoils too, where
+    a sum is not zero.  On the module itself F_j K_j is primitive for
+    ad E_i, ad F_i kills E_j, and every sum vanishes."""
+    datum = build_cartan(label)
+    m = copy.copy(module_of(label, lam))
+    if spoil is not None:
+        spoil(m)
+    sums = []
+    for i, j in [(0, 1), (1, 0)]:
+        n = 1 - datum.cartan[i][j]
+        phi = _compose(m.fmat[j], _k_power(m, j, 1))
+        psi = m.emat[j]
+        if spoil is None:
+            assert _ad_e(m, i, phi) == {}
+            assert _ad_f(m, i, psi) == {}
+        for _ in range(n):
+            phi, psi = _ad_f(m, i, phi), _ad_e(m, i, psi)
+        fsum = serre(m.fmat[i], m.fmat[j], n, datum.d[i])
+        esum = serre(m.emat[i], m.emat[j], n, datum.d[i])
+        assert phi == _compose(fsum, _compose(_k_power(m, j, 1),
+                                              _k_power(m, i, n)))
+        assert psi == esum
+        sums += [fsum, esum]
+    assert any(sums) == (spoil is not None)
 
 
 # -- closures on unit pivots ------------------------------------------------
@@ -575,6 +697,19 @@ def test_module_strings_match_pinned_digest(label):
     for lam in _DIGEST_RANGES[label]:
         h.update(module_text(module_of(label, lam)).encode())
     assert h.hexdigest() == _DIGESTS[label]
+
+
+@pytest.mark.parametrize("label", sorted(_DIGEST_RANGES))
+def test_built_modules_satisfy_the_serre_relations(label):
+    """Every module of the digest ranges passes the Horner Serre sums,
+    which ``verify_module`` derives instead of summing, and the sums
+    catch a spoil that passes the commutators."""
+    for lam in _DIGEST_RANGES[label]:
+        assert oracles.serre_failures(module_of(label, lam)) == [], lam
+    if label != "A1":
+        bad = copy.copy(module_of(label, (1, 1)))
+        _lowest_to_highest(bad)
+        assert oracles.serre_failures(bad)
 
 
 @pytest.mark.parametrize("label", sorted(_DIGEST_RANGES))
