@@ -173,10 +173,6 @@ class CartanDatum:
                          for j in range(self.rank))
                      for i in range(self.rank))
 
-    def in_root_lattice(self, mu):
-        den = self._coord_den
-        return all(n % den == 0 for n in self._scaled_coords(mu))
-
     def inner(self, mu, nu):
         """The W-invariant form (mu, nu), short roots of squared length 2."""
         r = self._scaled_coords(mu)

@@ -33,45 +33,14 @@ class FormalCharacter:
         self.terms = dict(terms or {})
 
     @classmethod
-    def monomial(cls, datum, mu, coeff=1):
-        return cls(datum, {tuple(mu): coeff})
+    def monomial(cls, datum, mu):
+        return cls(datum, {tuple(mu): 1})
 
     def coefficient(self, mu):
         return self.terms.get(tuple(mu), 0)
 
-    def support(self):
-        return sorted(self.terms)
-
     def mass(self):
         return sum(self.terms.values())
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for mu, c in other.terms.items():
-            out[mu] = out.get(mu, 0) + c
-            if not out[mu]:
-                del out[mu]
-        return FormalCharacter(self.datum, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        if not c:
-            return FormalCharacter(self.datum, {})
-        return FormalCharacter(self.datum,
-                               {mu: c * v for mu, v in self.terms.items()})
-
-    def __mul__(self, other):
-        out = {}
-        add = self.datum.add
-        for mu, c in self.terms.items():
-            for nu, d in other.terms.items():
-                key = add(mu, nu)
-                out[key] = out.get(key, 0) + c * d
-                if not out[key]:
-                    del out[key]
-        return FormalCharacter(self.datum, out)
 
     def __eq__(self, other):
         if not isinstance(other, FormalCharacter):

@@ -247,19 +247,6 @@ class CoordinateModel:
     def extreme_row(self, lam, w):
         return extreme_dual_row(self.module(lam), w)
 
-    def extreme_product_scalar(self, lam, mu, w):
-        """The scalar s with c_w(lam) c_w(mu) = s . c_w(lam+mu)."""
-        prod = self.multiply(lam, self.extreme_row(lam, w),
-                             mu, self.extreme_row(mu, w))
-        target = self.extreme_row(self.datum.add(lam, mu), w)
-        j = next(k for k, c in enumerate(target) if c)
-        s = prod[j] / target[j]
-        check = [s * c for c in target]
-        if check != prod:
-            raise AssertionError("extreme product is not proportional to "
-                                 "the extreme row")
-        return s
-
     # -- graded ideal pieces --------------------------------------------
 
     @memo(lambda self, w, sign, lam: (w.idx, sign, tuple(lam)))
@@ -466,25 +453,19 @@ class CoordinateModel:
         EigenvalueError is raised when the operators do not commute,
         when a characteristic polynomial keeps a factor with no integer
         q-power root, or when a label falls outside twice the root
-        lattice.  With lam omitted, escalates along k.rho from the
-        stabilising degree (``sufficient_degree``) until the solves
-        succeed; a degree whose modules exceed the supported scope
-        raises ModuleScopeError naming the block and the degree.
-        Results for each degree are memoised."""
-        datum = self.datum
+        lattice.  The operators are built in the one degree lam, by
+        default the stable degree of ``sufficient_degree``: a failed
+        solve there raises SufficiencyError, and a degree whose modules
+        exceed the supported scope raises ModuleScopeError naming the
+        block and the degree.  Results for each degree are memoised."""
         eta = tuple(eta)
-        if lam is not None:
-            return list(self._twisted_decomposition(w, eta, tuple(lam)))
-        lam = self.sufficient_degree(w, eta)[0]
-        while True:
-            try:
-                return list(self._twisted_decomposition(w, eta, lam))
-            except SufficiencyError:
-                lam = datum.add(lam, datum.rho())
-            except ModuleScopeError as err:
-                raise ModuleScopeError(
-                    "block %s of degree %s: %s"
-                    % (datum.add(w.act(lam), eta), lam, err)) from err
+        lam = tuple(self.sufficient_degree(w, eta)[0] if lam is None else lam)
+        try:
+            return list(self._twisted_decomposition(w, eta, lam))
+        except ModuleScopeError as err:
+            raise ModuleScopeError(
+                "block %s of degree %s: %s"
+                % (self.datum.add(w.act(lam), eta), lam, err)) from err
 
     @memo(lambda self, w, eta, lam: (w.idx, tuple(eta), tuple(lam)))
     def _twisted_decomposition(self, w, eta, lam):

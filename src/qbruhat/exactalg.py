@@ -100,11 +100,6 @@ class Laurent:
     def is_monomial(self):
         return len(self.coeffs) == 1
 
-    def min_exp(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no exponents")
-        return min(self.coeffs)
-
     def max_exp(self):
         if not self.coeffs:
             raise ValueError("zero polynomial has no exponents")

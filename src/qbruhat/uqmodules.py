@@ -335,8 +335,10 @@ def _build_irrep_inner(datum, group, lam):
     if not any(lam):
         return _module_from_edges(datum, lam, [lam], [])
     if fam not in _SEED_TABLE:
+        names = ["%s%d" % key for key in _SEED_TABLE]
         raise ModuleScopeError("module arithmetic is limited to types "
-                               "A1, A2 and B2")
+                               "%s and %s" % (", ".join(names[:-1]),
+                                              names[-1]))
     expected = weyl_dim(datum, lam)
     if expected > MAX_DIM:
         raise ModuleScopeError("dimension %d exceeds the cap %d"

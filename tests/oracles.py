@@ -21,6 +21,11 @@ vector module V(omega_1), a seed in the library, also as the closure
 from the highest-weight line of spin ox spin, the kernel of the tensor
 raising action ``_tensor_e`` on its weight block
 (``_submodule_from_highest``).
+
+Three small helpers that only tests call live here too: root-lattice
+membership (``in_root_lattice``), the lowest exponent of a Laurent
+polynomial (``min_exp``) and the scalar of a product of extreme rows
+(``extreme_product_scalar``).
 """
 
 from collections import Counter, deque
@@ -514,3 +519,29 @@ def negated_verify_module(module, group):
     if failed:
         raise AssertionError("Serre relation fails at (%d, %d)"
                              % failed[0][1:])
+
+
+def in_root_lattice(datum, mu):
+    """True iff mu is an integer sum of simple roots."""
+    den = datum._coord_den
+    return all(n % den == 0 for n in datum._scaled_coords(mu))
+
+
+def min_exp(p):
+    """The lowest exponent of a nonzero Laurent polynomial."""
+    if not p.coeffs:
+        raise ValueError("zero polynomial has no exponents")
+    return min(p.coeffs)
+
+
+def extreme_product_scalar(model, lam, mu, w):
+    """The scalar s with c_w(lam) c_w(mu) = s . c_w(lam+mu)."""
+    prod = model.multiply(lam, model.extreme_row(lam, w),
+                          mu, model.extreme_row(mu, w))
+    target = model.extreme_row(model.datum.add(lam, mu), w)
+    j = next(k for k, c in enumerate(target) if c)
+    s = prod[j] / target[j]
+    if [s * c for c in target] != prod:
+        raise AssertionError("extreme product is not proportional to "
+                             "the extreme row")
+    return s

@@ -254,12 +254,3 @@ def test_character_json():
     total = sum(entry["coeff"] for entry in doc["terms"])
     assert total == ch.mass()
 
-
-def test_formal_character_algebra():
-    datum = build_cartan("A2")
-    a = FormalCharacter.monomial(datum, (1, 0))
-    b = FormalCharacter.monomial(datum, (0, 1), 2)
-    assert (a + b).mass() == 3
-    assert (a * b).coefficient((1, 1)) == 2
-    assert (a - a).mass() == 0
-    assert a.scale(5).mass() == 5

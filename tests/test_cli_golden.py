@@ -23,6 +23,11 @@ CASES = {
     "verify-eigen-qpowers": ["verify", "--suite", "eigen-qpowers"],
     "verify-ideals": ["verify", "--suite", "ideals"],
     "verify-modules": ["verify", "--suite", "modules"],
+    "verify-weyl": ["verify", "--suite", "weyl"],
+    "verify-characters": ["verify", "--suite", "characters"],
+    "verify-strata": ["verify", "--suite", "strata"],
+    "verify-centre": ["verify", "--suite", "centre"],
+    "verify-commutation-A2": ["verify", "--suite", "commutation-A2"],
     "ideal-demazure-A2": ["ideal", "demazure", "--type", "A2",
                           "--lambda", "2,1", "--y", "s1 s2", "--sign", "+"],
     "ideal-demazure-A2-32": ["ideal", "demazure", "--type", "A2",

@@ -11,7 +11,8 @@ from qbruhat.coordring import (CoordinateModel, EigenvalueError,
                                SufficiencyError)
 from qbruhat.exactalg import ONE, ZERO, Laurent, Subspace, kernel, mat_mul
 from qbruhat.uqmodules import ModuleScopeError
-from oracles import pair_piece_saturation, tuple_demazure_orth
+from oracles import (extreme_product_scalar, pair_piece_saturation,
+                     tuple_demazure_orth)
 from test_acceptance import brute_cone_count, bruhat_pairs, eta_sweep
 
 Q = Laurent({1: 1})
@@ -33,12 +34,12 @@ class TestProducts:
 
     def test_extreme_product_scalars_rank_one(self, a1):
         for w in a1.group.elements:
-            assert a1.extreme_product_scalar((1,), (1,), w) == ONE
+            assert extreme_product_scalar(a1, (1,), (1,), w) == ONE
 
     def test_extreme_product_scalars_a2(self, a2_model):
         # c_w(lam) c_w(mu) is always a nonzero multiple of c_w(lam+mu)
         for w in a2_model.group.elements:
-            s = a2_model.extreme_product_scalar((1, 0), (0, 1), w)
+            s = extreme_product_scalar(a2_model, (1, 0), (0, 1), w)
             assert s
             assert s.is_monomial()
 
@@ -292,25 +293,36 @@ class TestStabilisingDegree:
         parts = a2_model.twisted_decomposition(e, (3, -6))
         assert [(mu, sub.dim) for mu, sub in parts] == [((6, -12), 1)]
 
-    def test_escalation_names_the_block_and_degree_out_of_scope(self):
-        """Escalation starts at the stabilising degree, steps past a
-        failed solve, and stops at the first degree out of scope."""
+    @pytest.mark.parametrize("lam", [None, (8, 8)],
+                             ids=["lam-omitted", "lam-given"])
+    def test_out_of_scope_degree_names_the_block_and_degree(self, lam):
+        """eta = (-16, 8) at w = e has k* = 8, and V(8, 8) is past the
+        module cap: the error names the block and the degree whether lam
+        is given or left to the stabilising degree."""
+        model = CoordinateModel.get("A2")
+        e = model.group.identity
+        assert model.sufficient_degree(e, (-16, 8))[0] == (8, 8)
+        with pytest.raises(ModuleScopeError) as err:
+            model.twisted_decomposition(e, (-16, 8), lam=lam)
+        assert str(err.value) == ("block (-8, 16) of degree (8, 8): "
+                                  "dimension 729 exceeds the cap 400")
+
+    def test_failed_solve_at_the_stable_degree_propagates(self):
+        """A SufficiencyError at k*.rho is raised as it is; no higher
+        degree is tried."""
         model = CoordinateModel("A2")
         tried = []
 
         def solve(w, eta, lam):
             tried.append(lam)
-            if lam == (2, 2):
-                raise SufficiencyError("conjugation solve inconsistent")
-            raise ModuleScopeError("dimension 420 exceeds the cap 400")
+            raise SufficiencyError("conjugation solve inconsistent")
 
         with mock.patch.object(CoordinateModel, "_twisted_decomposition",
                                side_effect=solve):
-            with pytest.raises(ModuleScopeError) as err:
+            with pytest.raises(SufficiencyError,
+                               match="conjugation solve inconsistent"):
                 model.twisted_decomposition(model.group.identity, (2, -4))
-        assert tried == [(2, 2), (3, 3)]
-        assert str(err.value) == ("block (5, -1) of degree (3, 3): "
-                                  "dimension 420 exceeds the cap 400")
+        assert tried == [(2, 2)]
 
 
 def box_decomposition(model, w, eta, lam, margin=2):

@@ -64,3 +64,65 @@ def test_every_traced_target_resolves():
         except AttributeError:
             missing.append("%s.%s" % (layer, attr))
     assert missing == []
+
+
+def _is_click_command(node):
+    """A function decorated by ``<group>.command(...)`` or
+    ``<group>.group(...)``: click calls it, no Python code does."""
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Attribute) and \
+                target.attr in ("command", "group"):
+            return True
+    return False
+
+
+def _definitions(tree):
+    """(qualified name, name) of every function and method, nested ones
+    included, that is not a dunder or a click command."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = child.name
+                if not (name.startswith("__") and name.endswith("__")) \
+                        and not _is_click_command(child):
+                    out.append((prefix + name, name))
+                visit(child, prefix + name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return out
+
+
+def test_every_src_function_has_a_caller():
+    """Every function or method of the package is named, as a name or an
+    attribute, somewhere in the package, the bench or the demos (the
+    bench tracer's ``TARGETS`` strings count), or is listed in an
+    ``__all__``.  A helper only tests call belongs in ``tests/``."""
+    root = TRACER.parents[1]
+    package = pathlib.Path(qbruhat.__file__).resolve().parent
+    used, defined = set(), []
+    for path in sorted(package.glob("*.py")) + \
+            sorted((root / "qbench").glob("*.py")) + \
+            sorted((root / "demos").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Assign) and \
+                    [getattr(t, "id", None) for t in node.targets] in \
+                    (["__all__"], ["TARGETS"]):
+                for item in ast.literal_eval(node.value):
+                    for text in ([item] if isinstance(item, str) else item):
+                        used.update(text.split("."))
+        if path.parent == package:
+            defined += [("%s:%s" % (path.stem, qual), name)
+                        for qual, name in _definitions(tree)]
+    assert [label for label, name in defined if name not in used] == []
