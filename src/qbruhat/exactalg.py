@@ -713,16 +713,22 @@ def rref(rows):
                 pivot_row = i
                 break
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = ONE / m[r][col]
-        m[r] = [x * inv if x else ZERO for x in m[r]]
-        m[r][col] = ONE
+        row_r = m[r]
+        # the row is zero left of the pivot and the pivot becomes one, so
+        # only the entries right of it are scaled, and none when the
+        # pivot is the row's only entry
+        right = [j for j in range(col + 1, ncols) if row_r[j]]
+        if right:
+            inv = ONE / row_r[col]
+            for j in right:
+                row_r[j] = row_r[j] * inv
+        row_r[col] = ONE
         for i in range(len(m)):
             if i != r and m[i][col]:
                 f = m[i][col]
-                row_i, row_r = m[i], m[r]
-                for j in range(col, ncols):
-                    if row_r[j]:
-                        row_i[j] = row_i[j] - f * row_r[j]
+                row_i = m[i]
+                for j in right:
+                    row_i[j] = row_i[j] - f * row_r[j]
                 row_i[col] = ZERO
         pivots.append(col)
         r += 1
@@ -733,14 +739,19 @@ def rref(rows):
 
 def reduce_against(rows, pivots, vec):
     """Reduce ``vec`` against an echelon basis; returns the residue.
-    Each row is one at its pivot and zero at the earlier rows' pivots,
-    and is subtracted along its whole support, left of its pivot too."""
+    Each row is zero at the earlier rows' pivots and nonzero at its own,
+    where it need not be one: the multiplier is divided by the pivot
+    entry unless that entry is ``ONE``.  A row is subtracted along its
+    whole support, left of its pivot too."""
     v = [coerce_scalar(x) for x in vec]
     for row, p in zip(rows, pivots):
         f = v[p]
         if f:
+            d = row[p]
+            if d is not ONE:
+                f = f / d
             for j, x in enumerate(row):
-                if x:
+                if x and j != p:
                     v[j] = v[j] - f * x
             v[p] = ZERO
     return v

@@ -21,7 +21,8 @@ weight vector breadth first and keeps a word exactly when it is
 independent of the earlier ones in its weight block; each block keeps
 an echelon basis whose rows carry their coordinates over the kept
 words, so ``reduce_against`` decides independence and leaves the
-coefficients of a dependent word in the residue.  A row pivots on a
+coefficients of a dependent word in the residue.  A row is kept as its
+residue stands, not scaled to one at its pivot, and pivots on a
 monomial coordinate, a unit of Z[q, q^-1], when it has one, so most
 rows stay in the Laurent ring.  What it records, the kept words
 (parents) and the coefficients of each dependent word over them (fmat),
@@ -40,6 +41,16 @@ follow from those (see ``verify_module``), and that check is the only
 guard on the matrices.  Verified modules are kept per type and highest
 weight, and extreme vectors per module and Weyl element, by ``memo``;
 no module above ``MAX_DIM`` is built.
+
+The extreme-vector (Demazure) closures follow Demazure's recursion.
+The raising closure V_w of v_{w lam} is, for s_i u > u, U(p_i) V_u =
+sum_k F_i^k V_u (Joseph; Andersen-Polo-Wen, Invent. Math. 104, 1991;
+Kashiwara, Duke Math. J. 71, 1993), so it is the line v_lam closed
+under one F_i per letter of the reduced word of w, read right to left.
+The lowering closure of v_{y lam} is the same statement twisted by the
+Chevalley involution, which swaps E_i with F_i and lam with -w0 lam:
+the lowest line closed under E_i along the reversed word of y w0.
+``demazure_blocks`` has the argument.
 
 Conventions.  The comultiplication used for tensor actions is
 
@@ -412,13 +423,14 @@ def _close_tensor(datum, m1, m2, lam, expected):
         nz = [t for t in range(n) if v[t]]
         if not nz:
             return {adopted[j]: -c for j, c in enumerate(v[n:]) if c}
-        # pivot on a monomial, a unit of Z[q, q^-1], when x has one, so
-        # that dividing by it keeps the row in the Laurent ring
+        # the row is kept as the residue stands, not scaled to one at
+        # its pivot (``reduce_against`` divides by the pivot entry); it
+        # pivots on a monomial, a unit of Z[q, q^-1], when x has one, so
+        # that dividing by it keeps later residues in the Laurent ring
         p = next((t for t in nz if type(v[t]) is Laurent
                   and v[t].is_monomial()), nz[0])
         v[n + len(adopted)] = ONE
-        inv = ONE / v[p]
-        rows.append([c * inv if c else ZERO for c in v])
+        rows.append(v)
         pivots.append(p)
         adopted.append(idx)
         return None
@@ -527,20 +539,46 @@ def extreme_dual_row(module, w):
 
 
 def demazure_blocks(module, w, sign):
-    """The span of the extreme vector under raising (sign '+') or
-    lowering (sign '-') closure, as {weight: Subspace} over the blocks it
-    meets, in block-local coordinates.  Each block is kept in reduced
-    echelon form as it grows, one residue at a time.  The two closures
+    """The span of the extreme vector of weight w(lam) under raising
+    (sign '+') or lowering (sign '-') closure, as {weight: Subspace} over
+    the blocks it meets, in block-local coordinates.  The two closures
     that are the whole module, lowering at e and raising at the longest
-    element, are returned as full blocks without a search."""
+    element, are returned as full blocks without a search.
+
+    The span is built by Demazure's recursion.  Write V_u = U+ v_{u lam}
+    for the raising closure.  If s_i u > u, then U(p_i) V_u = V_{s_i u},
+    p_i the parabolic spanned by b+ and F_i (Joseph; Andersen-Polo-Wen,
+    Invent. Math. 104, 1991; Kashiwara, Duke Math. J. 71, 1993), and V_u
+    being stable under b+, that is the F_i-closure sum_k F_i^k V_u.
+    Along a reduced word w = s_{i_1} ... s_{i_l}, V_w is therefore the
+    line v_lam closed under F_{i_l}, then F_{i_{l-1}}, ..., then
+    F_{i_1}.  The lowering closure U- v_{y lam} is the same statement
+    twisted by the Chevalley involution, which swaps E_i and F_i and
+    negates weights.  It makes V(lam) a module of highest weight
+    -w0 lam, with highest line v_{w0 lam}, in which v_{y lam} has weight
+    -y lam = (y w0)(-w0 lam); so U- v_{y lam} is the raising closure at
+    y w0 read through the twist: the line v_{w0 lam} closed under E_i
+    along the reversed word of y w0.  One X_i-closure step applies X_i
+    once to every vector of the running span list, those it appends
+    included, and keeps an image only when it is independent.
+
+    Each block is kept in reduced echelon form as it grows, one residue
+    at a time, so the result does not depend on the order the vectors
+    arrive in."""
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    if w == (w.group.identity if sign == "-" else w.group.longest):
+    group = w.group
+    if w == (group.identity if sign == "-" else group.longest):
         # the highest weight vector spans the module under lowering, and
         # so, the module being irreducible, does the lowest under raising
         return {wt: Subspace.full(len(rng))
                 for wt, rng in module.blocks.items()}
-    apply_gen = module.e_apply if sign == "+" else module.f_apply
+    if sign == "+":
+        apply_gen, start, u = module.f_apply, {0: ONE}, w
+    else:
+        apply_gen = module.e_apply
+        start = extreme_vector(module, group.longest)
+        u = group.multiply(w, group.longest)
     blocks = {}
 
     def insert(vec):
@@ -560,33 +598,34 @@ def demazure_blocks(module, w, sign):
             return False
         # keep the block in reduced echelon form: the residue is zero at
         # every pivot, so scaling it and clearing its pivot column from
-        # the earlier rows gives the canonical rows of the larger span
-        inv = ONE / res[p]
-        res = [c * inv if c else ZERO for c in res]
+        # the earlier rows gives the canonical rows of the larger span;
+        # only entries right of the pivot need the scaling
+        right = [t for t in range(p + 1, len(res)) if res[t]]
+        if right:
+            inv = ONE / res[p]
+            for t in right:
+                res[t] = res[t] * inv
         res[p] = ONE
         for row in rows:
             f = row[p]
             if f:
-                for t in range(p + 1, len(row)):
-                    if res[t]:
-                        row[t] = row[t] - f * res[t]
+                for t in right:
+                    row[t] = row[t] - f * res[t]
                 row[p] = ZERO
         at = bisect(piv, p)
         rows.insert(at, res)
         piv.insert(at, p)
         return True
 
-    start = extreme_vector(module, w)
     insert(start)
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in range(module.datum.rank):
-                img = apply_gen(i, v)
-                if img and insert(img):
-                    nxt.append(img)
-        frontier = nxt
+    span = [start]
+    for i in reversed(u.word):
+        # the loop reaches the images it appends, so the span ends
+        # closed under X_i
+        for v in span:
+            img = apply_gen(i, v)
+            if img and insert(img):
+                span.append(img)
     return blocks
 
 

@@ -689,6 +689,26 @@ class TestLinearAlgebra:
         assert ech[0] == [ONE, q, ZERO]
         assert ech[1] == [ZERO, ZERO, ONE]
 
+    def test_lone_pivots_build_no_ratfun(self):
+        """A pivot that is its row's only entry becomes one without being
+        inverted, and clearing it from other rows costs no product: the
+        reduction builds no RatFun and runs no gcd."""
+        p = ONE + q
+        rows = [[ZERO, p, ZERO, ZERO], [RatFun(ONE, p), ZERO, ZERO, ZERO],
+                [ZERO, ZERO, ZERO, ZERO], [ZERO, q * q - 3, ZERO, ZERO],
+                [ZERO, ZERO, ZERO, RatFun(q, p * p + 1)]]
+
+        def forbidden(*args):
+            raise AssertionError("rref built a quotient")
+
+        with mock.patch.multiple(exactalg, _inverse=forbidden,
+                                 _make_ratfun=forbidden, _ratfun=forbidden,
+                                 _common_factor=forbidden):
+            ech, piv = rref(rows)
+        assert piv == [0, 1, 3]
+        assert ech == [[ONE if j == k else ZERO for j in range(4)]
+                       for k in piv]
+
     def test_kernel_dimension(self):
         rows = [[ONE, ONE, ONE]]
         basis, piv = kernel(rows, 3)
@@ -744,7 +764,9 @@ class TestReduceAgainst:
     def test_rows_pivoting_anywhere_match_solve(self, gens, target, data):
         """Rows [x | t] kept as the tensor closures keep them, each
         pivoting on any nonzero coordinate of its residue, give the same
-        membership and coefficients as ``solve`` on the kept vectors."""
+        membership and coefficients as ``solve`` on the kept vectors,
+        whether a row is one at its pivot or scaled by a nonzero Laurent
+        factor."""
         n, m = 4, len(gens)
         rows, pivots, kept = [], [], []
         for g in gens:
@@ -754,7 +776,9 @@ class TestReduceAgainst:
                 continue
             p = data.draw(st.sampled_from(support))
             v[n + len(kept)] = ONE
-            inv = ONE / v[p]
+            scale = data.draw(laurents(max_terms=2, max_exp=2).filter(bool)
+                              | st.just(ONE))
+            inv = scale / v[p]
             rows.append([c * inv for c in v])
             pivots.append(p)
             kept.append(g)

@@ -141,24 +141,40 @@ def test_extreme_string_vanishing_at_regular_weights(a2_group):
                     assert eps == 0 and phi > 0
 
 
+# highest weights of the closure tests: every A2 degree of the
+# benchmark, up to (4, 3) and (3, 4)
+_CLOSURE_RANGES = {
+    "A1": [(a,) for a in range(8)],
+    "A2": [lam for lam in itertools.product(range(5), repeat=2)
+           if lam != (4, 4)],
+    "B2": list(itertools.product(range(3), repeat=2)),
+}
+
+
 @pytest.mark.parametrize("label", ["A1", "A2", "B2"])
 def test_demazure_dims_match_characters(label):
-    """Closure dimensions against the character recursion, both signs."""
+    """Closure dimensions against the character recursion, weight by
+    weight and for both signs: the '+' closure at w has the Demazure
+    character of w at lam, and the '-' closure at w that of w w0 at
+    -w0 lam with every weight negated."""
     datum = build_cartan(label)
     group = WeylGroup.build(datum)
     w0 = group.longest
-    grids = itertools.product(range(3), repeat=datum.rank)
-    for lam in grids:
+    for lam in _CLOSURE_RANGES[label]:
         m = module_of(label, lam)
         lam_star = tuple(-c for c in w0.act(lam))
         for w in group.elements:
-            plus = demazure_submodule(m, w, "+")
-            assert plus.dim == demazure_character(datum, group, w,
-                                                  lam).mass()
-            minus = demazure_submodule(m, w, "-")
-            twisted = group.multiply(w, w0)
-            assert minus.dim == demazure_character(datum, group, twisted,
-                                                   lam_star).mass()
+            plus = demazure_character(datum, group, w, lam)
+            minus = demazure_character(datum, group, group.multiply(w, w0),
+                                       lam_star)
+            for sign, char, flip in (("+", plus, 1), ("-", minus, -1)):
+                blocks = demazure_blocks(m, w, sign)
+                got = {wt: sub.dim for wt, sub in blocks.items()}
+                want = {wt: char.coefficient(tuple(flip * c for c in wt))
+                        for wt in m.block_order}
+                assert got == {wt: k for wt, k in want.items() if k}, \
+                    (lam, w.word, sign)
+                assert demazure_submodule(m, w, sign).dim == char.mass()
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "B2"])
@@ -394,13 +410,19 @@ def _blocks_strings(blocks):
 
 @pytest.mark.parametrize("label,top", [("A2", 3), ("B2", 2)])
 def test_incremental_closures_match_rref_oracle(label, top):
-    """Blocks kept in echelon form as they grow equal those reduced
-    afresh.  B2 (2, 1) is the smallest module here where a new residue's
-    pivot column must be cleared from earlier rows (at s2 with sign '-'
-    and s1 s2 s1 with '+'); no A2 module up to (3, 3) needs it."""
+    """Closures built by Demazure's recursion, each block kept in echelon
+    form as it grows, equal the breadth-first closures over every
+    generator reduced afresh, rows and printed scalars alike.  A2 adds
+    the benchmark's largest degrees (4, 3) and (3, 4).  B2 (1, 1) is the
+    smallest module here where a new residue's pivot column must be
+    cleared from earlier rows (at s1 with sign '-'); no A2 module here
+    needs it."""
     datum = build_cartan(label)
     group = WeylGroup.build(datum)
-    for lam in itertools.product(range(top + 1), repeat=datum.rank):
+    lams = [lam for lam in _CLOSURE_RANGES[label] if max(lam) <= top]
+    if label == "A2":
+        lams += [(4, 3), (3, 4)]
+    for lam in lams:
         m = module_of(label, lam)
         for w in group.elements:
             for sign in "+-":
