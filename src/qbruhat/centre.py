@@ -18,6 +18,7 @@ arithmetic.
 
 from __future__ import annotations
 
+from .obs import memo
 from .weyl import WeylGroup, format_word
 
 
@@ -60,20 +61,24 @@ def centre_of(group, w):
     of w's matrix, and w0 . omega_i = -omega_theta(i)."""
     theta = group.theta()
     n = group.rank
-    m = w.mat
-
-    def column_is(i, j, sign):
-        return all(m[k][i] == (sign if k == j else 0) for k in range(n))
-
+    col = list(zip(*w.mat))
+    unit, negated = _unit_columns(n)
     fixed = [i for i in range(n) if theta[i] == i]
     paired = [(i, theta[i]) for i in range(n) if theta[i] > i]
-    minus_fixed = [i for i in fixed if column_is(i, i, 1)]
+    minus_fixed = [i for i in fixed if col[i] == unit[i]]
     minus_paired = [(i, j) for i, j in paired
-                    if column_is(i, i, 1) and column_is(j, j, 1)]
-    plus_fixed = [i for i in fixed if column_is(i, i, -1)]
+                    if col[i] == unit[i] and col[j] == unit[j]]
+    plus_fixed = [i for i in fixed if col[i] == negated[i]]
     plus_paired = [(i, j) for i, j in paired
-                   if column_is(i, j, -1) and column_is(j, i, -1)]
+                   if col[i] == negated[j] and col[j] == negated[i]]
     return CentreData(w, minus_fixed, minus_paired, plus_fixed, plus_paired)
+
+
+@memo(lambda n: n)
+def _unit_columns(n):
+    """The columns e_j and -e_j of rank n, as tuples."""
+    unit = [tuple(1 if k == j else 0 for k in range(n)) for j in range(n)]
+    return unit, [tuple(-x for x in e) for e in unit]
 
 
 def centre_table(label):

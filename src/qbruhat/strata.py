@@ -28,7 +28,7 @@ from __future__ import annotations
 import csv
 import io
 
-from .emit import json_document
+from .emit import strata_document
 from .weyl import WeylGroup, format_word
 
 SCHEMA_STRATA = "qbruhat/strata-v1"
@@ -106,19 +106,15 @@ class DiamondPoset:
     # -- serialization ---------------------------------------------------
 
     def to_json(self):
-        doc = {
-            "schema": SCHEMA_STRATA,
-            "type": self.group.datum.label,
-            "anchor": (format_word(self.anchor.word)
-                       if self.anchor is not None else None),
-            "pairs": [
-                {"y": format_word(y.word), "z": format_word(z.word),
-                 "rank": self.stratum_rank(k)}
-                for k, (y, z) in enumerate(self.pairs)
-            ],
-            "edges": [[i, j] for i, j in self.hasse_edges()],
-        }
-        return json_document(doc)
+        """The ``qbruhat/strata-v1`` document, written by template
+        (``emit.strata_document``)."""
+        anchor = self.anchor
+        return strata_document(
+            SCHEMA_STRATA, self.group.datum.label,
+            format_word(anchor.word) if anchor is not None else None,
+            [(self.stratum_rank(k), format_word(y.word), format_word(z.word))
+             for k, (y, z) in enumerate(self.pairs)],
+            self.hasse_edges())
 
     def to_dot(self):
         lines = ["digraph strata {"]

@@ -5,16 +5,23 @@ by a breadth-first search from the identity, after its known order has
 been checked against ``MAX_ORDER`` (``group_order``).  The search keeps,
 for each simple generator s_i, the table of left multiplication by s_i,
 and an element's length is the depth at which the search first reaches
-it.  Canonical reduced words are the lexicographically least ones, and
-Bruhat order comes from Deodhar's descent recursion on the table.  The
-Bruhat covers of every element are filled in once per group, on first
-use, by the lifting property; intervals, lower and upper sets are
-traversals of those cover lists.  One group is kept per type; words,
-covers, fixed-space ranks and the sorted order are ``memo`` tables on
-the group, and Bruhat comparisons keep a table of every pair the descent
-recursion meets.  The subword test, a reflection-chain closure and the
-covers found by scanning neighbouring length levels live in the test
-suite as oracles.
+it.  Construction does nothing else.
+
+Canonical reduced words are the lexicographically least ones:
+word(w) = (i,) + word(s_i w) with s_i the least left descent of w.  On
+the first read of any element's ``word`` the group fills the word of
+every element in one pass in index order; breadth-first indices grow
+with length, so s_i w, one shorter, is already done.  After that a word
+is a slot on its element.  Bruhat order comes from Deodhar's descent
+recursion on the table.  The Bruhat covers of every element are filled
+in once per group, on first use, by the lifting property; intervals,
+lower and upper sets are traversals of those cover lists.  One group is
+kept per type; the word pass, covers, fixed-space ranks and the sorted
+order are ``memo`` tables on the group, word texts are a ``memo`` table
+on ``format_word``, and Bruhat comparisons keep a table of every pair
+the descent recursion meets.  The recursive word memo, the subword
+test, a reflection-chain closure and the covers found by scanning
+neighbouring length levels live in the test suite as oracles.
 """
 
 from __future__ import annotations
@@ -29,17 +36,23 @@ MAX_ORDER = 500000
 
 
 class WeylElem:
-    __slots__ = ("group", "idx", "mat", "length")
+    __slots__ = ("group", "idx", "mat", "length", "_word")
 
     def __init__(self, group, idx, mat, length):
         self.group = group
         self.idx = idx
         self.mat = mat
         self.length = length
+        self._word = None
 
     @property
     def word(self):
-        return self.group.canonical_word(self)
+        """The canonical reduced word, 0-based letters."""
+        word = self._word
+        if word is None:
+            self.group._fill_words()
+            word = self._word
+        return word
 
     def act(self, mu):
         m = self.mat
@@ -64,10 +77,14 @@ class WeylElem:
         return "WeylElem(%s)" % (format_word(self.word),)
 
 
+@memo(tuple)
 def format_word(word):
+    """The text of a word, ``s1 s2 s1`` or ``e``.  The library formats
+    only canonical words, so the table holds at most |W| entries for each
+    type whose group has been built."""
     if not word:
         return "e"
-    return " ".join("s%d" % (i + 1) for i in word)
+    return " ".join(["s%d" % (i + 1) for i in word])
 
 
 def parse_word(text, rank):
@@ -183,12 +200,11 @@ class WeylGroup:
         return j
 
     def multiply(self, x, y):
-        word = self.canonical_word(x)
-        return self.elements[self._left_apply(reversed(word), y.idx)]
+        return self.elements[self._left_apply(reversed(x.word), y.idx)]
 
     def inverse(self, x):
         """Applying x's word in order to e spells the reversed word."""
-        return self.elements[self._left_apply(self.canonical_word(x), 0)]
+        return self.elements[self._left_apply(x.word, 0)]
 
     def from_word(self, word):
         return self.elements[self._left_apply(reversed(word), 0)]
@@ -196,13 +212,19 @@ class WeylGroup:
     def parse(self, text):
         return self.from_word(parse_word(text, self.rank))
 
-    @memo(lambda self, w: w.idx)
     def canonical_word(self, w):
         """The lexicographically least reduced word of w."""
-        if w.idx == 0:
-            return ()
-        i = self._first_descent(w.idx)
-        return (i,) + self.canonical_word(self.elements[self._lmul[i][w.idx]])
+        return w.word
+
+    @memo()
+    def _fill_words(self):
+        """Set every element's word, in index order: s_i w has a smaller
+        index than w for a left descent s_i."""
+        elements, lmul = self.elements, self._lmul
+        elements[0]._word = ()
+        for w in elements[1:]:
+            i = self._first_descent(w.idx)
+            w._word = (i,) + elements[lmul[i][w.idx]]._word
 
     def _first_descent(self, idx):
         """The least i with s_i a left descent of elements[idx]."""

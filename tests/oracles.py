@@ -2,8 +2,11 @@
 
 Each computes the same thing as a faster routine of the library by a
 different road: the fixed lattice by an exact kernel over Laurent
-scalars, Bruhat covers by scanning the neighbouring length level, the
-pair poset by testing every pair of the group, scalar sums and products
+scalars, Bruhat covers by scanning the neighbouring length level,
+canonical words by a recursion memoised per element
+(``recursive_canonical_word``), the pair poset by testing every pair of
+the group, its JSON document as a dict-of-dicts through ``json.dumps``
+(``dict_strata_json``), scalar sums and products
 by the general loops and an uncached gcd on every product, subspace
 meets by a Zassenhaus reduction whatever the operands, closures by an
 ``rref`` on every insertion, their orthogonals as (rows, pivots) tuples
@@ -28,6 +31,7 @@ polynomial (``min_exp``) and the scalar of a product of extreme rows
 (``extreme_product_scalar``).
 """
 
+import json
 from collections import Counter, deque
 
 from qbruhat.characters import weyl_character, weyl_dim
@@ -37,6 +41,7 @@ from qbruhat.exactalg import (Laurent, ONE, RatFun, Subspace, ZERO,
                               _fr, _ratfun, coerce_scalar, dot,
                               identity_matrix, kernel, q_binomial, q_int,
                               reduce_against, rref)
+from qbruhat.strata import SCHEMA_STRATA
 from qbruhat.uqmodules import (_SEED_TABLE, _bump, _close_tensor,
                                _compose, _module_from_edges,
                                _raising_matrices, _reorder_module,
@@ -142,6 +147,44 @@ def level_scan_covers(group):
     upper = [[v.idx for v in levels.get(y.length + 1, ())
               if group.bruhat_leq(y, v)] for y in group.elements]
     return lower, upper
+
+
+def recursive_canonical_word(group, w, table=None):
+    """The lexicographically least reduced word of w: its least left
+    descent s_i, then the word of s_i w, memoised per element index in
+    ``table``."""
+    if table is None:
+        table = {}
+    if w.idx == 0:
+        return ()
+    if w.idx not in table:
+        i = next(i for i in range(group.rank) if group.left_descent(w, i))
+        table[w.idx] = (i,) + recursive_canonical_word(
+            group, group.elements[group._lmul[i][w.idx]], table)
+    return table[w.idx]
+
+
+def dict_strata_json(poset):
+    """The strata document of a DiamondPoset, built as a dict-of-dicts
+    and encoded by ``json.dumps(indent=2, sort_keys=True)``, with words
+    from the recursion and spelled out here."""
+    table = {}
+
+    def word(w):
+        letters = recursive_canonical_word(poset.group, w, table)
+        return " ".join("s%d" % (i + 1) for i in letters) or "e"
+
+    doc = {
+        "schema": SCHEMA_STRATA,
+        "type": poset.group.datum.label,
+        "anchor": word(poset.anchor) if poset.anchor is not None else None,
+        "pairs": [
+            {"y": word(y), "z": word(z), "rank": poset.stratum_rank(k)}
+            for k, (y, z) in enumerate(poset.pairs)
+        ],
+        "edges": [[i, j] for i, j in poset.hasse_edges()],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def all_pairs_filter(group, anchor=None):

@@ -1,13 +1,15 @@
 """Diamond posets of Bruhat-comparable pairs."""
 
+import hashlib
 import json
 
 import pytest
 
 from qbruhat.cartan import build_cartan
+from qbruhat.emit import json_document, strata_document
 from qbruhat.strata import DiamondPoset, build_poset, order_isomorphic
 from qbruhat.weyl import WeylGroup, format_word
-from oracles import all_pairs_filter, level_scan_covers
+from oracles import all_pairs_filter, dict_strata_json, level_scan_covers
 
 
 def brute_pairs(group):
@@ -219,6 +221,42 @@ def test_json_document(a2_group):
     first = doc["pairs"][0]
     assert set(first) >= {"y", "z", "rank"}
     assert poset.to_json() == poset.to_json()
+
+
+@pytest.mark.parametrize("label,anchor", [
+    ("A1", None), ("A2", None), ("B2", None), ("G2", None), ("A3", None),
+    ("B3", None), ("C3", None), ("A4", "s1 s2 s1"), ("D4", "s2"),
+    ("F4", "s3 s2 s1"),
+])
+def test_to_json_matches_dict_oracle(label, anchor):
+    poset = build_poset(label, anchor)
+    assert poset.to_json() == dict_strata_json(poset)
+
+
+def test_f4_document_pinned():
+    """The F4 document anchored at s1 s2 s3, as the json.dumps writer
+    gave it: 8 064 pairs, 2 768 431 bytes."""
+    poset = build_poset("F4", "s1 s2 s3")
+    text = poset.to_json()
+    assert (len(poset), len(text)) == (8064, 2768431)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "8c66fa97a474fa55c9d982501c266b18820223d3ebab461decb40e5fc975442c")
+
+
+@pytest.mark.parametrize("anchor", [None, "s1", "caf\u00e9 \"q\"\\"],
+                         ids=["null", "word", "escaped"])
+@pytest.mark.parametrize("pairs,edges", [
+    ([], []), ([(2, "e", "e")], []), ([], [(0, 1)]),
+    ([(2, "e", "s1"), (1, "s1", "s1 s2")], [(0, 1), (10, 200)]),
+], ids=["empty", "no-edges", "no-pairs", "both"])
+def test_strata_document_matches_json_dumps(anchor, pairs, edges):
+    """Empty lists, a null anchor and strings that need escaping come
+    out as json.dumps writes them."""
+    doc = {"schema": "qbruhat/strata-v1", "type": "\u00c96", "anchor": anchor,
+           "pairs": [{"y": y, "z": z, "rank": r} for r, y, z in pairs],
+           "edges": [[i, j] for i, j in edges]}
+    assert strata_document(doc["schema"], doc["type"], anchor, pairs,
+                           edges) == json_document(doc)
 
 
 def test_dot_output(a2_group):

@@ -14,7 +14,7 @@ from qbruhat.cartan import build_cartan
 from qbruhat import weyl
 from qbruhat.weyl import (WeylElem, WeylGroup, format_word, group_order,
                           parse_word)
-from oracles import fixed_lattice, level_scan_covers
+from oracles import fixed_lattice, level_scan_covers, recursive_canonical_word
 
 
 ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48, "G2": 12}
@@ -307,6 +307,46 @@ def test_cover_lists_are_built_lazily_once(monkeypatch):
     again = group.cover_lists()
     assert again[0] is lower and again[1] is upper
     assert len(calls) == len(group) - 1
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2", "A3", "B3",
+                                   "C3", "A4", "D4", "F4"])
+def test_words_match_recursion_oracle(label):
+    group = WeylGroup(build_cartan(label))
+    table = {}
+    for w in group.elements:
+        assert w.word == recursive_canonical_word(group, w, table)
+        assert group.canonical_word(w) is w.word
+
+
+def test_words_are_filled_lazily_once(monkeypatch):
+    """Construction fills no word; the first read of a word fills every
+    element's, one descent lookup per non-identity element; later reads
+    look nothing up."""
+    calls = []
+    real = WeylGroup._first_descent
+
+    def counted(self, idx):
+        calls.append(idx)
+        return real(self, idx)
+
+    monkeypatch.setattr(WeylGroup, "_first_descent", counted)
+    group = WeylGroup(build_cartan("B3"))
+    assert calls == []
+    assert group.longest.word == recursive_canonical_word(group,
+                                                          group.longest)
+    assert len(calls) == len(group) - 1
+    assert sorted(calls) == list(range(1, len(group)))
+    words = [w.word for w in group.elements]
+    assert group.canonical_word(group.gens[0]) == (0,)
+    assert len(calls) == len(group) - 1
+    assert len(set(words)) == len(group)
+
+
+def test_format_word_is_memoised_per_word():
+    assert format_word(()) == "e"
+    assert format_word((0, 2, 1)) == "s1 s3 s2"
+    assert format_word([0, 2, 1]) is format_word((0, 2, 1))
 
 
 def test_interval_empty_when_incomparable():
