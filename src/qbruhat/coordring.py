@@ -10,6 +10,9 @@ linear algebra over the exact scalars:
 * orthogonals of extreme-vector closures, the graded ideal pieces
   attached to a Weyl element and a sign;
 * truncated left ideals, used to check the q-commutation congruences;
+  the product cells they are spanned by, and the two products each
+  congruence compares, stay sparse, so no coordinate outside a cell's
+  support is multiplied or subtracted;
 * conjugation operators solving c . x = a . c past an extreme
   coefficient, their twisted eigen-decompositions, and the induced
   splitting of each weight block, whose eigenvalues are the exact
@@ -70,17 +73,20 @@ class GradedPiece:
 
     @classmethod
     def from_rows(cls, module, rows):
+        """The piece spanned by sparse rows (dicts index -> scalar), each
+        supported in one weight block."""
         per = {}
         for row in rows:
-            supp = [k for k, c in enumerate(row) if c]
-            if not supp:
+            if not row:
                 continue
-            wt = module.weights[supp[0]]
+            wt = module.weights[min(row)]
             rng = module.weight_indices(wt)
-            if supp[-1] >= rng.stop:
-                raise ValueError("row spans more than one weight block")
-            per.setdefault(wt, []).append(
-                [row[k] for k in rng])
+            dense = [ZERO] * len(rng)
+            for k, c in row.items():
+                if k not in rng:
+                    raise ValueError("row spans more than one weight block")
+                dense[k - rng.start] = c
+            per.setdefault(wt, []).append(dense)
         return cls(module, {wt: Subspace.from_vectors(len(rws[0]), rws)
                             for wt, rws in per.items()})
 
@@ -101,8 +107,13 @@ class GradedPiece:
         return sorted((wt, sub.dim) for wt, sub in self.blocks.items())
 
     def contains_row(self, row):
+        return self.contains_cell(dict(enumerate(row)))
+
+    def contains_cell(self, cell):
+        """Whether the sparse row (a dict index -> scalar) lies in the
+        piece, tested block by block."""
         per = {}
-        for k, c in enumerate(row):
+        for k, c in cell.items():
             if c:
                 per.setdefault(self.module.weights[k], []).append((k, c))
         for wt, items in per.items():
@@ -216,14 +227,6 @@ class CoordinateModel:
                 table.setdefault(pair, {})[t] = c
         return table
 
-    def product_cell(self, lam, r, mu, s):
-        """Dense product row of two dual basis rows."""
-        big = self.module(self.datum.add(lam, mu))
-        out = [ZERO] * big.dim
-        for t, c in self.pair_table(lam, mu).get((r, s), {}).items():
-            out[t] = c
-        return out
-
     def multiply(self, lam, rowa, mu, rowb):
         """Product of two dual rows, as a dense row of degree lam+mu."""
         big = self.module(self.datum.add(lam, mu))
@@ -285,6 +288,7 @@ class CoordinateModel:
         mlam = self.module(lam)
         mnu = self.module(nu)
         big = self.module(self.datum.add(nu, lam))
+        table = self.pair_table(nu, lam)
         rows = []
         for wt in mlam.block_order:
             if tuple(wt) == tuple(eta):
@@ -294,7 +298,7 @@ class CoordinateModel:
                 continue
             for s in mlam.weight_indices(wt):
                 for r in range(mnu.dim):
-                    rows.append(self.product_cell(nu, r, lam, s))
+                    rows.append(table.get((r, s), {}))
         return GradedPiece.from_rows(big, rows)
 
     # -- q-commutation ---------------------------------------------------
@@ -309,27 +313,34 @@ class CoordinateModel:
 
     def check_commutation(self, nu, mu, lam, eta):
         """Both congruences for every pair of dual basis rows with the
-        given support weights; raises with detail on the first failure."""
+        given support weights; raises with detail on the first failure.
+        The products are the sparse cells of the two product tables, each
+        difference is formed on the union of their supports, and its
+        membership is tested block by block."""
         mnu = self.module(nu)
         mlam = self.module(lam)
         e = self.commutation_exponent(lam, nu, mu, eta)
         qe = Laurent.q_power(e)
         jplus = self.left_ideal_piece(lam, eta, "+", nu)
         jminus = self.left_ideal_piece(lam, eta, "-", nu)
+        front_tbl = self.pair_table(nu, lam)
+        back_tbl = self.pair_table(lam, nu)
         for r in mnu.weight_indices(mu):
             for s in mlam.weight_indices(eta):
-                front = self.product_cell(nu, r, lam, s)
-                back = self.product_cell(lam, s, nu, r)
-                diff = [a - qe * b for a, b in zip(front, back)]
-                if not jplus.contains_row(diff):
-                    raise AssertionError(
-                        "plus congruence fails at (r=%d, s=%d), weights "
-                        "mu=%s eta=%s" % (r, s, mu, eta))
-                diff2 = [b - qe * a for a, b in zip(front, back)]
-                if not jminus.contains_row(diff2):
-                    raise AssertionError(
-                        "minus congruence fails at (r=%d, s=%d), weights "
-                        "mu=%s eta=%s" % (r, s, mu, eta))
+                front = front_tbl.get((r, s), {})
+                back = back_tbl.get((s, r), {})
+                for side, piece, a, b in (("plus", jplus, front, back),
+                                          ("minus", jminus, back, front)):
+                    # a - q^e b on the union of the two supports
+                    diff = dict(a)
+                    for t, c in b.items():
+                        x = diff.get(t)
+                        diff[t] = -(qe * c) if x is None else x - qe * c
+                    if not piece.contains_cell(diff):
+                        raise AssertionError(
+                            "%s congruence fails at (r=%d, s=%d), weights "
+                            "mu=%s eta=%s, degrees nu=%s lam=%s"
+                            % (side, r, s, mu, eta, tuple(nu), tuple(lam)))
         return True
 
     def check_extreme_relations(self, lam, nu):

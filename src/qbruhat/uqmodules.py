@@ -20,14 +20,21 @@ not depend on that choice.  The closure replays F-words on the highest
 weight vector breadth first and keeps a word exactly when it is
 independent of the earlier ones in its weight block; each block keeps
 an echelon basis whose rows carry their coordinates over the kept
-words, so ``reduce_against`` decides independence and leaves the
-coefficients of a dependent word in the residue.  A row is kept as its
-residue stands, not scaled to one at its pivot, and pivots on a
-monomial coordinate, a unit of Z[q, q^-1], when it has one, so most
-rows stay in the Laurent ring.  What it records, the kept words
-(parents) and the coefficients of each dependent word over them (fmat),
-are linear relations among F-words applied to v_lam, which hold in
-V(lam) itself, whatever tensor product or echelon basis realizes it.
+words.  While a block holds fewer words than its multiplicity in the
+Weyl character, ``reduce_against`` decides independence and leaves the
+coefficients of a dependent word in the residue.  Once it holds that
+many, every later word landing there is dependent: its image is
+computed only at the block's pivot coordinates and its coefficients
+are solved from the triangular system the rows form there
+(``_close_tensor`` has the argument, and why a wrong multiplicity
+cannot pass).  A row is kept as its residue stands, not scaled to one
+at its pivot, and pivots on a monomial coordinate, a unit of
+Z[q, q^-1], when it has one, so most rows stay in the Laurent ring.
+What it records, the kept words (parents) and the coefficients of each
+dependent word over them (fmat), are linear relations among F-words
+applied to v_lam, which hold in V(lam) itself, whatever tensor product
+or echelon basis realizes it; the coefficients are unique, so neither
+the pivots nor the way they are solved for changes them.
 
 The raising matrices are not computed in the tensor product: each basis
 vector t = F_i p gets E_j t = F_i E_j p +
@@ -379,42 +386,70 @@ def _module_from_edges(datum, lam, weights, edges):
                     _raising_matrices(datum, weights, parents, fmat))
 
 
-def _tensor_f(datum, m1, m2, i, vec):
+def _tensor_f(datum, m1, m2, i, vec, keys=None):
+    """F_i on a vector of m1 ox m2 (a dict over index pairs (r, s)); with
+    ``keys``, only the coordinates at those pairs are computed."""
     out = {}
     di = datum.d[i]
     for (r, s), c in vec.items():
         col = m1.fmat[i].get(r)
         if col:
             for r2, f in col.items():
-                _bump(out, (r2, s), c * f)
+                if keys is None or (r2, s) in keys:
+                    _bump(out, (r2, s), c * f)
         col = m2.fmat[i].get(s)
         if col:
-            kpow = di * datum.coroot_pairing(m1.weights[r], i)
-            cc = c * Laurent.q_power(kpow)
+            cc = None
             for s2, f in col.items():
-                _bump(out, (r, s2), cc * f)
+                if keys is None or (r, s2) in keys:
+                    if cc is None:
+                        kpow = di * datum.coroot_pairing(m1.weights[r], i)
+                        cc = c * Laurent.q_power(kpow)
+                    _bump(out, (r, s2), cc * f)
     return out
 
 
 def _close_tensor(datum, m1, m2, lam, expected):
+    """The lowering closure of v_lam' ox v_omega inside m1 ox m2.
+
+    A block of V(lam) at weight mu has dimension mult = mult_lam(mu),
+    read from ``weyl_character``.  Once a block has adopted mult words,
+    they span V(lam)_mu, so every later image F_i v_k landing there is
+    dependent: it is computed only at the block's pivot keys, and its
+    coefficients come from the triangular system the rows form there.
+    Row r is zero at the pivots of the rows before it, so at p_r the
+    image reads v[p_r] = sum_{r' <= r} c_r' row_r'[p_r], and c_r =
+    (v[p_r] - sum_{r' < r} c_r' row_r'[p_r]) / row_r[p_r]; the
+    coefficients are unique, so they are the ones a full reduction
+    leaves.  A block not yet full reduces each image along its whole
+    support.  A weight of multiplicity zero is a full block without
+    pivots, so no image landing there is computed at all.  A wrong
+    multiplicity cannot pass: one too high never fills
+    its block, the full reduction runs, and ``verify_module`` rejects
+    the weight multiset; one too low can skip an independent word, but
+    every block then holds at most its true dimension and one holds
+    less, so the closure falls short of ``weyl_dim`` and raises."""
     rank = datum.rank
-    # the position of each tensor key in its weight block, and per block
-    # an echelon basis of rows [v | e_j] over the vectors a_j it adopted,
+    mult = weyl_character(datum, WeylGroup.build(datum), lam).terms
+    # the tensor keys of each weight block, by position, and per block an
+    # echelon basis of rows [v | e_j] over the vectors a_j it adopted,
     # kept in adoption order
-    pos, size = {}, Counter()
+    pos, keys = {}, {}
     for r in range(m1.dim):
         for s in range(m2.dim):
-            wt = datum.add(m1.weights[r], m2.weights[s])
-            pos[r, s] = size[wt]
-            size[wt] += 1
+            blk = keys.setdefault(datum.add(m1.weights[r], m2.weights[s]), [])
+            pos[r, s] = len(blk)
+            blk.append((r, s))
     blocks = {}
+    # the pivot keys of each full block
+    full = {}
 
     def adopt(vec, wt, idx):
         """None after adopting vec as basis vector idx if it is
         independent in its block, otherwise its coefficients over the
         block's earlier vectors."""
         rows, pivots, adopted = blocks.setdefault(wt, ([], [], []))
-        n = size[wt]
+        n = len(keys[wt])
         v = [ZERO] * (2 * n)
         for key, c in vec.items():
             v[pos[key]] = c
@@ -433,7 +468,31 @@ def _close_tensor(datum, m1, m2, lam, expected):
         rows.append(v)
         pivots.append(p)
         adopted.append(idx)
+        if len(adopted) == mult.get(wt, 0):
+            full[wt] = {keys[wt][t] for t in pivots}
         return None
+
+    def solve(vec, wt):
+        """The coefficients of a dependent vec over the adopted vectors of
+        its full block, from vec's coordinates at the block's pivots."""
+        rows, pivots, adopted = blocks[wt]
+        n = len(keys[wt])
+        cs = []
+        for row, p in zip(rows, pivots):
+            x = vec.get(keys[wt][p], ZERO)
+            for c, prev in zip(cs, rows):
+                if c and prev[p]:
+                    x = x - c * prev[p]
+            if x and row[p] is not ONE:
+                x = x / row[p]
+            cs.append(x)
+        out = {}
+        for c, row in zip(cs, rows):
+            if c:
+                for j, a in enumerate(adopted):
+                    if row[n + j]:
+                        _bump(out, a, c * row[n + j])
+        return out
 
     # the product of the highest weight vectors of m1 and m2
     basis = [{(0, 0): ONE}]
@@ -445,10 +504,19 @@ def _close_tensor(datum, m1, m2, lam, expected):
     while queue:
         k = queue.popleft()
         for i in range(rank):
+            wt2 = datum.sub(wts[k], datum.simple_root(i))
+            if not mult.get(wt2):
+                # V(lam) has no weight wt2, so the image is zero
+                continue
+            if wt2 in full:
+                res = solve(_tensor_f(datum, m1, m2, i, basis[k],
+                                      full[wt2]), wt2)
+                if res:
+                    fmat[i][k] = res
+                continue
             img = _tensor_f(datum, m1, m2, i, basis[k])
             if not img:
                 continue
-            wt2 = datum.sub(wts[k], datum.simple_root(i))
             idx = len(basis)
             res = adopt(img, wt2, idx)
             if res is None:
@@ -460,8 +528,8 @@ def _close_tensor(datum, m1, m2, lam, expected):
             elif res:
                 fmat[i][k] = res
     if len(basis) != expected:
-        raise AssertionError("lowering closure reached dimension %d, "
-                             "expected %d" % (len(basis), expected))
+        raise AssertionError("lowering closure of V%s reached dimension %d, "
+                             "expected %d" % (lam, len(basis), expected))
     return _reorder_module(datum, lam, wts, parents, fmat,
                            _raising_matrices(datum, wts, parents, fmat))
 

@@ -23,7 +23,10 @@ X_i X_j and X_j X_i shared (``serre_failures``).  B2's
 vector module V(omega_1), a seed in the library, also as the closure
 from the highest-weight line of spin ox spin, the kernel of the tensor
 raising action ``_tensor_e`` on its weight block
-(``_submodule_from_highest``).
+(``_submodule_from_highest``).  The q-commutation congruences on dense
+product rows of length dim V(nu + lam), and the left-ideal pieces they
+are tested against from the same dense rows
+(``dense_check_commutation``).
 
 Three small helpers that only tests call live here too: root-lattice
 membership (``in_root_lattice``), the lowest exponent of a Laurent
@@ -384,6 +387,69 @@ def pair_piece_saturation(model, y, z, nu, bound, by="z"):
                 blocks[wt] = Subspace(len(rng), ech, piv)
         pieces.append(GradedPiece(mnu, blocks))
     return pieces
+
+
+def dense_product_cell(model, lam, r, mu, s):
+    """The product of the dual basis rows delta_r (degree lam) and
+    delta_s (degree mu) as a dense row, by ``multiply`` on unit rows."""
+    def unit(deg, k):
+        return [ONE if t == k else ZERO
+                for t in range(model.module(deg).dim)]
+    return model.multiply(lam, unit(lam, r), mu, unit(mu, s))
+
+
+def dense_left_ideal_piece(model, lam, eta, side, nu):
+    """``model.left_ideal_piece`` from dense product rows, each cut to
+    its weight block and reduced by ``Subspace.from_vectors``."""
+    datum = model.datum
+    mlam = model.module(lam)
+    nu_dim = model.module(nu).dim
+    big = model.module(datum.add(nu, lam))
+    per = {}
+    for wt in mlam.block_order:
+        below, above = (wt, eta) if side == "+" else (eta, wt)
+        if tuple(wt) == tuple(eta) or not datum.dominance_leq(below, above):
+            continue
+        for s in mlam.weight_indices(wt):
+            for r in range(nu_dim):
+                row = dense_product_cell(model, nu, r, lam, s)
+                supp = [k for k, c in enumerate(row) if c]
+                if not supp:
+                    continue
+                rng = big.weight_indices(big.weights[supp[0]])
+                if supp[-1] >= rng.stop:
+                    raise AssertionError("product spans two weight blocks")
+                per.setdefault(big.weights[supp[0]], []).append(
+                    [row[k] for k in rng])
+    return GradedPiece(big, {wt: Subspace.from_vectors(len(rws[0]), rws)
+                             for wt, rws in per.items()})
+
+
+def dense_check_commutation(model, nu, mu, lam, eta):
+    """``model.check_commutation`` on dense rows: both products as rows
+    of length dim V(nu + lam), subtracted entry by entry, and tested
+    against the dense left-ideal pieces; raises the library's text."""
+    e = model.commutation_exponent(lam, nu, mu, eta)
+    qe = Laurent.q_power(e)
+    jplus = dense_left_ideal_piece(model, lam, eta, "+", nu)
+    jminus = dense_left_ideal_piece(model, lam, eta, "-", nu)
+    for r in model.module(nu).weight_indices(mu):
+        for s in model.module(lam).weight_indices(eta):
+            front = dense_product_cell(model, nu, r, lam, s)
+            back = dense_product_cell(model, lam, s, nu, r)
+            diff = [a - qe * b for a, b in zip(front, back)]
+            if not jplus.contains_row(diff):
+                raise AssertionError(
+                    "plus congruence fails at (r=%d, s=%d), weights "
+                    "mu=%s eta=%s, degrees nu=%s lam=%s"
+                    % (r, s, mu, eta, tuple(nu), tuple(lam)))
+            diff2 = [b - qe * a for a, b in zip(front, back)]
+            if not jminus.contains_row(diff2):
+                raise AssertionError(
+                    "minus congruence fails at (r=%d, s=%d), weights "
+                    "mu=%s eta=%s, degrees nu=%s lam=%s"
+                    % (r, s, mu, eta, tuple(nu), tuple(lam)))
+    return True
 
 
 def first_pivot_close_tensor(datum, m1, m2, seed, lam, expected):

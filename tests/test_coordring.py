@@ -11,7 +11,8 @@ from qbruhat.coordring import (CoordinateModel, EigenvalueError,
                                SufficiencyError)
 from qbruhat.exactalg import ONE, ZERO, Laurent, Subspace, kernel, mat_mul
 from qbruhat.uqmodules import ModuleScopeError
-from oracles import (extreme_product_scalar, pair_piece_saturation,
+from oracles import (dense_check_commutation, dense_left_ideal_piece,
+                     extreme_product_scalar, pair_piece_saturation,
                      tuple_demazure_orth)
 from test_acceptance import brute_cone_count, bruhat_pairs, eta_sweep
 
@@ -78,6 +79,48 @@ class TestCommutation:
             for eta in list(ms.block_order)[:2]:
                 assert b2_model.check_commutation((1, 0), mu, (0, 1), eta)
 
+    def test_dense_oracle_holds_on_the_a2_grid(self, a2_model):
+        """The dense congruences, left-ideal pieces included, hold for
+        every degree pair nu, lam <= (1, 1), and each sparse left-ideal
+        piece equals its dense one."""
+        degrees = list(itertools.product(range(2), repeat=2))
+        for nu, lam in itertools.product(degrees, repeat=2):
+            for eta in a2_model.module(lam).block_order:
+                for side in "+-":
+                    assert a2_model.left_ideal_piece(lam, eta, side, nu) == \
+                        dense_left_ideal_piece(a2_model, lam, eta, side, nu)
+                for mu in a2_model.module(nu).block_order:
+                    assert dense_check_commutation(a2_model, nu, mu, lam, eta)
+                    assert a2_model.check_commutation(nu, mu, lam, eta)
+
+    def test_dense_oracle_holds_on_a_b2_cell(self, b2_model):
+        nu, mu, lam, eta = (0, 1), (1, -1), (1, 0), (0, 0)
+        assert dense_check_commutation(b2_model, nu, mu, lam, eta)
+        assert b2_model.check_commutation(nu, mu, lam, eta)
+
+    @pytest.mark.parametrize("key,side", [((0, 0), "plus"),
+                                          ((0, 2), "minus")])
+    def test_spoiled_cell_fails_with_the_oracle_text(self, key, side):
+        """One product cell of a fresh model, raised by one, breaks a
+        congruence; the library and the dense oracle name the same side,
+        rows, weights and degrees."""
+        model = CoordinateModel("A2")
+        nu, lam = (1, 0), (0, 1)
+        cell = model.pair_table(lam, nu)[key]
+        t = min(cell)
+        cell[t] = cell[t] + ONE
+        s, r = key
+        args = (nu, model.module(nu).weights[r], lam,
+                model.module(lam).weights[s])
+        with pytest.raises(AssertionError) as lib:
+            model.check_commutation(*args)
+        with pytest.raises(AssertionError) as dense:
+            dense_check_commutation(model, *args)
+        assert str(lib.value) == str(dense.value)
+        assert str(lib.value).startswith(
+            "%s congruence fails at (r=%d, s=%d)" % (side, r, s))
+        assert str(lib.value).endswith(", degrees nu=(1, 0) lam=(0, 1)")
+
     def test_exponent_integrality_guard(self, b2_model):
         # spinor-spinor pairings stay integral even though the form has
         # half-integral values on single fundamental weights
@@ -135,7 +178,7 @@ class TestIdealPieces:
         for k in range(m.dim):
             if m.weights[k] in holes:
                 continue
-            rows.append([ONE if j == k else ZERO for j in range(m.dim)])
+            rows.append({k: ONE})
         piece = GradedPiece.from_rows(m, rows)
         support, maximal, minimal = a2_model.support_extremes(piece)
         assert set(support) == holes

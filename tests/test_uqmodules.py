@@ -734,16 +734,51 @@ def test_built_modules_satisfy_the_serre_relations(label):
         assert oracles.serre_failures(bad)
 
 
+# modules whose closures fill blocks of dimension 2, 3 and 4 and then
+# solve many dependent words on their pivots
+_FULL_BLOCKS = {"B2": [(3, 1), (1, 3)]}
+
+
 @pytest.mark.parametrize("label", sorted(_DIGEST_RANGES))
 def test_unit_pivots_match_first_pivot_oracle(label):
     """Rows pivoting on a monomial give the same modules as rows
     pivoting on their first nonzero coordinate: fmat holds the unique
-    coefficients of a dependent word over the adopted ones."""
+    coefficients of a dependent word over the adopted ones.  The oracle
+    reduces every word in full, full blocks included."""
     datum = build_cartan(label)
     group = WeylGroup.build(datum)
-    for lam in _DIGEST_RANGES[label]:
+    for lam in _DIGEST_RANGES[label] + _FULL_BLOCKS.get(label, []):
         built = module_of(label, lam)  # caches every smaller module first
         with mock.patch.object(uqmodules, "_close_tensor",
                                from_highest_pair(first_pivot_close_tensor)):
             oracle = uqmodules._build_irrep_inner(datum, group, lam)
         assert module_strings(built) == module_strings(oracle), lam
+
+
+@pytest.mark.parametrize("wt", [(1, 0), (0, 2)])
+@pytest.mark.parametrize("delta,message", [
+    (1, r"weight multiset mismatch for \(2, 1\)"),
+    (-1, r"lowering closure of V\(2, 1\) reached dimension \d+, "
+         r"expected 15")])
+def test_wrong_multiplicity_never_builds_a_module(wt, delta, message):
+    """A character that reports one multiplicity of A2 (2, 1) one too
+    high or one too low makes the build raise: a block that never fills
+    runs the full reduction and fails the weight multiset, and a block
+    filled early skips an independent word and fails the dimension.
+    The memoised build's own body is called, so a module an earlier test
+    cached cannot answer."""
+    datum = build_cartan("A2")
+    lam = (2, 1)
+    real = uqmodules.weyl_character
+
+    def spoiled(d, g, top):
+        char = real(d, g, top)
+        if tuple(top) != lam:
+            return char
+        terms = dict(char.terms)
+        terms[wt] += delta
+        return type(char)(d, terms)
+
+    with mock.patch.object(uqmodules, "weyl_character", spoiled):
+        with pytest.raises(AssertionError, match=message):
+            uqmodules.build_irrep.__wrapped__(datum, lam)
