@@ -1,4 +1,12 @@
-"""Self-check suites runnable from the command line.
+"""Self-check suites runnable from the command line, and the paper's
+checks they share with the acceptance criteria.
+
+Each paper check is one function of what its statement is about: a
+model or a group, the degrees and the bound.  It raises
+``AssertionError`` naming the pair, block or degree where it fails and
+returns the counts a suite's detail text needs.  The suites below and
+the acceptance criteria of the test suite call the same functions, each
+with its own arguments.
 
 Each suite is a list of named checks over frozen, hand-checkable data.
 The anchor names are stable identifiers meant for scripting against;
@@ -32,41 +40,40 @@ class CheckResult:
         return out
 
 
-def _check(name, fn):
+def _check(name, fn, detail):
+    """Run one check; on success ``detail`` is filled in, by
+    ``str.format``, with the count or the tuple of counts ``fn``
+    returns."""
     try:
-        detail = fn()
-        return CheckResult(name, True, detail or "")
+        result = fn()
     except Exception as err:  # noqa: BLE001 - report, do not crash the run
         return CheckResult(name, False, "%s: %s" % (type(err).__name__, err))
+    counts = result if isinstance(result, tuple) else (result,)
+    return CheckResult(name, True, detail.format(*counts))
 
 
-def suite_scalars():
-    def canonical_division():
-        q = Laurent.q_power(1)
-        a = (q ** 3 - ONE) / (q - ONE)
-        if format_scalar(a) != "1 + q + q^2":
-            raise AssertionError(format_scalar(a))
-        b = ONE / (q + ONE)
-        if parse_laurent("1 + q") * b != ONE:
-            raise AssertionError("division does not invert")
-        return "geometric quotient and rational inverse"
-
-    def binomial_symmetry():
-        for n in range(8):
-            for k in range(n + 1):
-                if q_binomial(n, k) != q_binomial(n, n - k):
-                    raise AssertionError((n, k))
-        return "q-binomials symmetric up to n=7"
-
-    return [_check("scalars-canonical-division", canonical_division),
-            _check("scalars-binomial-symmetry", binomial_symmetry)]
+def _pair(y, z, nu):
+    return "pair (%s, %s) at degree %s" % (format_word(y.word),
+                                           format_word(z.word), tuple(nu))
 
 
-def _reflection_lengths(group):
-    """Reflection length of each element by breadth-first search from e
-    over the reflections, checked against ``group.reflection_length``,
-    which Carter's theorem reads off the fixed lattice instead."""
-    refl = group.reflections()
+# -- independent oracles ----------------------------------------------------
+
+
+def _reflections(group):
+    """The reflections as the conjugates w s_i w^-1 of the simple ones."""
+    return [group.element(k) for k in sorted(
+        {(w * s * w.inverse()).idx for w in group.elements
+         for s in group.gens})]
+
+
+def reflection_lengths(group):
+    """Reflection length of each element, {idx: length}, by breadth-first
+    search from e over the reflections, checked against
+    ``group.reflection_length``.  The search never calls
+    ``reflection_length`` nor the fixed-lattice rank that Carter's
+    theorem reads it off."""
+    refl = _reflections(group)
     dist = {group.identity.idx: 0}
     frontier = [group.identity]
     while frontier:
@@ -80,9 +87,245 @@ def _reflection_lengths(group):
         frontier = nxt
     for w in group.elements:
         if group.reflection_length(w) != dist.get(w.idx):
-            raise AssertionError((group.datum.label, w.word,
-                                  "reflection length"))
+            raise AssertionError("reflection length of %s in %s"
+                                 % (format_word(w.word), group.datum.label))
     return dist
+
+
+def check_bruhat_chains(group):
+    """Bruhat order as the reflexive, transitive closure of w < w t for
+    the reflections t that raise the length, compared with
+    ``group.bruhat_leq`` on every pair.  The chains never call
+    ``bruhat_leq``."""
+    refl = _reflections(group)
+    for y in group.elements:
+        reach = {y}
+        frontier = [y]
+        while frontier:
+            nxt = []
+            for w in frontier:
+                for t in refl:
+                    wt = w * t
+                    if wt.length > w.length and wt not in reach:
+                        reach.add(wt)
+                        nxt.append(wt)
+            frontier = nxt
+        for z in group.elements:
+            if group.bruhat_leq(y, z) != (z in reach):
+                raise AssertionError("Bruhat order of %s and %s in %s"
+                                     % (format_word(y.word),
+                                        format_word(z.word),
+                                        group.datum.label))
+
+
+# -- the paper's checks -----------------------------------------------------
+
+
+SL3_DEGREES = [(1, 0), (0, 1), (1, 1)]
+
+
+def check_sl3_pieces(model):
+    """The worked rank-two example: the minus piece of s1 and the plus
+    piece of s1 s2 in degrees omega_1, omega_2 and rho have dimensions
+    1, 0, 3 and the weights the paper diagrams."""
+    group = model.group
+    expect = [
+        (group.parse("s1"), "-",
+         [[((1, 0), 1)], [], [((0, 0), 1), ((1, 1), 1), ((2, -1), 1)]]),
+        (group.parse("s1 s2"), "+",
+         [[((0, -1), 1)], [], [((-1, -1), 1), ((0, 0), 1), ((1, -2), 1)]]),
+    ]
+    for w, sign, weights in expect:
+        got = [model.demazure_orth(w, sign, lam).weight_dims()
+               for lam in SL3_DEGREES]
+        if got != weights:
+            raise AssertionError("%s-piece of %s has weights %s"
+                                 % (sign, format_word(w.word), got))
+
+
+def check_sl3_product(model):
+    """The product of the short extreme coefficients of s1 and s2 lies
+    in the zero-weight block of degree rho, in the plane spanned by the
+    zero lines of the two pieces of the pair (s1, s1 s2)."""
+    group = model.group
+    s1, s2, s12 = (group.parse(w) for w in ("s1", "s2", "s1 s2"))
+    wa, wb, rho = (1, 0), (0, 1), (1, 1)
+    prod = model.multiply(wa, model.extreme_row(wa, s1),
+                          wb, model.extreme_row(wb, s2))
+    if not any(prod):
+        raise AssertionError("product vanished")
+    rng = model.module(rho).weight_indices((0, 0))
+    if any(c for k, c in enumerate(prod) if c and k not in rng):
+        raise AssertionError("support beyond the zero-weight block")
+    if model.demazure_orth(s1, "-", rho).block_dim((0, 0)) != 1:
+        raise AssertionError("minus piece should give one zero line")
+    if model.demazure_orth(s12, "+", rho).block_dim((0, 0)) != 1:
+        raise AssertionError("plus piece should give one zero line")
+    pair = model.pair_piece(s1, s12, rho)
+    if pair.block_dim((0, 0)) != 2:
+        raise AssertionError("the two zero lines should be independent")
+    if not pair.contains_row(prod):
+        raise AssertionError("product escapes the raw pair piece")
+
+
+def check_sl3_saturation(model):
+    """The long extreme coefficient of s2 is missed by the raw piece of
+    (s1, s1 s2) at its own degree omega_2 and recovered by saturating,
+    from either anchor: one step gives the line, the second confirms."""
+    group = model.group
+    s1, s2, s12 = (group.parse(w) for w in ("s1", "s2", "s1 s2"))
+    wb = (0, 1)
+    row = model.extreme_row(wb, s2)
+    if model.pair_piece(s1, s12, wb).dim != 0:
+        raise AssertionError("raw sum at this degree should vanish")
+    for by in ("y", "z"):
+        sat = model.saturation(s1, s12, wb, 2, by=by)
+        if not sat.stabilized:
+            raise AssertionError("saturation by %s did not stabilize" % by)
+        if sat.dims[0] != 0 or sat.final.dim != 1:
+            raise AssertionError("saturation by %s has dims %s"
+                                 % (by, sat.dims))
+        if not sat.final.contains_row(row):
+            raise AssertionError("anchor %s misses the extreme row" % by)
+
+
+def check_commutation_grid(model, degrees):
+    """Both q-commutation congruences for every pair of weight lines of
+    every pair of degrees; returns the number of weight-line pairs."""
+    lines = 0
+    for nu in degrees:
+        for lam in degrees:
+            for mu in model.module(nu).block_order:
+                for eta in model.module(lam).block_order:
+                    model.check_commutation(nu, mu, lam, eta)
+                    lines += 1
+    return lines
+
+
+def check_extreme_relations_grid(model, lams, nus):
+    """Exact commutation of every row of each degree lam past the highest
+    and lowest extreme rows of each degree nu."""
+    for lam in lams:
+        for nu in nus:
+            model.check_extreme_relations(lam, nu)
+
+
+def check_stratum_indexing(model, degrees, bound):
+    """Each pair y <= z is recovered from its saturated piece: the chain
+    stabilizes within ``bound`` steps, the dominance-maximal and minimal
+    support weights are y(nu) and z(nu) alone, and ``stratum_of`` returns
+    elements with those weights.  No extreme row of the interval [y, z]
+    lies in the piece, and at a regular degree (every coordinate of nu
+    positive) every other one does.  Returns the number of pairs."""
+    group = model.group
+    pairs = DiamondPoset(group).pairs
+    for nu in degrees:
+        regular = all(c > 0 for c in nu)
+        for y, z in pairs:
+            sat = model.saturation(y, z, nu, bound)
+            if not sat.stabilized:
+                raise AssertionError("saturation of %s did not stabilize"
+                                     % _pair(y, z, nu))
+            _, maximal, minimal = model.support_extremes(sat.final)
+            if maximal != [y.act(nu)] or minimal != [z.act(nu)]:
+                raise AssertionError("support extremes of %s are max %s, "
+                                     "min %s" % (_pair(y, z, nu), maximal,
+                                                 minimal))
+            wy, wz, _ = model.stratum_of(y, z, nu, bound=bound)
+            if wy.act(nu) != y.act(nu) or wz.act(nu) != z.act(nu):
+                raise AssertionError("%s recovered as (%s, %s)"
+                                     % (_pair(y, z, nu), format_word(wy.word),
+                                        format_word(wz.word)))
+            for w in group.sorted_elements():
+                inside = group.bruhat_leq(y, w) and group.bruhat_leq(w, z)
+                has = sat.final.contains_row(model.extreme_row(nu, w))
+                if has == inside and (inside or regular):
+                    raise AssertionError(
+                        "extreme row of %s %s the piece of %s"
+                        % (format_word(w.word),
+                           "lies in" if has else "is missing from",
+                           _pair(y, z, nu)))
+    return len(pairs)
+
+
+def check_stratum_ranks(group, full_rank):
+    """The stratum of each pair (y, z) has rank dim fix(y^-1 z), which is
+    the rank minus the reflection length of y^-1 z; the stratum of the
+    full interval (e, w0) has rank ``full_rank``."""
+    poset = DiamondPoset(group)
+    if poset.stratum_rank(poset.index(group.identity,
+                                      group.longest)) != full_rank:
+        raise AssertionError("full interval of %s" % group.datum.label)
+    dist = reflection_lengths(group)
+    for i, (y, z) in enumerate(poset.pairs):
+        u = y.inverse() * z
+        rank = poset.stratum_rank(i)
+        if rank != group.fixed_space_rank(u) or \
+                rank != group.rank - dist[u.idx]:
+            raise AssertionError("stratum (%s, %s) of %s has rank %d"
+                                 % (format_word(y.word), format_word(z.word),
+                                    group.datum.label, rank))
+
+
+def check_centre_tables():
+    """Centre dimensions cell by cell: A2's whole table, and in B2 the
+    two extreme cells at 2 with every other cell below."""
+    dims = {format_word(w.word): data.dim for w, data in centre_table("A2")}
+    if dims != {"e": 1, "s1": 0, "s2": 0, "s1 s2": 0, "s2 s1": 0,
+                "s1 s2 s1": 1}:
+        raise AssertionError("A2 centre dimensions %s" % dims)
+    dims = {format_word(w.word): data.dim for w, data in centre_table("B2")}
+    extremes = ("e", "s1 s2 s1 s2")
+    if [dims[w] for w in extremes] != [2, 2] or \
+            any(d >= 2 for w, d in dims.items() if w not in extremes):
+        raise AssertionError("B2 centre dimensions %s" % dims)
+
+
+def check_distinguishing_scan(labels):
+    """The centre dimension separates the two extreme cells in each
+    type; returns the number of types scanned."""
+    report = distinguishing_scan(labels)
+    if [r["type"] for r in report] != list(labels):
+        raise AssertionError("scan reported %s"
+                             % [r["type"] for r in report])
+    return len(report)
+
+
+def check_walk_exponent(label, grid):
+    """The paired extreme rows of each degree nu pick up no net q-power
+    past a coefficient with weights (lam, mu), for every (nu, lam, mu) of
+    the grid."""
+    datum = build_cartan(label)
+    group = WeylGroup.build(datum)
+    for nu, lam, mu in grid:
+        if centrality_exponent(datum, group, nu, lam, mu)[2] != 0:
+            raise AssertionError("walk exponent of %s at nu=%s, lam=%s, "
+                                 "mu=%s" % (label, nu, lam, mu))
+
+
+# -- suites -----------------------------------------------------------------
+
+
+def suite_scalars():
+    def canonical_division():
+        q = Laurent.q_power(1)
+        a = (q ** 3 - ONE) / (q - ONE)
+        if format_scalar(a) != "1 + q + q^2":
+            raise AssertionError(format_scalar(a))
+        b = ONE / (q + ONE)
+        if parse_laurent("1 + q") * b != ONE:
+            raise AssertionError("division does not invert")
+
+    def binomial_symmetry():
+        for n in range(8):
+            for k in range(n + 1):
+                if q_binomial(n, k) != q_binomial(n, n - k):
+                    raise AssertionError((n, k))
+
+    return [_check("scalars-canonical-division", canonical_division,
+                   "geometric quotient and rational inverse"),
+            _check("scalars-binomial-symmetry", binomial_symmetry,
+                   "q-binomials symmetric up to n=7")]
 
 
 def suite_weyl():
@@ -92,36 +335,18 @@ def suite_weyl():
             group = WeylGroup.build(label)
             if len(group) != order:
                 raise AssertionError(label)
-            dist = _reflection_lengths(group)
-            for w in group.elements:
-                if group.fixed_space_rank(w) + dist[w.idx] != group.rank:
-                    raise AssertionError((label, w.word))
-        return "orders and rank splits for A1-A3, B2, B3, G2"
+            # reflection_length is the rank minus the fixed-space rank
+            reflection_lengths(group)
 
-    def bruhat_reflection_oracle():
+    def bruhat_two_ways():
         for label in ("A2", "B2"):
-            group = WeylGroup.build(label)
-            reach = {(w.idx, w.idx) for w in group.elements}
-            refl = group.reflections()
-            grew = True
-            while grew:
-                grew = False
-                for (a, b) in list(reach):
-                    wb = group.element(b)
-                    for t in refl:
-                        nxt = group.multiply(wb, t)
-                        if nxt.length > wb.length and (a, nxt.idx) not in reach:
-                            reach.add((a, nxt.idx))
-                            grew = True
-            for y in group.elements:
-                for z in group.elements:
-                    if group.bruhat_leq(y, z) != ((y.idx, z.idx) in reach):
-                        raise AssertionError((label, y.word, z.word))
-        return ("descent-recursion order equals reflection-chain order "
-                "on A2, B2")
+            check_bruhat_chains(WeylGroup.build(label))
 
-    return [_check("weyl-orders-and-rank-split", orders),
-            _check("weyl-bruhat-two-ways", bruhat_reflection_oracle)]
+    return [_check("weyl-orders-and-rank-split", orders,
+                   "orders and rank splits for A1-A3, B2, B3, G2"),
+            _check("weyl-bruhat-two-ways", bruhat_two_ways,
+                   "descent-recursion order equals reflection-chain order "
+                   "on A2, B2")]
 
 
 def suite_characters():
@@ -132,7 +357,6 @@ def suite_characters():
             if weyl_character(datum, group, lam).mass() != weyl_dim(datum,
                                                                     lam):
                 raise AssertionError(lam)
-        return "character mass equals product-formula dimension"
 
     def demazure_chain():
         datum = build_cartan("A2")
@@ -141,7 +365,6 @@ def suite_characters():
                         for w in group.elements)
         if masses != [1, 2, 2, 5, 5, 8]:
             raise AssertionError(masses)
-        return "adjoint Demazure masses 1,2,2,5,5,8"
 
     def cell_coefficients():
         group = WeylGroup.build("A2")
@@ -150,11 +373,13 @@ def suite_characters():
         target = datum.neg(datum.root_to_fund((1, 1)))
         if ch.coefficient(target) != 2:
             raise AssertionError(ch.coefficient(target))
-        return "negative-cone count at depth 6"
 
-    return [_check("characters-dim-formula", dims),
-            _check("characters-demazure-masses", demazure_chain),
-            _check("characters-cell-count", cell_coefficients)]
+    return [_check("characters-dim-formula", dims,
+                   "character mass equals product-formula dimension"),
+            _check("characters-demazure-masses", demazure_chain,
+                   "adjoint Demazure masses 1,2,2,5,5,8"),
+            _check("characters-cell-count", cell_coefficients,
+                   "negative-cone count at depth 6")]
 
 
 def suite_modules():
@@ -165,7 +390,6 @@ def suite_modules():
             dims.append(build_irrep(datum, lam).dim)
         if dims != [3, 8, 16]:
             raise AssertionError(dims)
-        return "verified builds of dimensions 3, 8, 16"
 
     def string_identity():
         datum = build_cartan("A2")
@@ -178,227 +402,94 @@ def suite_modules():
                 phi, eps = string_counts(module, row, i)
                 if eps - phi != datum.coroot_pairing(mu, i):
                     raise AssertionError((w.word, i))
-        return "string difference equals the coroot pairing"
 
-    return [_check("modules-verified-builds", constructions),
-            _check("modules-string-identity", string_identity)]
+    return [_check("modules-verified-builds", constructions,
+                   "verified builds of dimensions 3, 8, 16"),
+            _check("modules-string-identity", string_identity,
+                   "string difference equals the coroot pairing")]
 
 
 def suite_ideals():
-    def adjoint_pieces():
-        model = CoordinateModel.get("A2")
-        s1 = model.group.gens[0]
-        s12 = model.group.gens[0] * model.group.gens[1]
-        left = model.demazure_orth(s1, "-", (1, 1))
-        right = model.demazure_orth(s12, "+", (1, 1))
-        if sorted(wt for wt, _ in left.weight_dims()) != [(0, 0), (1, 1),
-                                                          (2, -1)]:
-            raise AssertionError(left.weight_dims())
-        if sorted(wt for wt, _ in right.weight_dims()) != [(-1, -1), (0, 0),
-                                                           (1, -2)]:
-            raise AssertionError(right.weight_dims())
-        return "adjoint piece supports for the worked pair"
-
-    def commutation():
-        model = CoordinateModel.get("A2")
-        for nu in [(1, 0), (0, 1)]:
-            for lam in [(1, 0), (0, 1)]:
-                for mu in model.module(nu).block_order:
-                    for eta in model.module(lam).block_order:
-                        model.check_commutation(nu, mu, lam, eta)
-        return "both congruences over the fundamental degrees"
-
-    def extreme_relations():
-        model = CoordinateModel.get("A2")
-        for lam in [(1, 0), (0, 1), (1, 1)]:
-            for nu in [(1, 0), (0, 1)]:
-                model.check_extreme_relations(lam, nu)
-        return "exact relations past the top and bottom rows"
-
-    return [_check("ideals-adjoint-pieces", adjoint_pieces),
-            _check("ideals-commutation", commutation),
-            _check("ideals-extreme-relations", extreme_relations)]
+    model = CoordinateModel.get("A2")
+    fundamental = [(1, 0), (0, 1)]
+    return [_check("ideals-adjoint-pieces", lambda: check_sl3_pieces(model),
+                   "adjoint piece supports for the worked pair"),
+            _check("ideals-commutation",
+                   lambda: check_commutation_grid(model, fundamental),
+                   "both congruences over the fundamental degrees"),
+            _check("ideals-extreme-relations",
+                   lambda: check_extreme_relations_grid(model, SL3_DEGREES,
+                                                        fundamental),
+                   "exact relations past the top and bottom rows")]
 
 
 def suite_strata():
-    def recovery():
-        model = CoordinateModel.get("A2")
-        poset = DiamondPoset(model.group)
-        for (y, z) in poset.pairs:
-            for nu in [(1, 0), (0, 1)]:
-                wy, wz, sat = model.stratum_of(y, z, nu, bound=2)
-                if wy.act(nu) != y.act(nu) or wz.act(nu) != z.act(nu):
-                    raise AssertionError((y.word, z.word, nu))
-                if not sat.stabilized:
-                    raise AssertionError(("unstable", y.word, z.word, nu))
-        return "all 19 pairs recovered at the fundamental degrees"
+    model = CoordinateModel.get("A2")
 
     def ranks():
         for label, full_rank in [("A2", 1), ("B2", 0)]:
-            group = WeylGroup.build(build_cartan(label))
-            poset = DiamondPoset(group)
-            e = group.identity
-            w0 = group.longest
-            if poset.stratum_rank(poset.index(e, w0)) != full_rank:
-                raise AssertionError((label, "full interval"))
-            if poset.stratum_rank(poset.index(e, e)) != group.rank:
-                raise AssertionError((label, "point interval"))
-            dist = _reflection_lengths(group)
-            for i, (y, z) in enumerate(poset.pairs):
-                u = y.inverse() * z
-                if poset.stratum_rank(i) != group.rank - dist[u.idx]:
-                    raise AssertionError((label, y.word, z.word))
-        return "fixed-lattice rank matches rank minus reflection length"
+            check_stratum_ranks(WeylGroup.build(label), full_rank)
 
-    return [_check("strata-pair-recovery", recovery),
-            _check("strata-rank-extremes", ranks)]
+    return [_check("strata-pair-recovery",
+                   lambda: check_stratum_indexing(model, [(1, 0), (0, 1)],
+                                                  2),
+                   "all {} pairs recovered at the fundamental degrees"),
+            _check("strata-rank-extremes", ranks,
+                   "fixed-lattice rank matches rank minus reflection "
+                   "length")]
 
 
 def suite_centre():
-    def tables():
-        dims = {format_word(w.word): data.dim
-                for w, data in centre_table("A2")}
-        if dims != {"e": 1, "s1": 0, "s2": 0, "s1 s2": 0, "s2 s1": 0,
-                    "s1 s2 s1": 1}:
-            raise AssertionError(dims)
-        dims = {format_word(w.word): data.dim
-                for w, data in centre_table("B2")}
-        if dims["e"] != 2 or dims["s1 s2 s1 s2"] != 2:
-            raise AssertionError(dims)
-        return "A2 and B2 tables as expected"
-
-    def scan():
-        report = distinguishing_scan()
-        return "extremes separated in %d types" % len(report)
-
-    def exponent():
-        datum = build_cartan("B2")
-        group = WeylGroup.build(datum)
-        for nu in [(1, 0), (0, 1), (2, 1)]:
-            for lam in [(1, 0), (1, 1)]:
-                for shift in [(-1, 0), (0, -1), (-1, -1)]:
-                    mu = datum.add(lam, datum.root_to_fund(shift))
-                    _, _, total = centrality_exponent(datum, group, nu,
-                                                      lam, mu)
-                    if total != 0:
-                        raise AssertionError((nu, lam, mu))
-        return "walk exponent vanishes on the sample grid"
-
-    return [_check("centre-dimension-tables", tables),
-            _check("centre-distinguishing-scan", scan),
-            _check("centre-walk-exponent", exponent)]
+    datum = build_cartan("B2")
+    grid = [(nu, lam, datum.add(lam, datum.root_to_fund(shift)))
+            for nu in [(1, 0), (0, 1), (2, 1)]
+            for lam in [(1, 0), (1, 1)]
+            for shift in [(-1, 0), (0, -1), (-1, -1)]]
+    return [_check("centre-dimension-tables", check_centre_tables,
+                   "A2 and B2 tables as expected"),
+            _check("centre-distinguishing-scan",
+                   lambda: check_distinguishing_scan(
+                       ("A1", "A2", "A3", "B2", "B3")),
+                   "extremes separated in {} types"),
+            _check("centre-walk-exponent",
+                   lambda: check_walk_exponent("B2", grid),
+                   "walk exponent vanishes on the sample grid")]
 
 
 def suite_example_sl3():
-    def pieces():
-        model = CoordinateModel.get("A2")
-        group = model.group
-        s1 = group.parse("s1")
-        s12 = group.parse("s1 s2")
-        degrees = [(1, 0), (0, 1), (1, 1)]
-        minus = [model.demazure_orth(s1, "-", lam) for lam in degrees]
-        plus = [model.demazure_orth(s12, "+", lam) for lam in degrees]
-        if [p.dim for p in minus] != [1, 0, 3]:
-            raise AssertionError([p.dim for p in minus])
-        if [p.dim for p in plus] != [1, 0, 3]:
-            raise AssertionError([p.dim for p in plus])
-        if minus[0].weight_dims() != [((1, 0), 1)]:
-            raise AssertionError(minus[0].weight_dims())
-        if plus[0].weight_dims() != [((0, -1), 1)]:
-            raise AssertionError(plus[0].weight_dims())
-        if minus[2].weight_dims() != [((0, 0), 1), ((1, 1), 1),
-                                      ((2, -1), 1)]:
-            raise AssertionError(minus[2].weight_dims())
-        if plus[2].weight_dims() != [((-1, -1), 1), ((0, 0), 1),
-                                     ((1, -2), 1)]:
-            raise AssertionError(plus[2].weight_dims())
-        return "piece dims (1, 0, 3) twice, with the diagrammed weights"
-
-    def product_membership():
-        model = CoordinateModel.get("A2")
-        group = model.group
-        s1 = group.parse("s1")
-        s2 = group.parse("s2")
-        s12 = group.parse("s1 s2")
-        wa, wb, rho = (1, 0), (0, 1), (1, 1)
-        prod = model.multiply(wa, model.extreme_row(wa, s1),
-                              wb, model.extreme_row(wb, s2))
-        if not any(prod):
-            raise AssertionError("product vanished")
-        module = model.module(rho)
-        rng = module.weight_indices((0, 0))
-        if any(c for k, c in enumerate(prod)
-               if c and not rng.start <= k < rng.stop):
-            raise AssertionError("support beyond the zero-weight block")
-        pair = model.pair_piece(s1, s12, rho)
-        if model.demazure_orth(s1, "-", rho).block_dim((0, 0)) != 1:
-            raise AssertionError("minus piece should give one zero line")
-        if model.demazure_orth(s12, "+", rho).block_dim((0, 0)) != 1:
-            raise AssertionError("plus piece should give one zero line")
-        if pair.block_dim((0, 0)) != 2:
-            raise AssertionError("the two zero lines should be independent")
-        if not pair.contains_row(prod):
-            raise AssertionError("product escapes the raw pair piece")
-        return "the mixed product lies in the span of the two zero lines"
-
-    def saturation_membership():
-        model = CoordinateModel.get("A2")
-        group = model.group
-        s1 = group.parse("s1")
-        s2 = group.parse("s2")
-        s12 = group.parse("s1 s2")
-        wb = (0, 1)
-        row = model.extreme_row(wb, s2)
-        raw = model.pair_piece(s1, s12, wb)
-        if raw.dim != 0:
-            raise AssertionError("raw sum at this degree should vanish")
-        for by in ("y", "z"):
-            sat = model.saturation(s1, s12, wb, 2, by=by)
-            if not sat.stabilized:
-                raise AssertionError("saturation did not stabilize")
-            if not sat.final.contains_row(row):
-                raise AssertionError("anchor %s misses the extreme row"
-                                     % by)
-            if sat.dims[0] != 0:
-                raise AssertionError(sat.dims)
-        return "saturating grows the degree where the raw sum is zero"
-
-    return [_check("example-sl3-pieces", pieces),
-            _check("example-sl3-product", product_membership),
-            _check("example-sl3-saturation", saturation_membership)]
+    model = CoordinateModel.get("A2")
+    return [_check("example-sl3-pieces", lambda: check_sl3_pieces(model),
+                   "piece dims (1, 0, 3) twice, with the diagrammed "
+                   "weights"),
+            _check("example-sl3-product", lambda: check_sl3_product(model),
+                   "the mixed product lies in the span of the two zero "
+                   "lines"),
+            _check("example-sl3-saturation",
+                   lambda: check_sl3_saturation(model),
+                   "saturating grows the degree where the raw sum is "
+                   "zero")]
 
 
 def suite_commutation_a2():
-    def full_grid():
-        model = CoordinateModel.get("A2")
-        degrees = [(1, 0), (0, 1), (1, 1)]
-        lines = 0
-        for nu in degrees:
-            for lam in degrees:
-                for mu in model.module(nu).block_order:
-                    for eta in model.module(lam).block_order:
-                        model.check_commutation(nu, mu, lam, eta)
-                        lines += 1
-        return "both congruences over %d weight-line pairs" % lines
-
-    return [_check("commutation-A2", full_grid)]
+    model = CoordinateModel.get("A2")
+    return [_check("commutation-A2",
+                   lambda: check_commutation_grid(model, SL3_DEGREES),
+                   "both congruences over {} weight-line pairs")]
 
 
 def suite_eigen_qpowers():
     def sweep():
         model = CoordinateModel.get("A2")
-        group = model.group
         blocks = 0
         spaces = 0
-        for w in group.sorted_elements():
+        for w in model.group.sorted_elements():
             for eta in model.module((1, 1)).block_order:
-                parts = model.twisted_decomposition(w, eta)
+                spaces += len(model.twisted_decomposition(w, eta))
                 blocks += 1
-                spaces += len(parts)
-        return ("%d blocks decompose into %d labelled eigenspaces"
-                % (blocks, spaces))
+        return blocks, spaces
 
-    return [_check("eigen-qpowers", sweep)]
+    return [_check("eigen-qpowers", sweep,
+                   "{} blocks decompose into {} labelled eigenspaces")]
 
 
 SUITES = {

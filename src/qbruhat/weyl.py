@@ -349,10 +349,6 @@ class WeylGroup:
         """Codimension of the fixed space (Carter's theorem)."""
         return self.rank - self.fixed_space_rank(w)
 
-    def reflections(self):
-        return [w for w in self.elements
-                if w.length > 0 and self.fixed_space_rank(w) == self.rank - 1]
-
     # -- the diagram involution -----------------------------------------
 
     def theta(self):

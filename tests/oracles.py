@@ -28,12 +28,18 @@ product rows of length dim V(nu + lam), and the left-ideal pieces they
 are tested against from the same dense rows
 (``dense_check_commutation``).
 
-Three small helpers that only tests call live here too: root-lattice
+Cone multiplicities by brute-force partition enumeration
+(``brute_cone_count``), which never calls the library's character code.
+
+Small helpers that only tests call live here too: root-lattice
 membership (``in_root_lattice``), the lowest exponent of a Laurent
-polynomial (``min_exp``) and the scalar of a product of extreme rows
-(``extreme_product_scalar``).
+polynomial (``min_exp``), the scalar of a product of extreme rows
+(``extreme_product_scalar``), the comparable pairs of a group in
+(length, word) order (``bruhat_pairs``) and the block offsets a sweep
+of small modules reaches (``eta_sweep``).
 """
 
+import itertools
 import json
 from collections import Counter, deque
 
@@ -654,3 +660,43 @@ def extreme_product_scalar(model, lam, mu, w):
         raise AssertionError("extreme product is not proportional to "
                              "the extreme row")
     return s
+
+
+def brute_cone_count(datum, target_rc, positives):
+    """Number of ways to write target_rc as a nonnegative integer
+    combination of the given positive-root coordinate vectors, by
+    enumerating the multiplicity of each root in turn; it never calls
+    the library's character or partition code."""
+    def rec(rest, k):
+        if k == len(positives):
+            return 1 if all(c == 0 for c in rest) else 0
+        root = positives[k]
+        bound = min((rest[i] // root[i] for i in range(len(rest))
+                     if root[i]), default=0)
+        total = 0
+        for m in range(int(bound) + 1):
+            total += rec(tuple(rest[i] - m * root[i]
+                               for i in range(len(rest))), k + 1)
+        return total
+
+    if any(c < 0 or c != int(c) for c in target_rc):
+        return 0
+    return rec(tuple(int(c) for c in target_rc), 0)
+
+
+def bruhat_pairs(group):
+    """The pairs y <= z, in (length, word) order of y, then of z."""
+    return [(y, z) for y in group.sorted_elements()
+            for z in group.sorted_elements() if group.bruhat_leq(y, z)]
+
+
+def eta_sweep(model, w, top=2):
+    """Every block offset of w reachable from a module with coordinates
+    at most top."""
+    etas = set()
+    for lam in itertools.product(range(top + 1), repeat=model.datum.rank):
+        mod = model.module(lam)
+        wl = w.act(lam)
+        for blk in mod.block_order:
+            etas.add(model.datum.sub(blk, wl))
+    return sorted(etas)

@@ -2,173 +2,61 @@
 
 Eleven criteria, each asserted with exact arithmetic only (integer and
 Laurent-polynomial equality, never approximation) and each reporting one
-pass/fail line through the terminal summary.  Where a criterion needs an
-independent cross-check, the oracle is implemented here from scratch:
-reflection lengths come from breadth-first search over the reflection
-Cayley graph and cone multiplicities from brute-force partition
-enumeration, so agreement is meaningful.
+pass/fail line through the terminal summary.
+
+The paper's checks that ``qbruhat verify`` also runs are functions of
+``qbruhat.verify``, written once; a criterion calls them with its own
+arguments, where the suite calls them with its own.  They are the worked
+example (criterion 01), the commutation grids and extreme relations
+(02), stratum indexing (05), centre sizes and walk exponents (09) and
+stratum ranks (10).  Criteria 05, 06 and 11 run on B2 as well as A2.
+
+The independent oracles live in ``tests/oracles.py`` (cone
+multiplicities by brute-force partition enumeration, the fixed lattice
+by an exact kernel) and in ``qbruhat.verify`` (reflection lengths by
+breadth-first search over the reflections, which the CLI needs too), so
+agreement is meaningful.
 """
 
 import itertools
 
 from qbruhat.cartan import build_cartan
-from qbruhat.centre import (centrality_exponent, centre_table,
-                            distinguishing_scan)
 from qbruhat.characters import (cell_translate_character, demazure_character,
                                 weyl_dim)
 from qbruhat.exactalg import ZERO, Laurent
 from qbruhat.strata import DiamondPoset
 from qbruhat.uqmodules import build_irrep, demazure_submodule
+from qbruhat.verify import (check_centre_tables, check_commutation_grid,
+                            check_distinguishing_scan,
+                            check_extreme_relations_grid, check_sl3_pieces,
+                            check_sl3_product, check_sl3_saturation,
+                            check_stratum_indexing, check_stratum_ranks,
+                            check_walk_exponent, reflection_lengths)
 from qbruhat.weyl import WeylGroup
-from oracles import fixed_lattice
+from oracles import brute_cone_count, bruhat_pairs, eta_sweep, fixed_lattice
 
-A2_DEGREES = [(1, 0), (0, 1), (1, 1)]
-
-
-# -- independent oracles ---------------------------------------------------
-
-
-def reflection_length_oracle(group):
-    """BFS distance from the identity in the all-reflections Cayley
-    graph, computed without the fixed-lattice shortcut."""
-    refl = [t for t in group.elements
-            if group.fixed_space_rank(t) == group.rank - 1]
-    dist = {group.identity.idx: 0}
-    frontier = [group.identity]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for w in frontier:
-            for t in refl:
-                u = w * t
-                if u.idx not in dist:
-                    dist[u.idx] = d
-                    nxt.append(u)
-        frontier = nxt
-    return dist
-
-
-def brute_cone_count(datum, target_rc, positives):
-    """Number of ways to write target_rc as a nonnegative integer
-    combination of the given positive-root coordinate vectors."""
-    def rec(rest, k):
-        if k == len(positives):
-            return 1 if all(c == 0 for c in rest) else 0
-        root = positives[k]
-        bound = min((rest[i] // root[i] for i in range(len(rest))
-                     if root[i]), default=0)
-        total = 0
-        for m in range(int(bound) + 1):
-            total += rec(tuple(rest[i] - m * root[i]
-                               for i in range(len(rest))), k + 1)
-        return total
-
-    if any(c < 0 or c != int(c) for c in target_rc):
-        return 0
-    return rec(tuple(int(c) for c in target_rc), 0)
-
-
-def eta_sweep(model, w, top=2):
-    """Every block offset of w reachable from a module with coordinates
-    at most top."""
-    etas = set()
-    for lam in itertools.product(range(top + 1), repeat=model.datum.rank):
-        mod = model.module(lam)
-        wl = w.act(lam)
-        for blk in mod.block_order:
-            etas.add(model.datum.sub(blk, wl))
-    return sorted(etas)
-
-
-def bruhat_pairs(group):
-    return [(y, z) for y in group.sorted_elements()
-            for z in group.sorted_elements() if group.bruhat_leq(y, z)]
-
-
-# -- criteria --------------------------------------------------------------
+# the fundamental degrees and rho of a rank-two type
+DEGREES = [(1, 0), (0, 1), (1, 1)]
 
 
 def test_criterion_01_rank_two_worked_example(criterion, a2_model):
     with criterion(1, "rank-two worked example reproduced exactly"):
-        g = a2_model.group
-        s1, s2 = g.gens
-        w12 = g.parse("s1 s2")
-
-        minus = {deg: a2_model.demazure_orth(s1, "-", deg)
-                 for deg in A2_DEGREES}
-        assert [minus[d].dim for d in A2_DEGREES] == [1, 0, 3]
-        assert minus[(1, 0)].weight_dims() == [((1, 0), 1)]
-        assert minus[(0, 1)].weight_dims() == []
-        assert minus[(1, 1)].weight_dims() == [((0, 0), 1), ((1, 1), 1),
-                                               ((2, -1), 1)]
-
-        plus = {deg: a2_model.demazure_orth(w12, "+", deg)
-                for deg in A2_DEGREES}
-        assert [plus[d].dim for d in A2_DEGREES] == [1, 0, 3]
-        assert plus[(1, 0)].weight_dims() == [((0, -1), 1)]
-        assert plus[(0, 1)].weight_dims() == []
-        assert plus[(1, 1)].weight_dims() == [((-1, -1), 1), ((0, 0), 1),
-                                              ((1, -2), 1)]
-
-        # the product of the two short extreme coefficients lands in the
-        # plane spanned by the zero-weight generators of the two pieces
-        prod = a2_model.multiply((1, 0), a2_model.extreme_row((1, 0), s1),
-                                 (0, 1), a2_model.extreme_row((0, 1), s2))
-        mod = a2_model.module((1, 1))
-        assert any(prod)
-        assert all(mod.weights[k] == (0, 0)
-                   for k, c in enumerate(prod) if c)
-        pair = a2_model.pair_piece(s1, w12, (1, 1))
-        assert minus[(1, 1)].block_dim((0, 0)) == 1
-        assert plus[(1, 1)].block_dim((0, 0)) == 1
-        assert pair.block_dim((0, 0)) == 2
-        assert pair.contains_row(prod)
-
-        # the long extreme coefficient is missed by the raw pair piece
-        # at its own degree and recovered by one saturation step
-        assert a2_model.pair_piece(s1, w12, (0, 1)).dim == 0
-        sat = a2_model.saturation(s1, w12, (0, 1), 1)
-        assert sat.dims[0] == 0
-        assert sat.final.dim == 1
-        assert sat.final.contains_row(a2_model.extreme_row((0, 1), s2))
+        check_sl3_pieces(a2_model)
+        check_sl3_product(a2_model)
+        check_sl3_saturation(a2_model)
 
 
 def test_criterion_02_commutation_congruences(criterion, a1_model,
                                               a2_model, b2_model):
     with criterion(2, "q-commutation congruences and exact extreme "
                       "relations in ranks one and two"):
-        lines = 0
-        for nu in A2_DEGREES:
-            for lam in A2_DEGREES:
-                for mu in a2_model.module(nu).block_order:
-                    for eta in a2_model.module(lam).block_order:
-                        assert a2_model.check_commutation(nu, mu, lam, eta)
-                        lines += 1
-        assert lines == 169
-
-        for nu in [(1,), (2,)]:
-            for lam in [(1,), (2,)]:
-                for mu in a1_model.module(nu).block_order:
-                    for eta in a1_model.module(lam).block_order:
-                        assert a1_model.check_commutation(nu, mu, lam, eta)
-
-        b2_degrees = [(1, 0), (0, 1)]
-        for nu in b2_degrees:
-            for lam in b2_degrees:
-                for mu in b2_model.module(nu).block_order:
-                    for eta in b2_model.module(lam).block_order:
-                        assert b2_model.check_commutation(nu, mu, lam, eta)
-
-        for lam in A2_DEGREES:
-            for nu in A2_DEGREES:
-                assert a2_model.check_extreme_relations(lam, nu)
-        for lam in [(1,), (2,)]:
-            for nu in [(1,), (2,)]:
-                assert a1_model.check_extreme_relations(lam, nu)
-        for lam in [(1, 0), (0, 1), (1, 1)]:
-            for nu in b2_degrees:
-                assert b2_model.check_extreme_relations(lam, nu)
+        a1_degrees = [(1,), (2,)]
+        assert check_commutation_grid(a2_model, DEGREES) == 169
+        check_commutation_grid(a1_model, a1_degrees)
+        check_commutation_grid(b2_model, DEGREES[:2])
+        check_extreme_relations_grid(a2_model, DEGREES, DEGREES)
+        check_extreme_relations_grid(a1_model, a1_degrees, a1_degrees)
+        check_extreme_relations_grid(b2_model, DEGREES, DEGREES[:2])
 
 
 def test_criterion_03_twisted_eigenvalues(criterion, a2_model):
@@ -243,61 +131,46 @@ def test_criterion_04_block_splitting(criterion, a2_model):
         assert checked == 114
 
 
-def test_criterion_05_stratum_indexing(criterion, a2_model):
+def test_criterion_05_stratum_indexing(criterion, a2_model, b2_model):
     with criterion(5, "saturated pieces index the strata: support "
                       "extremes recover the pair, interval coefficients "
                       "stay outside"):
-        g = a2_model.group
-        for nu in A2_DEGREES:
-            for y, z in bruhat_pairs(g):
-                wy, wz, sat = a2_model.stratum_of(y, z, nu, bound=3)
-                assert sat.stabilized
-                assert wy.act(nu) == y.act(nu)
-                assert wz.act(nu) == z.act(nu)
-                _, maximal, minimal = a2_model.support_extremes(sat.final)
-                assert maximal == [y.act(nu)]
-                assert minimal == [z.act(nu)]
-                for w in g.sorted_elements():
-                    inside = (g.bruhat_leq(y, w) and g.bruhat_leq(w, z))
-                    has = sat.final.contains_row(
-                        a2_model.extreme_row(nu, w))
-                    if inside:
-                        assert not has
-                    elif nu == (1, 1):
-                        # at a regular degree membership is exactly the
-                        # complement of the interval
-                        assert has
+        assert check_stratum_indexing(a2_model, DEGREES, 3) == 19
+        assert check_stratum_indexing(b2_model, DEGREES, 2) == 33
 
 
-def test_criterion_06_inclusion_matches_order(criterion, a2_model):
+def test_criterion_06_inclusion_matches_order(criterion, a2_model, b2_model):
     with criterion(6, "ideal inclusion matches the pair order and "
                       "closures are downward sets"):
-        g = a2_model.group
-        poset = DiamondPoset(g)
-        n = len(poset)
-        assert n == 19
-        finals = [a2_model.saturation(y, z, (1, 1), 3).final
-                  for y, z in poset.pairs]
-        for i in range(n):
-            for j in range(n):
-                assert finals[i].is_subpiece(finals[j]) == poset.geq(i, j)
+        # B2 only at rho: at its fundamental degrees distinct pairs can
+        # share a piece
+        for model, bound, size in [(a2_model, 3, 19), (b2_model, 2, 33)]:
+            poset = DiamondPoset(model.group)
+            n = len(poset)
+            assert n == size
+            finals = [model.saturation(y, z, (1, 1), bound).final
+                      for y, z in poset.pairs]
+            for i in range(n):
+                for j in range(n):
+                    assert finals[i].is_subpiece(finals[j]) == \
+                        poset.geq(i, j)
 
-        # reachability through covering edges regenerates the closures
-        edges = poset.hasse_edges()
-        below = {i: {i} for i in range(n)}
-        changed = True
-        while changed:
-            changed = False
-            for i, j in edges:
-                new = below[j] - below[i]
-                if new:
-                    below[i] |= new
-                    changed = True
-        for i in range(n):
-            assert below[i] == set(poset.closure(i))
-            for j in poset.closure(i):
-                for k in poset.closure(j):
-                    assert k in poset.closure(i)
+            # reachability through covering edges regenerates the closures
+            edges = poset.hasse_edges()
+            below = {i: {i} for i in range(n)}
+            changed = True
+            while changed:
+                changed = False
+                for i, j in edges:
+                    new = below[j] - below[i]
+                    if new:
+                        below[i] |= new
+                        changed = True
+            for i in range(n):
+                assert below[i] == set(poset.closure(i))
+                for j in poset.closure(i):
+                    for k in poset.closure(j):
+                        assert k in poset.closure(i)
 
 
 def test_criterion_07_closure_dims_match_characters(criterion):
@@ -360,46 +233,58 @@ def test_criterion_08_translated_cone_character(criterion, a2_group):
                 assert build_irrep(d, lam).dim == weyl_dim(d, lam)
 
 
+def test_criterion_08_translated_cone_character(criterion, a2_group):
+    with criterion(8, "truncated cone character equals brute-force "
+                      "counting and the dimension formula matches "
+                      "module sizes"):
+        datum = a2_group.datum
+        positives = [tuple(int(c) for c in rc)
+                     for rc in datum.positive_roots]
+        depth = 6
+        ch = cell_translate_character(a2_group, a2_group.identity, depth)
+        seen = set()
+        for mu, c in ch.terms.items():
+            rc = datum.root_coords(mu)
+            assert datum.depth(mu) <= depth
+            assert c == brute_cone_count(
+                datum, tuple(-x for x in rc), positives)
+            seen.add(tuple(int(-x) for x in rc))
+        # completeness: every cone point within the truncation appears
+        for a in range(depth + 1):
+            for b in range(depth + 1 - a):
+                if brute_cone_count(datum, (a, b), positives):
+                    assert (a, b) in seen
+
+        for label, tops in [("A1", 5), ("A2", 3), ("B2", 3)]:
+            d = build_cartan(label)
+            for lam in itertools.product(range(tops), repeat=d.rank):
+                assert build_irrep(d, lam).dim == weyl_dim(d, lam)
+
+
 def test_criterion_09_centre_dimensions(criterion):
     with criterion(9, "centre sizes single out the extreme cells in "
                       "every scanned type"):
-        a2 = {w.word: data.dim for w, data in centre_table("A2")}
-        assert a2 == {(): 1, (0,): 0, (1,): 0, (0, 1): 0, (1, 0): 0,
-                      (0, 1, 0): 1}
-        b2 = {w.word: data.dim for w, data in centre_table("B2")}
-        assert b2[()] == 2 and b2[(0, 1, 0, 1)] == 2
-        assert all(d < 2 for word, d in b2.items()
-                   if word not in ((), (0, 1, 0, 1)))
-
-        report = distinguishing_scan(("A1", "A2", "A3", "B2", "B3"))
-        assert [r["type"] for r in report] == ["A1", "A2", "A3", "B2",
-                                               "B3"]
+        check_centre_tables()
+        assert check_distinguishing_scan(
+            ("A1", "A2", "A3", "B2", "B3")) == 5
 
         # the paired generators commute past everything exactly
-        for label in ["A1", "B2", "B3"]:
-            datum = build_cartan(label)
-            group = WeylGroup.build(datum)
-            grid = list(itertools.product(range(-1, 2),
-                                          repeat=datum.rank))
-            for nu in itertools.product(range(3), repeat=datum.rank):
-                for lam in grid:
-                    for mu in grid:
-                        assert centrality_exponent(
-                            datum, group, nu, lam, mu)[2] == 0
-        datum = build_cartan("A2")
-        group = WeylGroup.build(datum)
-        for lam in itertools.product(range(-1, 2), repeat=2):
-            for mu in itertools.product(range(-1, 2), repeat=2):
-                assert centrality_exponent(
-                    datum, group, (1, 1), lam, mu)[2] == 0
+        for label, rank in [("A1", 1), ("B2", 2), ("B3", 3)]:
+            grid = list(itertools.product(range(-1, 2), repeat=rank))
+            check_walk_exponent(
+                label, itertools.product(
+                    itertools.product(range(3), repeat=rank), grid, grid))
+        grid = list(itertools.product(range(-1, 2), repeat=2))
+        check_walk_exponent("A2", itertools.product([(1, 1)], grid, grid))
 
 
 def test_criterion_10_stratum_ranks(criterion, a2_group, b2_group):
     with criterion(10, "stratum ranks agree with fixed-lattice "
                        "dimensions and with length minus reflection "
                        "length"):
-        for group in [a2_group, b2_group]:
-            dist = reflection_length_oracle(group)
+        for group, full_rank in [(a2_group, 1), (b2_group, 0)]:
+            check_stratum_ranks(group, full_rank)
+            dist = reflection_lengths(group)
             for z in group.elements:
                 fl = fixed_lattice(group, z)
                 assert fl.dim == group.fixed_space_rank(z)
@@ -410,26 +295,20 @@ def test_criterion_10_stratum_ranks(criterion, a2_group, b2_group):
                                 for c in range(group.rank)), ZERO)
                            for r in range(group.rank)]
                     assert img == list(row)
-            poset = DiamondPoset(group)
-            for i, (y, z) in enumerate(poset.pairs):
-                u = y.inverse() * z
-                assert poset.stratum_rank(i) == group.fixed_space_rank(u)
-                assert poset.stratum_rank(i) == group.rank - dist[u.idx]
 
 
-def test_criterion_11_saturation_behaviour(criterion, a2_model):
+def test_criterion_11_saturation_behaviour(criterion, a2_model, b2_model):
     with criterion(11, "saturation is anchor-symmetric and stabilizes "
                        "within three steps in every measured case"):
-        g = a2_model.group
-        worst = 0
-        for nu in A2_DEGREES:
-            for y, z in bruhat_pairs(g):
-                by_z = a2_model.saturation(y, z, nu, 3, by="z")
-                by_y = a2_model.saturation(y, z, nu, 3, by="y")
-                assert by_z.final == by_y.final
-                assert by_z.stabilized and by_y.stabilized
-                first = next(k for k in range(len(by_z.pieces) - 1)
-                             if by_z.pieces[k] == by_z.pieces[k + 1])
-                assert first <= 3
-                worst = max(worst, first)
-        assert worst <= 3
+        for model, bound in [(a2_model, 3), (b2_model, 2)]:
+            worst = 0
+            for nu in DEGREES:
+                for y, z in bruhat_pairs(model.group):
+                    by_z = model.saturation(y, z, nu, bound, by="z")
+                    by_y = model.saturation(y, z, nu, bound, by="y")
+                    assert by_z.final == by_y.final
+                    assert by_z.stabilized and by_y.stabilized
+                    first = next(k for k in range(len(by_z.pieces) - 1)
+                                 if by_z.pieces[k] == by_z.pieces[k + 1])
+                    worst = max(worst, first)
+            assert worst <= bound

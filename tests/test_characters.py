@@ -131,40 +131,6 @@ def test_demazure_monotone_in_bruhat():
                     assert chars[z.idx].coefficient(mu) >= c
 
 
-def kostant_count(datum, target_rc, roots_rc):
-    """Number of ways to write target_rc as a nonnegative integer
-    combination of the given root coordinate vectors, by brute force."""
-    count = 0
-    bound = sum(abs(c) for c in target_rc) + 1
-    for combo in itertools.product(range(bound + 1),
-                                   repeat=len(roots_rc)):
-        total = [0] * len(target_rc)
-        for k, m in zip(range(len(roots_rc)), combo):
-            for j in range(len(target_rc)):
-                total[j] += combo[k] * roots_rc[k][j]
-        if tuple(total) == tuple(target_rc):
-            count += 1
-    return count
-
-
-def test_cell_character_identity_is_kostant():
-    datum = build_cartan("A2")
-    group = WeylGroup.build(datum)
-    depth = 6
-    ch = cell_translate_character(group, group.identity, depth)
-    negatives = [tuple(-c for c in rc) for rc in datum.positive_roots]
-    assert ch.coefficient((0, 0)) == 1
-    for mu, c in ch.terms.items():
-        rc = datum.root_coords(mu)
-        assert all(x.denominator == 1 for x in rc)
-        assert c == kostant_count(datum, [int(x) for x in rc], negatives)
-    # depth really truncates: everything kept is within the window
-    assert all(datum.depth(mu) <= depth for mu in ch.terms)
-    # and the window is full: a handful of nearby weights are present
-    assert ch.coefficient((-2, -2)) > 0
-    assert ch.coefficient((0, -3)) > 0
-
-
 def test_cell_character_translates():
     datum = build_cartan("A2")
     group = WeylGroup.build(datum)

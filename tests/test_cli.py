@@ -12,6 +12,8 @@ from click.testing import CliRunner
 
 import qbruhat.cli as climod
 from qbruhat.cli import cli, main
+from qbruhat.coordring import CoordinateModel, GradedPiece, SaturationResult
+from qbruhat.verify import check_stratum_indexing
 
 
 @pytest.fixture()
@@ -199,6 +201,41 @@ class TestVerify:
     def test_unknown_suite_is_usage_error(self, runner):
         res = runner.invoke(cli, ["verify", "--suite", "nope"])
         assert res.exit_code == 2
+
+    def test_spoiled_saturation_fails_the_suite_and_criterion_05(
+            self, runner, monkeypatch):
+        """A fresh A2 model whose saturations of (e, e) at omega_1 lose
+        the row of the lowest weight fails ``verify --suite strata`` and
+        the stratum-indexing check of criterion 05 with one message."""
+        model = CoordinateModel("A2")
+        real = model.saturation
+        e = model.group.identity
+        low = model.module((1, 0)).block_order[-1]
+
+        def spoiled(y, z, nu, bound, by="z"):
+            sat = real(y, z, nu, bound, by=by)
+            if (y, z, tuple(nu)) != (e, e, (1, 0)):
+                return sat
+            pieces = [GradedPiece(p.module, {wt: sub for wt, sub
+                                             in p.blocks.items()
+                                             if wt != low})
+                      for p in sat.pieces]
+            return SaturationResult(y, z, nu, bound, by, pieces)
+
+        monkeypatch.setattr(model, "saturation", spoiled)
+        monkeypatch.setattr(CoordinateModel, "get",
+                            classmethod(lambda cls, label: model))
+        message = ("AssertionError: support extremes of pair (e, e) at "
+                   "degree (1, 0) are max [(1, 0)], min [%s]" % (low,))
+        res = invoke(runner, ["verify", "--suite", "strata"])
+        assert res.exit_code == 1
+        lines = res.output.splitlines()
+        assert lines[0] == "FAIL strata-pair-recovery -- " + message
+        assert lines[1].startswith("ok   strata-rank-extremes")
+        assert lines[2:] == ["1 of 2 checks failed"]
+        with pytest.raises(AssertionError) as err:
+            check_stratum_indexing(model, [(1, 0), (0, 1), (1, 1)], 3)
+        assert "AssertionError: %s" % err.value == message
 
 
 UNUSABLE_ARGS = [

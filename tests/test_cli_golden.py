@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from qbruhat.verify import SUITES
+
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden"
 SRC = HERE.parent / "src"
@@ -69,3 +71,9 @@ def test_ratfun_golden_has_several_denominators():
     assert len(values) == 9
     assert len({v.split(")/(")[1] for v in values}) == 4
     assert "(2 + 3*q^2 + 2*q^4)/(1 + q^2 + q^4)" in values
+
+
+def test_every_suite_has_a_golden():
+    covered = {args[2] for args in CASES.values()
+               if args[:2] == ["verify", "--suite"]}
+    assert sorted(set(SUITES) - covered) == []

@@ -11,10 +11,10 @@ from qbruhat.coordring import (CoordinateModel, EigenvalueError,
                                SufficiencyError)
 from qbruhat.exactalg import ONE, ZERO, Laurent, Subspace, kernel, mat_mul
 from qbruhat.uqmodules import ModuleScopeError
-from oracles import (dense_check_commutation, dense_left_ideal_piece,
+from oracles import (brute_cone_count, bruhat_pairs, dense_check_commutation,
+                     dense_left_ideal_piece, eta_sweep,
                      extreme_product_scalar, pair_piece_saturation,
                      tuple_demazure_orth)
-from test_acceptance import brute_cone_count, bruhat_pairs, eta_sweep
 
 Q = Laurent({1: 1})
 
@@ -56,6 +56,22 @@ class TestProducts:
     def test_exact_relations_with_corner_rows(self, a2_model, b2_model):
         assert a2_model.check_extreme_relations((1, 1), (1, 0))
         assert b2_model.check_extreme_relations((1, 0), (0, 1))
+
+    def test_spoiled_cell_breaks_an_extreme_relation(self):
+        """One product cell of a fresh model, raised by one, breaks the
+        relation past the highest row; the message names the row, the
+        index and both degrees."""
+        model = CoordinateModel("A2")
+        lam, nu = (1, 0), (0, 1)
+        # index 0 of V(0,1) is its highest line
+        cell = model.pair_table(lam, nu)[(0, 0)]
+        t = min(cell)
+        cell[t] = cell[t] + ONE
+        with pytest.raises(AssertionError) as err:
+            model.check_extreme_relations(lam, nu)
+        assert str(err.value) == (
+            "highest-row relation fails at index 0 of degree (1, 0), "
+            "extreme degree nu=(0, 1)")
 
 
 class TestCommutation:

@@ -1,8 +1,11 @@
 """Weyl group construction, Bruhat order, and rank statistics.
 
 The Bruhat, length and reflection-length checks run against independent
-oracles built here by brute force, so the library cannot agree with
-itself by construction.
+oracles built by brute force, so the library cannot agree with itself by
+construction.  Bruhat order by reflection chains and reflection length
+by breadth-first search are in ``qbruhat.verify``, which the CLI's
+``verify`` suites share; the subword property and inversion counts are
+built here.
 """
 
 from itertools import combinations
@@ -12,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from qbruhat.cartan import build_cartan
 from qbruhat import weyl
+from qbruhat.verify import check_bruhat_chains, reflection_lengths
 from qbruhat.weyl import (WeylElem, WeylGroup, format_word, group_order,
                           parse_word)
 from oracles import fixed_lattice, level_scan_covers, recursive_canonical_word
@@ -23,34 +27,6 @@ LONGEST_LENGTHS = {"A1": 1, "A2": 3, "A3": 6, "B2": 4, "B3": 9, "G2": 6}
 
 def group_of(label):
     return WeylGroup.build(build_cartan(label))
-
-
-def bruhat_oracle(group):
-    """Transitive closure of the reflection-edge relation.
-
-    u < t.u whenever length goes up; the full order is the reflexive
-    transitive closure.  Completely independent of the descent
-    recursion the library uses.
-    """
-    n = len(group.elements)
-    leq = [[False] * n for _ in range(n)]
-    for w in group.elements:
-        leq[w.idx][w.idx] = True
-    edges = []
-    for w in group.elements:
-        for t in group.reflections():
-            tw = t * w
-            if tw.length > w.length:
-                edges.append((w.idx, tw.idx))
-    changed = True
-    while changed:
-        changed = False
-        for a, b in edges:
-            for c in range(n):
-                if leq[c][a] and not leq[c][b]:
-                    leq[c][b] = True
-                    changed = True
-    return leq
 
 
 def bruhat_subword(group, y, z):
@@ -81,25 +57,6 @@ def inversion_count(group, w):
         if all(c <= 0 for c in datum.root_coords(image)):
             count += 1
     return count
-
-
-def reflection_length_oracle(group):
-    """Breadth-first distance from e in the (all-reflections) Cayley
-    graph."""
-    dist = {group.identity.idx: 0}
-    frontier = [group.identity]
-    step = 0
-    while frontier:
-        step += 1
-        nxt = []
-        for w in frontier:
-            for t in group.reflections():
-                tw = t * w
-                if tw.idx not in dist:
-                    dist[tw.idx] = step
-                    nxt.append(tw)
-        frontier = nxt
-    return dist
 
 
 @pytest.mark.parametrize("label", sorted(ORDERS))
@@ -215,12 +172,7 @@ def test_descents_track_length():
 
 @pytest.mark.parametrize("label", ["A2", "B2"])
 def test_bruhat_against_oracle(label):
-    group = group_of(label)
-    oracle = bruhat_oracle(group)
-    for a in group.elements:
-        for b in group.elements:
-            assert group.bruhat_leq(a, b) == oracle[a.idx][b.idx], \
-                (format_word(a.word), format_word(b.word))
+    check_bruhat_chains(group_of(label))
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3"])
@@ -234,10 +186,10 @@ def test_bruhat_against_subword(label):
 
 @pytest.mark.parametrize("label", ["A2", "B2", "A3"])
 def test_reflection_length_against_oracle(label):
+    # the search raises on the first element whose length disagrees; a
+    # Coxeter element has reflection length equal to the rank
     group = group_of(label)
-    dist = reflection_length_oracle(group)
-    for w in group.elements:
-        assert group.reflection_length(w) == dist[w.idx]
+    assert max(reflection_lengths(group).values()) == group.rank
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "A3"])
