@@ -82,7 +82,7 @@ def demazure_character(datum, group, w, lam):
     if not datum.is_dominant(lam):
         raise ValueError("weight %s is not dominant" % (lam,))
     ch = FormalCharacter.monomial(datum, lam)
-    for i in reversed(group.canonical_word(w)):
+    for i in reversed(w.word):
         ch = demazure_step(ch, i)
     return ch
 
@@ -126,7 +126,7 @@ def cell_translate_character(group, w, depth):
     """
     datum = group.datum
     a, d, n = datum.cartan, datum.d, datum.rank
-    word = group.canonical_word(w)
+    word = w.word
     # budget(mu) = -(w rho, mu) is linear, so each root has an integer
     # cost and every partial sum carries its budget along; on
     # gamma = w(-alpha) it is (rho, alpha) = sum_j d_j alpha_j > 0.

@@ -7,8 +7,11 @@ the summed weight into the tensor product (replaying exact lowering
 words, so no basis choices enter).  Everything downstream is blockwise
 linear algebra over the exact scalars:
 
-* orthogonals of extreme-vector closures, the graded ideal pieces
-  attached to a Weyl element and a sign;
+* pair pieces, the graded ideal pieces attached to a pair (y, z) of
+  Weyl elements: in each block the orthogonal (A meet B)^perp, with A
+  the lowering closure of the y-extreme vector and B the raising
+  closure of the z-extreme vector; the piece of one element and a sign
+  is the pair piece whose other closure is the whole module;
 * truncated left ideals, used to check the q-commutation congruences;
   the product cells they are spanned by, and the two products each
   congruence compares, stay sparse, so no coordinate outside a cell's
@@ -19,13 +22,10 @@ linear algebra over the exact scalars:
   integer q-power roots of each operator's characteristic polynomial;
 * saturation chains that divide an ideal piece by an extreme
   coefficient until the chain stabilizes, and the support extremes
-  that recover the pair of Weyl elements labelling a stratum.  In each
-  block the pair piece of (y, z) is A^perp + B^perp, with A the lowering
-  closure of the y-extreme vector and B the raising closure of the
-  z-extreme vector.  A step reads the kernel of that piece only on the
-  blocks shift + wt, and that kernel is (A^perp + B^perp)^perp = A meet
-  B, so a step meets two closure blocks and builds no pair piece above
-  the starting degree.
+  that recover the pair of Weyl elements labelling a stratum.  A step
+  reads the kernel of a pair piece only on the blocks shift + wt, and
+  that kernel is A meet B itself, so a step meets two closure blocks and
+  builds no pair piece above the starting degree.
 
 One model is kept per type, and each model keeps its product tables,
 extreme rows, closures, ideal pieces, saturations and decompositions in
@@ -133,16 +133,6 @@ class GradedPiece:
             raise ValueError("pieces live over different modules")
         return all(wt in other.blocks and sub.is_subspace_of(other.blocks[wt])
                    for wt, sub in self.blocks.items())
-
-    def sum(self, other):
-        if self.module is not other.module:
-            raise ValueError("pieces live over different modules")
-        blocks = {}
-        for wt in set(self.blocks) | set(other.blocks):
-            zero = Subspace.zero(len(self.module.weight_indices(wt)))
-            blocks[wt] = self.blocks.get(wt, zero).sum(
-                other.blocks.get(wt, zero))
-        return GradedPiece(self.module, blocks)
 
     def __eq__(self, other):
         if not isinstance(other, GradedPiece):
@@ -258,24 +248,31 @@ class CoordinateModel:
         ('+') or lowering ('-'), as a Subspace of each block it meets."""
         return demazure_blocks(self.module(lam), w, sign)
 
-    @memo(lambda self, w, sign, lam: (w.idx, sign, tuple(lam)))
     def demazure_orth(self, w, sign, lam):
         """Dual rows vanishing on the extreme-vector closure of w with
-        the given sign: the orthogonal complement of each closure block,
-        a block the closure misses being zero."""
-        module = self.module(lam)
-        closure = self.closure(w, sign, lam)
-        blocks = {}
-        for wt, rng in module.blocks.items():
-            zero = Subspace.zero(len(rng))
-            blocks[wt] = closure.get(wt, zero).orthogonal_complement()
-        return GradedPiece(module, blocks)
+        the given sign: the pair piece of (w, w0) for '-' and of (e, w)
+        for '+', whose other closure is the whole module."""
+        g = self.group
+        if sign == "-":
+            return self.pair_piece(w, g.longest, lam)
+        if sign == "+":
+            return self.pair_piece(g.identity, w, lam)
+        raise ValueError("sign must be '+' or '-'")
 
     @memo(lambda self, y, z, lam: (y.idx, z.idx, tuple(lam)))
     def pair_piece(self, y, z, lam):
-        """Sum of the minus-piece at y and the plus-piece at z."""
-        return self.demazure_orth(y, "-", lam).sum(
-            self.demazure_orth(z, "+", lam))
+        """The orthogonal of the meet of the lowering closure of y and the
+        raising closure of z, block by block; a block either closure
+        misses is the full block."""
+        module = self.module(lam)
+        lower = self.closure(y, "-", lam)
+        upper = self.closure(z, "+", lam)
+        blocks = {}
+        for wt, rng in module.blocks.items():
+            zero = Subspace.zero(len(rng))
+            blocks[wt] = lower.get(wt, zero).intersect(
+                upper.get(wt, zero)).orthogonal_complement()
+        return GradedPiece(module, blocks)
 
     @memo(lambda self, lam, eta, side, nu:
           (tuple(lam), tuple(eta), side, tuple(nu)))
@@ -607,11 +604,10 @@ class CoordinateModel:
         extreme row of degree k.rho lies in the pair piece of degree
         lam = nu + k.rho.  Such a product lies in the block shift + wt of
         degree lam, shift the anchor's image of k.rho, and only those
-        blocks are read.  There the pair piece is A^perp + B^perp, A and B
-        the lowering closure of y and the raising closure of z, and
-        (A^perp + B^perp)^perp = A meet B; so the step takes the canonical
-        meet of the two closure blocks instead of the kernel of the pair
-        piece's block, with the same rows."""
+        blocks are read.  There the pair piece is (A meet B)^perp, A and B
+        the lowering closure of y and the raising closure of z, so the
+        step takes the canonical meet of the two closure blocks instead of
+        the kernel of the pair piece's block, with the same rows."""
         if by not in ("y", "z"):
             raise ValueError("by must be 'y' or 'z'")
         datum = self.datum

@@ -26,15 +26,20 @@ the same pairs again and again.  ``RatFun`` lists every case with the
 reason its result is reduced.
 
 The matrix layer is deliberately plain: matrices are lists of lists of
-scalars, and the central routine is a canonical reduced row echelon form.
-Subspaces are stored by their echelon basis, so equality of subspaces is
-equality of representations.  Characteristic polynomials are computed
-without division, and their integer q-power roots are found exactly from
-the Newton polygon of the coefficients' q-degrees.
+scalars, and the one Gauss-Jordan step is ``echelon_insert``, which
+grows a canonical reduced row echelon form by one vector.  ``rref`` is
+its fold over the rows; a subspace sum or Zassenhaus meet starts from
+the first operand's basis, already reduced, and inserts only the
+second operand's rows.  Subspaces are stored by their echelon basis, so
+equality of subspaces is equality of representations.  Characteristic
+polynomials are computed without division, and their integer q-power
+roots are found exactly from the Newton polygon of the coefficients'
+q-degrees.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -681,60 +686,50 @@ def parse_laurent(text):
 # matrices and subspaces
 
 
-def mat_copy(rows):
-    return [[coerce_scalar(x) for x in row] for row in rows]
+def echelon_insert(rows, pivots, vec):
+    """Grow a canonical reduced echelon basis in place by one vector.
+
+    ``rows`` and ``pivots`` hold a reduced row echelon form, pivots
+    ascending.  The residue of ``vec`` is zero at every pivot, so scaling
+    it to one at its first nonzero entry and clearing that column from
+    the earlier rows gives the canonical basis of the larger span.
+    Returns whether ``vec`` was independent.  Only the entries right of
+    the new pivot are scaled, and none when the pivot is the residue's
+    only entry, so a lone pivot is never inverted."""
+    res = reduce_against(rows, pivots, vec)
+    p = next((t for t, c in enumerate(res) if c), None)
+    if p is None:
+        return False
+    right = [t for t in range(p + 1, len(res)) if res[t]]
+    if right:
+        inv = ONE / res[p]
+        for t in right:
+            res[t] = res[t] * inv
+    res[p] = ONE
+    for row in rows:
+        f = row[p]
+        if f:
+            for t in right:
+                row[t] = row[t] - f * res[t]
+            row[p] = ZERO
+    at = bisect(pivots, p)
+    rows.insert(at, res)
+    pivots.insert(at, p)
+    return True
 
 
 def rref(rows):
-    """Canonical reduced row echelon form.
+    """Canonical reduced row echelon form, as the fold of
+    ``echelon_insert`` over the rows.
 
     Returns (echelon_rows, pivot_columns).  Zero rows are dropped.  Pivots
     are normalized to one with zeros above and below, so the result is the
     unique canonical basis of the row space.
     """
-    m = mat_copy(rows)
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(r, len(m)):
-            if m[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        # prefer a cheap pivot (monomial) when one is available
-        for i in range(pivot_row, len(m)):
-            x = m[i][col]
-            if isinstance(x, Laurent) and x and x.is_monomial():
-                pivot_row = i
-                break
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        row_r = m[r]
-        # the row is zero left of the pivot and the pivot becomes one, so
-        # only the entries right of it are scaled, and none when the
-        # pivot is the row's only entry
-        right = [j for j in range(col + 1, ncols) if row_r[j]]
-        if right:
-            inv = ONE / row_r[col]
-            for j in right:
-                row_r[j] = row_r[j] * inv
-        row_r[col] = ONE
-        for i in range(len(m)):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                row_i = m[i]
-                for j in right:
-                    row_i[j] = row_i[j] - f * row_r[j]
-                row_i[col] = ZERO
-        pivots.append(col)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    ech, pivots = [], []
+    for row in rows:
+        echelon_insert(ech, pivots, row)
+    return ech, pivots
 
 
 def reduce_against(rows, pivots, vec):
@@ -845,7 +840,7 @@ def charpoly(rows):
     polynomial of A.  Only ring operations are used, so entries in the
     fraction field never trigger a division.
     """
-    m = mat_copy(rows)
+    m = [[coerce_scalar(x) for x in row] for row in rows]
     poly = [ONE]
     for k in range(len(m)):
         row = m[k][:k]
@@ -971,7 +966,12 @@ class Subspace:
             return self
         if not self.rows or len(other.rows) == self.ambient:
             return other
-        return Subspace.from_vectors(self.ambient, self.rows + other.rows)
+        # the first operand is already reduced: only the second's rows
+        # are inserted
+        rows, pivots = [list(r) for r in self.rows], list(self.pivots)
+        for row in other.rows:
+            echelon_insert(rows, pivots, row)
+        return Subspace(self.ambient, rows, pivots)
 
     def orthogonal_complement(self):
         """All x with r . x = 0 for every basis row r (standard pairing)."""
@@ -993,9 +993,11 @@ class Subspace:
             return other
         # Zassenhaus: rref of [[U, U], [W, 0]]; the rows pivoting in the
         # right half are zero on the left and their right halves are the
-        # canonical basis of U meet W.
-        ech, piv = rref([row + row for row in self.rows]
-                        + [row + [ZERO] * n for row in other.rows])
+        # canonical basis of U meet W.  The rows [u | u] are already
+        # reduced, so only the rows [w | 0] are inserted.
+        ech, piv = [row + row for row in self.rows], list(self.pivots)
+        for row in other.rows:
+            echelon_insert(ech, piv, row + [ZERO] * n)
         meet = [(row[n:], p - n) for row, p in zip(ech, piv) if p >= n]
         return Subspace(n, [r for r, _ in meet], [p for _, p in meet])
 

@@ -73,11 +73,10 @@ satisfy <support weight, coroot_i> = eps_i - phi_i.
 
 from __future__ import annotations
 
-from bisect import bisect
 from collections import Counter, deque
 
-from .exactalg import (Laurent, ONE, ZERO, Subspace, q_factorial, q_int,
-                       reduce_against)
+from .exactalg import (Laurent, ONE, ZERO, Subspace, echelon_insert,
+                       q_factorial, q_int, reduce_against)
 from .characters import weyl_character, weyl_dim
 from .obs import memo
 from .weyl import WeylGroup
@@ -428,7 +427,13 @@ def _close_tensor(datum, m1, m2, lam, expected):
     its block, the full reduction runs, and ``verify_module`` rejects
     the weight multiset; one too low can skip an independent word, but
     every block then holds at most its true dimension and one holds
-    less, so the closure falls short of ``weyl_dim`` and raises."""
+    less, so the closure falls short of ``weyl_dim`` and raises.
+
+    The blocks are an echelon of their own, not ``echelon_insert``'s:
+    a row is kept unscaled and pivots on a monomial coordinate when it
+    has one, so dividing by a pivot stays in the Laurent ring, and so do
+    the module's matrices; a canonical form, one at every pivot, would
+    divide by whatever entry leads the residue."""
     rank = datum.rank
     mult = weyl_character(datum, WeylGroup.build(datum), lam).terms
     # the tensor keys of each weight block, by position, and per block an
@@ -630,9 +635,9 @@ def demazure_blocks(module, w, sign):
     once to every vector of the running span list, those it appends
     included, and keeps an image only when it is independent.
 
-    Each block is kept in reduced echelon form as it grows, one residue
-    at a time, so the result does not depend on the order the vectors
-    arrive in."""
+    Each block is kept in canonical reduced echelon form as it grows,
+    one ``echelon_insert`` per image, so the result does not depend on
+    the order the vectors arrive in."""
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     group = w.group
@@ -650,8 +655,7 @@ def demazure_blocks(module, w, sign):
     blocks = {}
 
     def insert(vec):
-        ks = sorted(vec)
-        wt = module.weights[ks[0]]
+        wt = module.weights[min(vec)]
         rng = module.weight_indices(wt)
         dense = [ZERO] * len(rng)
         for k, c in vec.items():
@@ -659,31 +663,7 @@ def demazure_blocks(module, w, sign):
         # the block's Subspace is fresh and not yet handed out, so its
         # lists may grow in place
         sub = blocks.setdefault(wt, Subspace.zero(len(rng)))
-        rows, piv = sub.rows, sub.pivots
-        res = reduce_against(rows, piv, dense)
-        p = next((t for t, c in enumerate(res) if c), None)
-        if p is None:
-            return False
-        # keep the block in reduced echelon form: the residue is zero at
-        # every pivot, so scaling it and clearing its pivot column from
-        # the earlier rows gives the canonical rows of the larger span;
-        # only entries right of the pivot need the scaling
-        right = [t for t in range(p + 1, len(res)) if res[t]]
-        if right:
-            inv = ONE / res[p]
-            for t in right:
-                res[t] = res[t] * inv
-        res[p] = ONE
-        for row in rows:
-            f = row[p]
-            if f:
-                for t in right:
-                    row[t] = row[t] - f * res[t]
-                row[p] = ZERO
-        at = bisect(piv, p)
-        rows.insert(at, res)
-        piv.insert(at, p)
-        return True
+        return echelon_insert(sub.rows, sub.pivots, dense)
 
     insert(start)
     span = [start]

@@ -212,10 +212,6 @@ class WeylGroup:
     def parse(self, text):
         return self.from_word(parse_word(text, self.rank))
 
-    def canonical_word(self, w):
-        """The lexicographically least reduced word of w."""
-        return w.word
-
     @memo()
     def _fill_words(self):
         """Set every element's word, in index order: s_i w has a smaller

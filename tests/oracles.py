@@ -7,14 +7,19 @@ canonical words by a recursion memoised per element
 (``recursive_canonical_word``), the pair poset by testing every pair of
 the group, its JSON document as a dict-of-dicts through ``json.dumps``
 (``dict_strata_json``), scalar sums and products
-by the general loops and an uncached gcd on every product, subspace
-meets by a Zassenhaus reduction whatever the operands, closures by an
-``rref`` on every insertion, their orthogonals as (rows, pivots) tuples
-by ``kernel``, modules by stepping off the fundamental weight of the
-highest index, saturation steps by the kernel of the whole pair
-piece of degree nu + k rho, tensor closures by a block solver with its
-own elimination and change-of-basis table, and the raising matrices of
-the fundamental seeds as the mirrors of their lowering edges.  Tensor
+by the general loops and an uncached gcd on every product, canonical
+echelon forms by Gauss-Jordan elimination over the whole matrix with a
+monomial pivot preferred in each column (``gauss_jordan_rref``),
+subspace meets by a Zassenhaus reduction whatever the operands,
+closures by a breadth-first search reduced afresh on every insertion,
+their orthogonals as (rows, pivots) tuples by ``kernel``, pair pieces
+as the sum of the two orthogonals
+(``sum_of_orthogonals_pair_piece``), modules by stepping off the
+fundamental weight of the highest index, saturation steps by the kernel
+of that sum of orthogonals in degree nu + k rho, tensor closures by a
+block solver with its own elimination and change-of-basis table, and
+the raising matrices of the fundamental seeds as the mirrors of their
+lowering edges.  Tensor
 closures also by rows pivoting on their first nonzero coordinate, and
 module relations by the commutator E_i F_j - F_j E_i, negated product
 and all, and by the Serre relations, which the library derives from the
@@ -49,7 +54,7 @@ from qbruhat.exactalg import (Laurent, ONE, RatFun, Subspace, ZERO,
                               _common_factor, _coprime_quotient, _exact_quo,
                               _fr, _ratfun, coerce_scalar, dot,
                               identity_matrix, kernel, q_binomial, q_int,
-                              reduce_against, rref)
+                              reduce_against)
 from qbruhat.strata import SCHEMA_STRATA
 from qbruhat.uqmodules import (_SEED_TABLE, _bump, _close_tensor,
                                _compose, _module_from_edges,
@@ -278,18 +283,64 @@ def ratfun_mul(x, other):
     return _coprime_quotient(n1 * n2, d1 * d2)
 
 
+def gauss_jordan_rref(rows):
+    """Canonical reduced row echelon form by column-by-column Gauss-Jordan
+    elimination over the whole matrix, preferring a monomial pivot in
+    each column.  Returns (echelon_rows, pivot_columns)."""
+    m = [[coerce_scalar(x) for x in row] for row in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot_row = None
+        for i in range(r, len(m)):
+            if m[i][col]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        for i in range(pivot_row, len(m)):
+            x = m[i][col]
+            if isinstance(x, Laurent) and x and x.is_monomial():
+                pivot_row = i
+                break
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        row_r = m[r]
+        right = [j for j in range(col + 1, ncols) if row_r[j]]
+        if right:
+            inv = ONE / row_r[col]
+            for j in right:
+                row_r[j] = row_r[j] * inv
+        row_r[col] = ONE
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                f = m[i][col]
+                row_i = m[i]
+                for j in right:
+                    row_i[j] = row_i[j] - f * row_r[j]
+                row_i[col] = ZERO
+        pivots.append(col)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
 def zassenhaus_intersect(a, b):
     """U meet W by one Zassenhaus reduction, for every pair of operands."""
     n = a.ambient
-    ech, piv = rref([row + row for row in a.rows]
-                    + [row + [ZERO] * n for row in b.rows])
+    ech, piv = gauss_jordan_rref([row + row for row in a.rows]
+                                 + [row + [ZERO] * n for row in b.rows])
     meet = [(row[n:], p - n) for row, p in zip(ech, piv) if p >= n]
     return Subspace(n, [r for r, _ in meet], [p for _, p in meet])
 
 
 def rref_demazure_blocks(module, w, sign):
     """Per-weight echelon bases of the closure of the extreme vector,
-    each block reduced afresh by ``rref`` whenever it grows."""
+    each block reduced afresh by ``gauss_jordan_rref`` whenever it
+    grows."""
     apply_gen = module.e_apply if sign == "+" else module.f_apply
     blocks = {}
 
@@ -303,7 +354,7 @@ def rref_demazure_blocks(module, w, sign):
         res = reduce_against(rows, piv, dense)
         if not any(res):
             return False
-        blocks[wt] = rref(rows + [res])
+        blocks[wt] = gauss_jordan_rref(rows + [res])
         return True
 
     start = extreme_vector(module, w)
@@ -322,9 +373,9 @@ def rref_demazure_blocks(module, w, sign):
 
 def tuple_demazure_orth(module, w, sign):
     """The blocks of ``CoordinateModel.demazure_orth`` as (rows, pivots)
-    tuples over the ``rref`` closure: a block the closure misses is the
-    full block, a full closure block is skipped, and any other block is
-    the ``kernel`` of the closure rows."""
+    tuples over the ``rref_demazure_blocks`` closure: a block the
+    closure misses is the full block, a full closure block is skipped,
+    and any other block is the ``kernel`` of the closure rows."""
     closure = rref_demazure_blocks(module, w, sign)
     blocks = {}
     for wt in module.block_order:
@@ -335,6 +386,28 @@ def tuple_demazure_orth(module, w, sign):
         elif len(entry[0]) < n:
             blocks[wt] = kernel([list(r) for r in entry[0]], n)
     return blocks
+
+
+def sum_of_orthogonals_pair_piece(model, y, z, lam, orths=None):
+    """The pair piece of (y, z) in degree lam as the sum of two
+    orthogonals: per block, the ``gauss_jordan_rref`` of the rows of the
+    ``tuple_demazure_orth`` blocks of y with sign '-' and of z with sign
+    '+'.  ``orths``, when given, keeps those blocks across calls."""
+    orths = {} if orths is None else orths
+    module = model.module(lam)
+    parts = []
+    for w, sign in ((y, "-"), (z, "+")):
+        key = (w.idx, sign, tuple(lam))
+        if key not in orths:
+            orths[key] = tuple_demazure_orth(module, w, sign)
+        parts.append(orths[key])
+    blocks = {}
+    for wt in module.block_order:
+        rows = [list(r) for part in parts for r in part.get(wt, ([],))[0]]
+        if rows:
+            blocks[wt] = Subspace(len(module.weight_indices(wt)),
+                                  *gauss_jordan_rref(rows))
+    return GradedPiece(module, blocks)
 
 
 def max_index_irrep(datum, lam, built):
@@ -360,15 +433,16 @@ def max_index_irrep(datum, lam, built):
 
 def pair_piece_saturation(model, y, z, nu, bound, by="z"):
     """The pieces of ``model.saturation``, each step k taking the kernel
-    of the pair piece of degree nu + k rho on the blocks it reads."""
+    of the pair piece of degree nu + k rho, built as a sum of
+    orthogonals, on the blocks it reads."""
     datum = model.datum
     anchor = z if by == "z" else y
     mnu = model.module(nu)
-    pieces = [model.pair_piece(y, z, nu)]
+    pieces = [sum_of_orthogonals_pair_piece(model, y, z, nu)]
     for k in range(1, bound + 1):
         krho = tuple(k * c for c in datum.rho())
         lam_t = datum.add(nu, krho)
-        target = model.pair_piece(y, z, lam_t)
+        target = sum_of_orthogonals_pair_piece(model, y, z, lam_t)
         big = model.module(lam_t)
         ex = model.extreme_row(krho, anchor)
         j0 = next(t for t, c in enumerate(ex) if c)

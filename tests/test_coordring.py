@@ -14,7 +14,7 @@ from qbruhat.uqmodules import ModuleScopeError
 from oracles import (brute_cone_count, bruhat_pairs, dense_check_commutation,
                      dense_left_ideal_piece, eta_sweep,
                      extreme_product_scalar, pair_piece_saturation,
-                     tuple_demazure_orth)
+                     sum_of_orthogonals_pair_piece, tuple_demazure_orth)
 
 Q = Laurent({1: 1})
 
@@ -146,13 +146,29 @@ class TestCommutation:
 
 class TestIdealPieces:
     def test_pair_piece_boundaries(self, a2_model):
+        """The piece of one element and a sign is the sum of orthogonals
+        whose other closure is the whole module."""
         g = a2_model.group
         lam = (1, 1)
         for w in g.elements:
-            left = a2_model.pair_piece(w, g.longest, lam)
-            assert left == a2_model.demazure_orth(w, "-", lam)
-            right = a2_model.pair_piece(g.identity, w, lam)
-            assert right == a2_model.demazure_orth(w, "+", lam)
+            for sign, y, z in (("-", w, g.longest), ("+", g.identity, w)):
+                want = sum_of_orthogonals_pair_piece(a2_model, y, z, lam)
+                assert a2_model.pair_piece(y, z, lam) == want
+                assert a2_model.demazure_orth(w, sign, lam) == want
+
+    @pytest.mark.parametrize("label,top", [("A2", 2), ("B2", 1)])
+    def test_pair_pieces_match_sum_of_orthogonals(self, label, top):
+        """Every pair (y, z), y <= z or not, meets its two closures to the
+        rows and pivots of the sum of their orthogonals."""
+        model = CoordinateModel.get(label)
+        elements = model.group.elements
+        orths = {}
+        for lam in itertools.product(range(top + 1),
+                                     repeat=model.datum.rank):
+            for y, z in itertools.product(elements, elements):
+                assert model.pair_piece(y, z, lam) == \
+                    sum_of_orthogonals_pair_piece(model, y, z, lam, orths), \
+                    (lam, y.word, z.word)
 
     def test_plus_piece_dims_complement_closures(self, a2_model):
         # orthogonal pieces have complementary dimension blockwise

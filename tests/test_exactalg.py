@@ -17,8 +17,8 @@ from qbruhat.exactalg import (Laurent, ONE, RatFun, Subspace, ZERO,
                               q_factorial, q_int, q_power_roots,
                               reduce_against, rref, solve)
 
-from oracles import (laurent_add, laurent_mul, min_exp, ratfun_mul,
-                     zassenhaus_intersect)
+from oracles import (gauss_jordan_rref, laurent_add, laurent_mul, min_exp,
+                     ratfun_mul, zassenhaus_intersect)
 
 q = Laurent.q_power(1)
 qi = Laurent.q_power(-1)
@@ -674,11 +674,18 @@ class TestQCombinatorics:
                 assert lhs == rhs
 
 
-def rows_strategy():
-    entries = st.fractions(min_value=-4, max_value=4, max_denominator=3)
-    scalar = entries.map(Laurent.const)
+def rows_strategy(scalar=None):
+    """Up to four rows of three entries; rational constants unless
+    another scalar strategy is given."""
+    if scalar is None:
+        scalar = st.fractions(min_value=-4, max_value=4,
+                              max_denominator=3).map(Laurent.const)
     return st.lists(st.lists(scalar, min_size=3, max_size=3),
                     min_size=1, max_size=4)
+
+
+# rows over Laurent polynomials and now and then a RatFun
+tower_rows = rows_strategy(st.composite(scalars)())
 
 
 class TestLinearAlgebra:
@@ -750,6 +757,19 @@ class TestLinearAlgebra:
     def test_rank_nullity(self, rows):
         _, piv = rref(rows)
         assert len(piv) + len(kernel(rows, 3)[0]) == 3
+
+    @given(rows_strategy() | tower_rows, st.randoms())
+    @settings(max_examples=80, deadline=None)
+    def test_rref_matches_gauss_jordan_in_any_row_order(self, rows, rnd):
+        """The fold of insertions gives Gauss-Jordan's canonical rows and
+        pivots, whatever order the rows come in."""
+        got = rref(rows)
+        assert got == gauss_jordan_rref(rows)
+        shuffled = list(rows)
+        rnd.shuffle(shuffled)
+        assert rref(shuffled) == got
+        assert [[str(c) for c in r] for r in got[0]] == \
+            [[str(c) for c in r] for r in gauss_jordan_rref(shuffled)[0]]
 
 
 _echelon_entries = st.sampled_from([ZERO, ZERO, ZERO, ONE, -ONE, q, 2 * qi,
@@ -853,6 +873,15 @@ class TestSubspace:
             for b in (Subspace.zero(n), Subspace.full(n), proper):
                 assert a.intersect(b) == zassenhaus_intersect(a, b)
 
+    @given(rows_strategy() | tower_rows, rows_strategy() | tower_rows)
+    @settings(max_examples=40, deadline=None)
+    def test_sum_inserting_second_operand_matches_from_vectors(self, ra,
+                                                               rb):
+        a = Subspace.from_vectors(3, ra)
+        b = Subspace.from_vectors(3, rb)
+        assert a.sum(b) == Subspace.from_vectors(3, a.rows + b.rows)
+        assert a.sum(b) == b.sum(a)
+
     def test_trivial_operands_skip_the_reduction(self, monkeypatch):
         line = Subspace.from_vectors(3, [[ONE, q, ZERO]])
         zero, full = Subspace.zero(3), Subspace.full(3)
@@ -866,8 +895,8 @@ class TestSubspace:
         def no_reduction(*args, **kwargs):
             raise AssertionError("trivial operand ran a reduction")
 
-        monkeypatch.setattr(exactalg, "rref", no_reduction)
-        monkeypatch.setattr(exactalg, "kernel", no_reduction)
+        for name in ("rref", "echelon_insert", "kernel"):
+            monkeypatch.setattr(exactalg, name, no_reduction)
         for other in (zero, full):
             assert line.intersect(other) == other.intersect(line)
         assert line.intersect(full) is line

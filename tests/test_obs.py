@@ -28,8 +28,9 @@ def _group_case(call, owner, attr):
 
 def _word_case():
     group = WeylGroup(build_cartan("B3"))
-    return (lambda: group.canonical_word(group.longest),
-            lambda: group.longest.word, WeylGroup, "_first_descent")
+    return (lambda: group.longest.word,
+            lambda: group.elements[group.longest.idx].word, WeylGroup,
+            "_first_descent")
 
 
 def _model_case(call_a, call_b, owner, attr):
@@ -69,7 +70,7 @@ MEMOS = {
         lambda: WeylGroup.build(build_cartan("C4")),
         WeylGroup, "__init__"),
     "_cancel_nonunits": _cancel_case,
-    "canonical_word": _word_case,
+    "word": _word_case,
     "fixed_space_rank": lambda: _group_case(
         lambda g: g.fixed_space_rank(g.longest), weyl, "_integer_rank"),
     "cover_lists": lambda: _group_case(
@@ -100,14 +101,15 @@ MEMOS = {
         lambda m, g: m.closure(g.gens[1], "-", [2, 1]),
         lambda m, g: m.closure(g.gens[1], "-", (2, 1)),
         coordring, "demazure_blocks"),
+    # demazure_orth keeps no table: it fills and reads pair_piece's
     "demazure_orth": lambda: _model_case(
         lambda m, g: m.demazure_orth(g.gens[0], "+", [1, 1]),
-        lambda m, g: m.demazure_orth(g.gens[0], "+", (1, 1)),
-        coordring, "demazure_blocks"),
+        lambda m, g: m.pair_piece(g.identity, g.gens[0], (1, 1)),
+        CoordinateModel, "closure"),
     "pair_piece": lambda: _model_case(
         lambda m, g: m.pair_piece(g.gens[0], g.longest, [1, 1]),
         lambda m, g: m.pair_piece(g.gens[0], g.longest, (1, 1)),
-        GradedPiece, "sum"),
+        CoordinateModel, "closure"),
     "left_ideal_piece": lambda: _model_case(
         lambda m, g: m.left_ideal_piece([1, 0], [-1, 1], "+", [0, 1]),
         lambda m, g: m.left_ideal_piece((1, 0), (-1, 1), "+", (0, 1)),
