@@ -97,6 +97,21 @@ class TestLaurent:
         assert parse_laurent(format_scalar(a)) == a
 
 
+@pytest.mark.parametrize("build, text", [
+    (lambda: ONE / (2 * q + 1), "(1/2)/(1/2 + q)"),
+    (lambda: (q + 1) / 2, "1/2 + 1/2*q"),
+    (lambda: exactalg.coerce_scalar(Fraction(3, 2)) * q, "3/2*q"),
+    (lambda: q / (1 - 3 * q ** 2), "(-1/3*q)/(-1/3 + q^2)"),
+    (lambda: (2 * q + 2) / (4 * q ** 2 - 4), "(1/2)/(-1 + q)"),
+    (lambda: parse_laurent("3/2 - 5*q"), "3/2 - 5*q"),
+])
+def test_fractional_text_is_pinned(build, text):
+    """Scalars with fractional coefficients print over a monic
+    denominator, whatever form they are stored in."""
+    x = build()
+    assert str(x) == format_scalar(x) == text
+
+
 def fraction_poly_gcd(a, b):
     """Monic gcd over Q by the Euclidean algorithm on Fraction
     coefficients: the reference for the integer pseudo-remainder gcd."""
