@@ -40,7 +40,7 @@ def main():
     datum = build_cartan("A2")
     for text in ["e", "s1", "s1 s2", "s1 s2 s1"]:
         w = group.parse(text)
-        masses = [demazure_character(datum, group, w, lam).mass()
+        masses = [demazure_character(datum, w, lam).mass()
                   for lam in [(1, 0), (1, 1), (2, 2)]]
         print("  w = %-10s masses %s" % (text, masses))
 

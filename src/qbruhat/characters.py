@@ -77,7 +77,7 @@ def demazure_step(char, i):
     return FormalCharacter(datum, out)
 
 
-def demazure_character(datum, group, w, lam):
+def demazure_character(datum, w, lam):
     """Character of the Demazure piece attached to w at dominant lam."""
     if not datum.is_dominant(lam):
         raise ValueError("weight %s is not dominant" % (lam,))
@@ -89,7 +89,7 @@ def demazure_character(datum, group, w, lam):
 
 @memo(lambda datum, group, lam: (datum.label, tuple(lam)))
 def weyl_character(datum, group, lam):
-    return demazure_character(datum, group, group.longest, lam)
+    return demazure_character(datum, group.longest, lam)
 
 
 def weight_multiplicity(datum, group, lam, mu):

@@ -1,29 +1,37 @@
 """Exact scalars and exact linear algebra.
 
-Every computation in this package runs over an exact coefficient tower:
-rational numbers, Laurent polynomials in a formal variable q with rational
-coefficients, and ratios of such polynomials.  A coefficient is stored in
-one canonical form: an ``int`` when it is integral, a ``Fraction`` only
-when its denominator is greater than one, and coefficient quotients go
-through one exact helper.  No floating point is used anywhere.
-Arithmetic stays inside the Laurent ring whenever it can; division
-promotes to the fraction field only when the quotient is not itself a
-Laurent polynomial, and results whose reduced denominator is a power of
-q are demoted back to Laurent form.  Consequently two equal
-scalars always compare equal and print identically.
+Every scalar in this package lies in Z[q, q^-1], the Laurent
+polynomials in a formal variable q with integer coefficients, or in its
+fraction field, and every stored coefficient is an ``int``.  A value of
+the ring is a ``Laurent``; any other value is a ``RatFun`` n/d with n in
+Z[q, q^-1] and d in Z[q], where d has a nonzero constant term and a
+positive leading coefficient, d is not 1, and n and d are coprime in
+Z[q, q^-1], integer content included: 1/2 is the ``RatFun`` 1 over 2.
+The units of Z[q, q^-1] are the monomials +-q^k, and the conditions on
+d fix that unit, so the form is unique: two equal scalars always
+compare equal, hash alike and print identically.  A rational constant
+also compares equal to, and hashes like, the ``int`` or ``Fraction`` it
+equals.  Rational coefficients enter only through ``Laurent(coeffs)``
+and leave only at print time, where a ratio is written over its monic
+denominator.  No floating point is used anywhere.  Arithmetic stays
+inside the Laurent ring whenever it can; division promotes to the
+fraction field only when the quotient is not itself a Laurent
+polynomial, and results whose reduced denominator is a unit are demoted
+back to Laurent form.
 
 The canonical form is kept cheaply.  Laurent sums, differences,
 negations and products build their results through a trusted
-constructor that normalises only the coefficients that are not ints; a
-sum with zero, a product with one and a product with an integer
-monomial skip the general loops.  Fraction-field operators use that their operands are
-already reduced and run a gcd only on the factors that can still share
-a divisor (Henrici, J. ACM 3, 1956): adding a Laurent polynomial,
-negating, multiplying by a power of q, taking a reciprocal or a power
-runs no gcd at all.  The cancellations of a product are memoised
-(``obs.memo``) on their operand pair, since a matrix reduction meets
-the same pairs again and again.  ``RatFun`` lists every case with the
-reason its result is reduced.
+constructor; a sum with zero, a product with one and a product with a
+monomial skip the general loops.  Fraction-field operators use that
+their operands are already reduced and run a gcd only on the factors
+that can still share a divisor (Henrici, J. ACM 3, 1956): adding a
+Laurent polynomial, negating, multiplying by a unit, taking a
+reciprocal or a power runs no gcd at all.  A gcd is the gcd of the
+integer contents times the primitive gcd of a pseudo-remainder sequence
+over Z (Collins, J. ACM 14, 1967; Knuth, TAOCP vol. 2, 4.6.1).  The
+cancellations of a product are memoised (``obs.memo``) on their operand
+pair, since a matrix reduction meets the same pairs again and again.
+``RatFun`` lists every case with the reason its result is reduced.
 
 The matrix layer is deliberately plain: matrices are lists of lists of
 scalars, and the one Gauss-Jordan step is ``echelon_insert``, which
@@ -46,47 +54,31 @@ from math import gcd, lcm
 from .obs import memo
 
 
-def _fr(x):
-    """Canonical coefficient: an int when integral, else a Fraction."""
-    if type(x) is int:
-        return x
-    if isinstance(x, Fraction):
-        return x.numerator if x.denominator == 1 else x
-    if isinstance(x, int):
-        return int(x)
-    raise TypeError("expected an integer or Fraction, got %r" % (x,))
-
-
-def _div(a, b):
-    """Exact quotient of two coefficients, in canonical form."""
-    if type(a) is int and type(b) is int:
-        quo, rem = divmod(a, b)
-        if not rem:
-            return quo
-    return _fr(Fraction(a, b))
-
-
 class Laurent:
-    """A Laurent polynomial in q with rational coefficients.
+    """A Laurent polynomial in q with integer coefficients.
 
-    Stored as a dict mapping integer exponents to nonzero coefficients, each
-    an ``int`` when integral and a ``Fraction`` with denominator greater
-    than one otherwise.  Instances are immutable in practice; do not mutate
-    ``coeffs``.
+    Stored as a dict mapping integer exponents to nonzero ``int``
+    coefficients.  Instances are immutable in practice; do not mutate
+    ``coeffs``.  ``Laurent(coeffs)`` is the one entry point that also
+    takes ``Fraction`` coefficients: when one is not integral, it returns
+    the canonical ``RatFun`` over their common denominator, as
+    ``RatFun(num, den)`` returns a ``Laurent`` when the quotient is one.
     """
 
     __slots__ = ("coeffs", "_hash")
 
-    def __init__(self, coeffs=None):
+    def __new__(cls, coeffs=None):
         clean = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                if type(c) is not int:
-                    c = _fr(c)
-                if c:
-                    clean[int(e)] = c
-        self.coeffs = clean
-        self._hash = None
+        for e, c in (coeffs or {}).items():
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError("expected an integer or Fraction, got %r"
+                                % (c,))
+            if c:
+                clean[int(e)] = c
+        den = lcm(*(c.denominator for c in clean.values()))
+        num = Laurent._raw({e: c.numerator * (den // c.denominator)
+                            for e, c in clean.items()})
+        return num if den == 1 else _make_ratfun(num, Laurent._raw({0: den}))
 
     @staticmethod
     def const(x):
@@ -94,7 +86,7 @@ class Laurent:
 
     @staticmethod
     def q_power(n):
-        return Laurent({int(n): 1})
+        return Laurent._raw({int(n): 1})
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -115,7 +107,7 @@ class Laurent:
     @staticmethod
     def _raw(coeffs):
         """Trusted constructor: ``coeffs`` already maps int exponents to
-        nonzero canonical coefficients, and is stored without a copy."""
+        nonzero int coefficients, and is stored without a copy."""
         p = object.__new__(Laurent)
         p.coeffs = coeffs
         p._hash = None
@@ -137,8 +129,8 @@ class Laurent:
         for e, c in b.items():
             s = out.get(e, 0) + c
             if s:
-                out[e] = s if type(s) is int else _fr(s)
-            elif e in out:
+                out[e] = s
+            else:
                 del out[e]
         return Laurent._raw(out)
 
@@ -154,8 +146,8 @@ class Laurent:
         for e, c in other.coeffs.items():
             s = out.get(e, 0) - c
             if s:
-                out[e] = s if type(s) is int else _fr(s)
-            elif e in out:
+                out[e] = s
+            else:
                 del out[e]
         return Laurent._raw(out)
 
@@ -178,16 +170,11 @@ class Laurent:
         if not a:
             return ZERO
         if len(a) == 1:
+            # a monomial shifts and scales the other factor
             (s, c), = a.items()
-            if type(c) is int:
-                # an integer monomial shifts and scales the other factor
-                if c == 1 and not s:
-                    return big
-                out = {e + s: c * v for e, v in b.items()}
-                for e, v in out.items():
-                    if type(v) is not int:
-                        out[e] = _fr(v)
-                return Laurent._raw(out)
+            if c == 1 and not s:
+                return big
+            return Laurent._raw({e + s: c * v for e, v in b.items()})
         out = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
@@ -195,11 +182,8 @@ class Laurent:
                 s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
-                elif e in out:
+                else:
                     del out[e]
-        for e, c in out.items():
-            if type(c) is not int:
-                out[e] = _fr(c)
         return Laurent._raw(out)
 
     __rmul__ = __mul__
@@ -228,8 +212,7 @@ class Laurent:
         q_, r = _laurent_divmod(self, other)
         if not r:
             return q_
-        # gcd(self, other) = gcd(other, r) up to units, and r is the
-        # smaller operand
+        # gcd(self, other) = gcd(other, r) up to units, as r = self - q_*other
         g = _common_factor(other, r)
         if g is None:
             return _coprime_quotient(self, other)
@@ -244,9 +227,10 @@ class Laurent:
         if isinstance(other, Laurent):
             return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            return self.coeffs == Laurent.const(other).coeffs
+            return self == coerce_scalar(other)
         if isinstance(other, RatFun):
-            return other == self
+            # a canonical RatFun is never in the Laurent ring
+            return False
         return NotImplemented
 
     def __hash__(self):
@@ -258,55 +242,55 @@ class Laurent:
         return self._hash
 
     def __str__(self):
-        return format_laurent(self)
+        return _format_terms(self.coeffs)
 
     def __repr__(self):
         return "Laurent(%s)" % self
 
 
 def _laurent_divmod(a, b):
-    """Divide Laurent a by nonzero Laurent b: returns (quotient, remainder).
+    """Divide Laurent a by nonzero Laurent b over Z: returns (quotient,
+    remainder).
 
     Long division from the top term down, over the exponents from max(a)
-    to min(a) + max(b) - min(b); the remainder keeps the terms below that
-    range, so it is zero exactly when b divides a in the Laurent ring.
-    Each quotient coefficient comes out of ``_div`` in canonical form, so
-    the quotient is built with the trusted constructor.
+    to min(a) + max(b) - min(b); it stops at the first coefficient that
+    the leading coefficient of b does not divide.  Either way the
+    remainder is a - quotient*b, and it is zero exactly when b divides a
+    in Z[q, q^-1].
     """
     if not a:
         return ZERO, ZERO
     bc = b.coeffs
-    if len(bc) == 1:
-        (eb, cb), = bc.items()
-        return (Laurent._raw({e - eb: _div(c, cb)
-                              for e, c in a.coeffs.items()}), ZERO)
     top = max(bc)
     lead = bc[top]
+    if len(bc) == 1 and not any(c % lead for c in a.coeffs.values()):
+        return (Laurent._raw({e - top: c // lead
+                              for e, c in a.coeffs.items()}), ZERO)
     rest = [(e - top, c) for e, c in bc.items() if e != top]
     rem = dict(a.coeffs)
     quo = {}
     for k in range(max(rem), min(rem) - min(bc) + top - 1, -1):
-        c = rem.pop(k, 0)
+        c = rem.get(k)
         if not c:
             continue
-        f = quo[k - top] = _div(c, lead)
+        f, r = divmod(c, lead)
+        if r:
+            break
+        del rem[k]
+        quo[k - top] = f
         for d, bd in rest:
             e = k + d
             s = rem.get(e, 0) - f * bd
             if s:
                 rem[e] = s
             else:
-                rem.pop(e, None)
-    return Laurent._raw(quo), (Laurent(rem) if rem else ZERO)
+                del rem[e]
+    return Laurent._raw(quo), (Laurent._raw(rem) if rem else ZERO)
 
 
 def _primitive(p):
     """Integer polynomial p divided by its content, leading term positive."""
-    g = 0
-    for c in p.values():
-        g = gcd(g, c)
-        if g == 1:
-            break
+    g = gcd(*p.values())
     if p[max(p)] < 0:
         g = -g
     if g == 1:
@@ -314,28 +298,18 @@ def _primitive(p):
     return {e: c // g for e, c in p.items()}
 
 
-def _clear_denominators(p):
-    """A positive integer multiple of p with integer coefficients."""
-    m = 1
-    for c in p.values():
-        if type(c) is not int:
-            m = lcm(m, c.denominator)
-    if m == 1:
-        return p
-    return {e: int(c * m) for e, c in p.items()}
-
-
 def _poly_gcd(a, b):
-    """Primitive gcd over Z of two nonzero polynomials given as exponent dicts.
+    """Primitive gcd over Z of two nonzero integer polynomials given as
+    exponent dicts.
 
-    The denominators are cleared first; then a pseudo-remainder sequence
-    runs over the integers, taking the primitive part of every remainder
-    (Collins, J. ACM 14, 1967), so no coefficient ever becomes a fraction.
-    The result has integer coefficients, content one and a positive leading
-    coefficient; it is the monic gcd over Q up to that leading coefficient.
+    A pseudo-remainder sequence runs over the integers, taking the
+    primitive part of every remainder (Collins, J. ACM 14, 1967), so no
+    coefficient ever becomes a fraction.  The result has content one and
+    a positive leading coefficient: it is the gcd of the primitive parts
+    of a and b.
     """
-    a = dict(_primitive(_clear_denominators(a)))
-    b = dict(_primitive(_clear_denominators(b)))
+    a = dict(_primitive(a))
+    b = dict(_primitive(b))
     while b:
         # a pseudo-remainder of a by b, up to a nonzero integer factor
         db = max(b)
@@ -368,20 +342,32 @@ def _shifted(p):
 
 
 def _common_factor(a, b):
-    """The gcd of two nonzero Laurent polynomials up to units, as a
-    polynomial of positive degree, or None when they share no factor.
-    Powers of q are units, so a monomial never shares one."""
-    if len(a.coeffs) == 1 or len(b.coeffs) == 1:
-        return None
-    g = _poly_gcd(_shifted(a), _shifted(b))
-    return Laurent._raw(g) if max(g) else None
+    """The gcd in Z[q, q^-1] of two nonzero Laurent polynomials, up to
+    the units +-q^k, or None when it is a unit.
+
+    It is the gcd of their integer contents times the primitive gcd of
+    their shifted parts, so it is an ordinary polynomial with nonzero
+    constant term and positive leading coefficient.  A monomial can
+    share only its content."""
+    g = {0: 1}
+    if len(a.coeffs) > 1 and len(b.coeffs) > 1:
+        g = _poly_gcd(_shifted(a), _shifted(b))
+    content = gcd(*a.coeffs.values(), *b.coeffs.values())
+    if content != 1:
+        g = {e: content * c for e, c in g.items()}
+    return None if g == {0: 1} else Laurent._raw(g)
+
+
+def _is_unit(p):
+    """Whether the Laurent polynomial p is a unit +-q^k of Z[q, q^-1]."""
+    return len(p.coeffs) == 1 and abs(next(iter(p.coeffs.values()))) == 1
 
 
 def _cancel(a, b):
     """(a/g, b/g) for the common factor g of two nonzero Laurent
-    polynomials, or None when they share none.  A monomial is a unit and
-    shares none, so it is answered before the memo table is consulted."""
-    if len(a.coeffs) == 1 or len(b.coeffs) == 1:
+    polynomials, or None when they share none.  A unit shares none, so
+    it is answered before the memo table is consulted."""
+    if _is_unit(a) or _is_unit(b):
         return None
     return _cancel_nonunits(a, b)
 
@@ -411,18 +397,18 @@ def _ratfun(num, den):
 
 
 def _coprime_quotient(num, den):
-    """num/den in canonical form for nonzero num and den that share no
-    polynomial factor: a shift and a monic scaling, no gcd."""
+    """num/den in canonical form for nonzero num and den that are coprime
+    in Z[q, q^-1]: only the unit +-q^s moves from den to num, s being
+    den's lowest exponent and the sign that of its leading coefficient.
+    No gcd and no scaling."""
     d = den.coeffs
     s = min(d)
-    lead = d[max(d)]
-    if lead == 1 and not s and len(d) > 1:
-        return _ratfun(num, den)
-    num = Laurent._raw({e - s: _div(c, lead) for e, c in num.coeffs.items()})
-    if len(d) == 1:
-        return num
-    return _ratfun(num, Laurent._raw({e - s: _div(c, lead)
-                                      for e, c in d.items()}))
+    sign = 1 if d[max(d)] > 0 else -1
+    if s or sign < 0:
+        num = Laurent._raw({e - s: sign * c for e, c in num.coeffs.items()})
+        d = {e - s: sign * c for e, c in d.items()}
+        den = Laurent._raw(d)
+    return num if d == {0: 1} else _ratfun(num, den)
 
 
 def _make_ratfun(num, den):
@@ -440,7 +426,7 @@ def _make_ratfun(num, den):
 def _inverse(x):
     """1/x for a nonzero scalar x.  Numerator and denominator of a
     canonical RatFun are coprime, and 1 is coprime to everything, so the
-    reciprocal only needs renormalising."""
+    reciprocal only needs its unit moved."""
     if isinstance(x, RatFun):
         return _coprime_quotient(x.den, x.num)
     if not x:
@@ -449,23 +435,30 @@ def _inverse(x):
 
 
 class RatFun:
-    """A reduced ratio of Laurent polynomials outside the Laurent ring.
+    """A reduced ratio n/d of Laurent polynomials outside the Laurent ring.
 
-    Canonical form: the denominator is an ordinary polynomial, monic, with
-    nonzero constant term and positive degree; numerator and denominator
-    share no polynomial factor.  Every operation returns this form and
-    demotes to ``Laurent`` whenever the reduced denominator is trivial, so
-    equal values always share a representation.
+    Canonical form: d is an ordinary integer polynomial with nonzero
+    constant term and positive leading coefficient, and not 1; n and d
+    are coprime in Z[q, q^-1], integer content included.  A constant d
+    is allowed, so a rational constant or a Laurent polynomial over Q
+    with a non-integral coefficient is a RatFun too.  Every operation
+    returns this form and demotes to ``Laurent`` whenever the reduced
+    denominator is a unit, so equal values always share a
+    representation.  The text is printed over the monic denominator
+    d / lead(d).
 
     Since the operands are already reduced, each operator runs a gcd only
     on the factors that can still share a divisor (Henrici, J. ACM 3,
-    1956; Knuth, TAOCP vol. 2, 4.5.1).  For n/d with d coprime to q:
+    1956; Knuth, TAOCP vol. 2, 4.5.1).  Z[q, q^-1] is a unique
+    factorisation domain, and a common factor below may be an integer as
+    well as a polynomial.  For n/d:
 
     - ``-(n/d) = (-n)/d``, and ``n/d + l = (n + l*d)/d`` for a Laurent l,
       are reduced as they stand: a factor of d dividing n + l*d would
       divide n.
-    - ``n/d * c*q^e = (c*q^e*n)/d`` is reduced, q being coprime to d.
-    - ``n/d * l`` for a Laurent polynomial l divides l and d by gcd(l, d).
+    - ``n/d * (+-q^e) = (+-q^e*n)/d`` is reduced, a unit sharing nothing.
+    - ``n/d * l`` for any other Laurent l divides l and d by gcd(l, d),
+      which for a monomial c*q^e is gcd(c, content(d)).
     - ``n1/d + n2/d`` divides n1 + n2 and d by gcd(n1 + n2, d).
     - ``n1/d1 * n2/d2`` uses the cross gcds gcd(n1, d2) and gcd(n2, d1).
       The product cancellations, here and for a Laurent l, are memoised
@@ -474,15 +467,15 @@ class RatFun:
     - ``n1/d1 + n2/d2`` with g = gcd(d1, d2) forms t = n1*(d2/g) +
       n2*(d1/g); t is coprime to d1/g and d2/g, so only g2 = gcd(t, g)
       remains, and the sum is (t/g2) / ((d1/g) * (d2/g2)).
-    - the reciprocal d/n and the power n^k/d^k only shift and rescale.
+    - the reciprocal d/n and the power n^k/d^k only move a unit.
     """
 
     __slots__ = ("num", "den", "_hash")
 
     def __new__(cls, num, den):
-        """``RatFun(num, den)`` is num/den in canonical form: a ``Laurent``
-        when the quotient is one."""
-        return _make_ratfun(coerce_scalar(num), coerce_scalar(den))
+        """``RatFun(num, den)`` is num / den, for any two scalars, in
+        canonical form: a ``Laurent`` when the quotient is one."""
+        return coerce_scalar(num) / den
 
     def __reduce__(self):
         # copies and pickles rebuild the canonical form as it stands
@@ -555,21 +548,34 @@ class RatFun:
         if not n:
             return ONE
         return _ratfun(self.num ** n, self.den ** n)
+
     def __eq__(self, other):
         if isinstance(other, RatFun):
             return self.num == other.num and self.den == other.den
-        if isinstance(other, (Laurent, int, Fraction)):
-            # canonical RatFun always has a nontrivial denominator
+        if isinstance(other, (int, Fraction)):
+            return self == coerce_scalar(other)
+        if isinstance(other, Laurent):
+            # a canonical RatFun is never in the Laurent ring
             return False
         return NotImplemented
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((hash(self.num), hash(self.den)))
+            if self.num.is_constant() and self.den.is_constant():
+                # a rational constant hashes like the Fraction it equals
+                self._hash = hash(Fraction(self.num.coeffs[0],
+                                           self.den.coeffs[0]))
+            else:
+                self._hash = hash((hash(self.num), hash(self.den)))
         return self._hash
 
     def __str__(self):
-        return "(%s)/(%s)" % (self.num, self.den)
+        d = self.den.coeffs
+        lead = d[max(d)]
+        num = _format_terms(self.num.coeffs, lead)
+        if len(d) == 1:
+            return num
+        return "(%s)/(%s)" % (num, _format_terms(d, lead))
 
     def __repr__(self):
         return "RatFun(%s)" % self
@@ -594,7 +600,7 @@ def q_int(n, d=1):
     n = int(n)
     if n < 0:
         return -q_int(-n, d)
-    return Laurent({d * (n - 1 - 2 * k): 1 for k in range(n)})
+    return Laurent._raw({d * (n - 1 - 2 * k): 1 for k in range(n)})
 
 
 def q_factorial(n, d=1):
@@ -616,23 +622,24 @@ def q_binomial(n, k, d=1):
     return out
 
 
-def format_laurent(p):
-    """Canonical text form, ascending exponents: e.g. ``q^-1 + 2 + q``."""
-    if not p.coeffs:
+def _format_terms(coeffs, den=1):
+    """Canonical text of the sum of (c/den)*q^e over the exponent dict
+    ``coeffs``, ascending exponents: e.g. ``q^-1 + 2 + q`` or
+    ``1/2 - 3/2*q``.  ``den`` is positive and each coefficient prints in
+    lowest terms."""
+    if not coeffs:
         return "0"
     parts = []
-    for e in sorted(p.coeffs):
-        c = p.coeffs[e]
-        if e == 0:
-            body = _format_coeff(c)
-        else:
+    for e in sorted(coeffs):
+        g = gcd(coeffs[e], den)
+        n, m = coeffs[e] // g, den // g
+        body = str(n) if m == 1 else "%d/%d" % (n, m)
+        if e:
             qpart = "q" if e == 1 else "q^%d" % e
-            if c == 1:
-                body = qpart
-            elif c == -1:
-                body = "-" + qpart
+            if body in ("1", "-1"):
+                body = body[:-1] + qpart
             else:
-                body = "%s*%s" % (_format_coeff(c), qpart)
+                body = "%s*%s" % (body, qpart)
         parts.append(body)
     text = parts[0]
     for body in parts[1:]:
@@ -643,21 +650,13 @@ def format_laurent(p):
     return text
 
 
-def _format_coeff(c):
-    if c.denominator == 1:
-        return str(c.numerator)
-    return "%d/%d" % (c.numerator, c.denominator)
-
-
 def format_scalar(x):
-    x = coerce_scalar(x)
-    if isinstance(x, Laurent):
-        return format_laurent(x)
-    return str(x)
+    return str(coerce_scalar(x))
 
 
 def parse_laurent(text):
-    """Inverse of ``format_laurent`` on its canonical output."""
+    """Inverse of ``str`` on a Laurent polynomial over Q: one with a
+    non-integral coefficient comes back as its canonical ``RatFun``."""
     text = text.strip()
     if text == "0":
         return ZERO

@@ -7,7 +7,9 @@ canonical words by a recursion memoised per element
 (``recursive_canonical_word``), the pair poset by testing every pair of
 the group, its JSON document as a dict-of-dicts through ``json.dumps``
 (``dict_strata_json``), scalar sums and products
-by the general loops and an uncached gcd on every product, canonical
+by the general loops and an uncached gcd on every product, the printed
+text of a ratio by Euclid's algorithm over Q on ``Fraction``
+coefficients, over a monic denominator (``monic_text``), canonical
 echelon forms by Gauss-Jordan elimination over the whole matrix with a
 monomial pivot preferred in each column (``gauss_jordan_rref``),
 subspace meets by a Zassenhaus reduction whatever the operands,
@@ -47,12 +49,13 @@ of small modules reaches (``eta_sweep``).
 import itertools
 import json
 from collections import Counter, deque
+from fractions import Fraction
 
 from qbruhat.characters import weyl_character, weyl_dim
 from qbruhat.coordring import GradedPiece, _restrict, _transpose
 from qbruhat.exactalg import (Laurent, ONE, RatFun, Subspace, ZERO,
                               _common_factor, _coprime_quotient, _exact_quo,
-                              _fr, _ratfun, coerce_scalar, dot,
+                              _ratfun, coerce_scalar, dot,
                               identity_matrix, kernel, q_binomial, q_int,
                               reduce_against)
 from qbruhat.strata import SCHEMA_STRATA
@@ -230,7 +233,7 @@ def laurent_add(x, other):
     for e, c in b.items():
         s = out.get(e, 0) + c
         if s:
-            out[e] = s if type(s) is int else _fr(s)
+            out[e] = s
         elif e in out:
             del out[e]
     return Laurent._raw(out)
@@ -255,9 +258,6 @@ def laurent_mul(x, other):
                 out[e] = s
             elif e in out:
                 del out[e]
-    for e, c in out.items():
-        if type(c) is not int:
-            out[e] = _fr(c)
     return Laurent._raw(out)
 
 
@@ -281,6 +281,107 @@ def ratfun_mul(x, other):
     if g is not None:
         n2, d1 = _exact_quo(n2, g), _exact_quo(d1, g)
     return _coprime_quotient(n1 * n2, d1 * d2)
+
+
+def fraction_poly_add(a, b):
+    """a + b for polynomials over Q given as exponent dicts."""
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def fraction_poly_mul(a, b):
+    """a * b for polynomials over Q given as exponent dicts."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def fraction_poly_gcd(a, b):
+    """Monic gcd over Q by the Euclidean algorithm on Fraction
+    coefficients: the reference for the integer pseudo-remainder gcd."""
+    a = {e: Fraction(c) for e, c in a.items()}
+    b = {e: Fraction(c) for e, c in b.items()}
+    while b:
+        db = max(b)
+        lead = b[db]
+        while a and max(a) >= db:
+            da = max(a)
+            f = a[da] / lead
+            for e, c in b.items():
+                ne = da - db + e
+                s = a.get(ne, 0) - f * c
+                if s:
+                    a[ne] = s
+                elif ne in a:
+                    del a[ne]
+        a, b = b, a
+    if not a:
+        return {0: Fraction(1)}
+    lead = a[max(a)]
+    return {e: c / lead for e, c in a.items()}
+
+
+def _fraction_quotient(a, g):
+    """a / g over Q for an ordinary polynomial g dividing a."""
+    a, quo = dict(a), {}
+    dg = max(g)
+    while a and max(a) >= dg:
+        da = max(a)
+        f = quo[da - dg] = a[da] / g[dg]
+        a = fraction_poly_add(a, {da - dg + e: -f * c for e, c in g.items()})
+    if a:
+        raise AssertionError("%s does not divide %s" % (g, a))
+    return quo
+
+
+def _fraction_text(p):
+    """Ascending text of a Laurent polynomial over Q, written out term by
+    term from its Fraction coefficients."""
+    if not p:
+        return "0"
+    text = ""
+    for e in sorted(p):
+        c = p[e]
+        if not e:
+            body = str(c)
+        else:
+            qpart = "q" if e == 1 else "q^%d" % e
+            body = (qpart if c == 1 else "-" + qpart if c == -1
+                    else "%s*%s" % (c, qpart))
+        if not text:
+            text = body
+        elif body.startswith("-"):
+            text += " - " + body[1:]
+        else:
+            text += " + " + body
+    return text
+
+
+def monic_text(num, den):
+    """The printed text of num/den for Laurent polynomials over Q given as
+    exponent dicts, den nonzero: both parts divided by their monic gcd
+    over Q (Euclid on Fractions), the power of q moved out of the
+    denominator and the denominator made monic.  A quotient that is a
+    Laurent polynomial prints as one."""
+    num = {e: Fraction(c) for e, c in num.items() if c}
+    den = {e: Fraction(c) for e, c in den.items() if c}
+    if not num:
+        return "0"
+    shift = min(num) - min(den)
+    num = {e - min(num): c for e, c in num.items()}
+    den = {e - min(den): c for e, c in den.items()}
+    g = fraction_poly_gcd(num, den)
+    num, den = _fraction_quotient(num, g), _fraction_quotient(den, g)
+    lead = den[max(den)]
+    num = {e + shift: c / lead for e, c in num.items()}
+    den = {e: c / lead for e, c in den.items()}
+    if den == {0: 1}:
+        return _fraction_text(num)
+    return "(%s)/(%s)" % (_fraction_text(num), _fraction_text(den))
 
 
 def gauss_jordan_rref(rows):

@@ -6,11 +6,12 @@ from unittest import mock
 
 import pytest
 
+from qbruhat.cartan import build_cartan
 from qbruhat.characters import weight_multiplicity
 from qbruhat.coordring import (CoordinateModel, EigenvalueError,
                                SufficiencyError)
 from qbruhat.exactalg import ONE, ZERO, Laurent, Subspace, kernel, mat_mul
-from qbruhat.uqmodules import ModuleScopeError
+from qbruhat.uqmodules import ModuleScopeError, build_irrep
 from oracles import (brute_cone_count, bruhat_pairs, dense_check_commutation,
                      dense_left_ideal_piece, eta_sweep,
                      extreme_product_scalar, pair_piece_saturation,
@@ -609,6 +610,36 @@ class TestSaturation:
         monkeypatch.setattr(CoordinateModel, "pair_piece", spy)
         model.saturation(g.gens[0], g.longest, (1, 0), 3, by="y")
         assert degrees == [(1, 0)]
+
+    def test_held_scalars_have_integer_coefficients(self, a2_model):
+        """After an A2 saturation sweep at nu = (1,0), bound 2, and a B2
+        (2,1) build, the module matrices, the closures, the pair pieces
+        and the saturated pieces hold int coefficients only, in
+        numerators and denominators alike."""
+        nu, bound = (1, 0), 2
+        datum = a2_model.datum
+        degrees = [datum.add(nu, tuple(k * c for c in datum.rho()))
+                   for k in range(bound + 1)]
+        rows = []
+        for y, z in bruhat_pairs(a2_model.group):
+            sat = a2_model.saturation(y, z, nu, bound)
+            held = [piece.blocks for piece in sat.pieces]
+            held.append(a2_model.pair_piece(y, z, nu).blocks)
+            for lam in degrees:
+                held += [a2_model.closure(y, "-", lam),
+                         a2_model.closure(z, "+", lam)]
+            rows += [row for blocks in held for sub in blocks.values()
+                     for row in sub.rows]
+        modules = [a2_model.module(lam) for lam in degrees]
+        modules.append(build_irrep(build_cartan("B2"), (2, 1)))
+        for m in modules:
+            rows += [list(vec.values()) for mat in m.fmat + m.emat
+                     for vec in mat.values()]
+        scalars = [x for row in rows for x in row if x]
+        parts = [p for x in scalars
+                 for p in ((x,) if isinstance(x, Laurent) else (x.num, x.den))]
+        assert len(scalars) > 1000
+        assert all(type(c) is int for p in parts for c in p.coeffs.values())
 
     def test_bad_anchor_flag(self, a2_model):
         g = a2_model.group

@@ -5,6 +5,7 @@ import itertools
 import pickle
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -17,8 +18,9 @@ from qbruhat.exactalg import (Laurent, ONE, RatFun, Subspace, ZERO,
                               q_factorial, q_int, q_power_roots,
                               reduce_against, rref, solve)
 
-from oracles import (gauss_jordan_rref, laurent_add, laurent_mul, min_exp,
-                     ratfun_mul, zassenhaus_intersect)
+from oracles import (fraction_poly_add, fraction_poly_gcd, fraction_poly_mul,
+                     gauss_jordan_rref, laurent_add, laurent_mul, min_exp,
+                     monic_text, ratfun_mul, zassenhaus_intersect)
 
 q = Laurent.q_power(1)
 qi = Laurent.q_power(-1)
@@ -26,6 +28,8 @@ qi = Laurent.q_power(-1)
 
 @st.composite
 def laurents(draw, max_terms=4, max_exp=5):
+    """A Laurent polynomial over Q: a ``Laurent`` when its coefficients
+    are integers, else a ``RatFun`` over their common denominator."""
     n = draw(st.integers(min_value=0, max_value=max_terms))
     out = ZERO
     for _ in range(n):
@@ -33,6 +37,17 @@ def laurents(draw, max_terms=4, max_exp=5):
         c = draw(st.fractions(min_value=-9, max_value=9, max_denominator=7))
         out = out + Laurent({e: Fraction(c)})
     return out
+
+
+def numerator(x):
+    """The Laurent polynomial over Z of a scalar in the Laurent ring or,
+    for a ``RatFun``, its numerator."""
+    return x if isinstance(x, Laurent) else x.num
+
+
+# Laurent polynomials over Z, for the helpers that work in Z[q, q^-1]:
+# the numerators of drawn Laurent polynomials over Q
+int_laurents = laurents().map(numerator)
 
 
 class TestLaurent:
@@ -76,9 +91,11 @@ class TestLaurent:
     @given(laurents(), laurents().filter(bool))
     @settings(max_examples=60, deadline=None)
     def test_ratfun_of_exact_quotient_is_laurent(self, a, b):
+        """An exact quotient is a ``Laurent`` exactly when its value is
+        in Z[q, q^-1]; over Q it is the canonical ``RatFun``."""
         r = RatFun(a * b, b)
-        assert isinstance(r, Laurent)
         assert r == a
+        assert type(r) is type(a)
 
     @given(laurents(), laurents())
     @settings(max_examples=60, deadline=None)
@@ -112,29 +129,80 @@ def test_fractional_text_is_pinned(build, text):
     assert str(x) == format_scalar(x) == text
 
 
-def fraction_poly_gcd(a, b):
-    """Monic gcd over Q by the Euclidean algorithm on Fraction
-    coefficients: the reference for the integer pseudo-remainder gcd."""
-    a = {e: Fraction(c) for e, c in a.items()}
-    b = {e: Fraction(c) for e, c in b.items()}
-    while b:
-        db = max(b)
-        lead = b[db]
-        while a and max(a) >= db:
-            da = max(a)
-            f = a[da] / lead
-            for e, c in b.items():
-                ne = da - db + e
-                s = a.get(ne, 0) - f * c
-                if s:
-                    a[ne] = s
-                elif ne in a:
-                    del a[ne]
-        a, b = b, a
-    if not a:
-        return {0: Fraction(1)}
-    lead = a[max(a)]
-    return {e: c / lead for e, c in a.items()}
+@given(st.integers(-40, 40), st.integers(1, 12))
+@settings(max_examples=100, deadline=None)
+def test_constants_compare_and_hash_like_numbers(a, b):
+    """A constant scalar equals the int or Fraction it stands for, from
+    either side, and hashes like it, however it was built; no scalar
+    equals a different number."""
+    f = Fraction(a, b)
+    for x in (exactalg.coerce_scalar(f), Laurent.const(f),
+              Laurent.const(a) / b, parse_laurent(str(f))):
+        assert type(x) is (Laurent if f.denominator == 1 else RatFun)
+        assert x == f and f == x
+        assert not x != f and not f != x
+        assert hash(x) == hash(f)
+        assert {f: "f"}[x] == "f" and {x: "x"}[f] == "x"
+        assert x != f + 1 and f + 1 != x
+        assert not a or (x != f * q and f * q != x)
+    n = Laurent.const(a)
+    assert n == a and a == n and hash(n) == hash(a)
+    assert q != f and f != q
+
+
+FRACTION_FACTORS = [{0: 1, 1: 1}, {0: Fraction(1, 2), 3: 1}, {0: 2, 1: -3},
+                    {0: 1, 2: 1}, {1: Fraction(2, 3)}]
+fraction_polys = st.dictionaries(
+    st.integers(-3, 3), st.fractions(-5, 5, max_denominator=4), max_size=3)
+
+
+@st.composite
+def fraction_quotients(draw):
+    """A numerator and a nonzero denominator over Q as Fraction exponent
+    dicts, sharing a factor half of the time."""
+    num = draw(fraction_polys)
+    den = draw(fraction_polys.filter(lambda p: any(p.values())))
+    if draw(st.booleans()):
+        f = draw(st.sampled_from(FRACTION_FACTORS))
+        num, den = fraction_poly_mul(num, f), fraction_poly_mul(den, f)
+    return num, den
+
+
+def fraction_poly_pow(p, n):
+    out = {0: 1}
+    for _ in range(n):
+        out = fraction_poly_mul(out, p)
+    return out
+
+
+@given(fraction_quotients(), fraction_quotients(), st.integers(-2, 3))
+@settings(max_examples=100, deadline=None)
+def test_every_operator_prints_the_monic_text(x, y, n):
+    """Operands enter as Fraction exponent dicts through ``Laurent``;
+    each operator's result prints as Euclid's algorithm over Q reduces
+    the same quotient of dicts, over a monic denominator."""
+    (nx, dx), (ny, dy) = x, y
+    a, b = Laurent(nx) / Laurent(dx), Laurent(ny) / Laurent(dy)
+    add, mul = fraction_poly_add, fraction_poly_mul
+
+    def neg(p):
+        return {e: -c for e, c in p.items()}
+
+    cases = [(a, nx, dx), (-a, neg(nx), dx),
+             (a + b, add(mul(nx, dy), mul(ny, dx)), mul(dx, dy)),
+             (a - b, add(mul(nx, dy), neg(mul(ny, dx))), mul(dx, dy)),
+             (a * b, mul(nx, ny), mul(dx, dy))]
+    if b:
+        cases.append((a / b, mul(nx, dy), mul(dx, ny)))
+    if n >= 0:
+        cases.append((a ** n, fraction_poly_pow(nx, n),
+                      fraction_poly_pow(dx, n)))
+    elif a:
+        cases.append((a ** n, fraction_poly_pow(dx, -n),
+                      fraction_poly_pow(nx, -n)))
+    for value, num, den in cases:
+        assert_canonical(value)
+        assert str(value) == format_scalar(value) == monic_text(num, den)
 
 
 def ordinary_poly(p):
@@ -149,8 +217,18 @@ def stored_coeffs(x):
     return list(x.coeffs.values())
 
 
-def canonical_coeff(c):
-    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+def assert_canonical(x):
+    """x is in the one canonical form: nonzero int coefficients, and for
+    a RatFun a denominator other than 1 with lowest exponent 0 and a
+    positive leading coefficient, sharing no factor with the numerator,
+    integer content included."""
+    assert type(x) in (Laurent, RatFun), x
+    assert all(type(c) is int and c for c in stored_coeffs(x)), x
+    if isinstance(x, RatFun):
+        d = x.den.coeffs
+        assert min(d) == 0 and d[max(d)] > 0 and d != {0: 1}, x
+        assert gcd(*stored_coeffs(x)) == 1, x
+        assert fraction_poly_gcd(ordinary_poly(x.num), d) == {0: 1}, x
 
 
 class TestCanonicalCoefficients:
@@ -178,6 +256,8 @@ class TestCanonicalCoefficients:
                     min_size=1, max_size=6))
     @settings(max_examples=80, deadline=None)
     def test_arithmetic_keeps_canonical_coefficients(self, seeds, ops):
+        """Every result of a chain of operations, on Laurent polynomials
+        over Q, is in the canonical form over Z."""
         vals = list(seeds)
         for op, i, j in ops:
             x, y = vals[i % len(vals)], vals[j % len(vals)]
@@ -190,22 +270,22 @@ class TestCanonicalCoefficients:
             elif y:
                 vals.append(x / y)
         for v in vals:
-            assert all(canonical_coeff(c) for c in stored_coeffs(v)), v
+            assert_canonical(v)
 
-    @given(laurents(), laurents().filter(bool), laurents().filter(bool))
+    @given(int_laurents, int_laurents.filter(bool),
+           int_laurents.filter(bool))
     @settings(max_examples=80, deadline=None)
     def test_make_ratfun_matches_fraction_gcd(self, a, b, c):
+        """Cancelling the gcd over Z, content included, gives the value
+        and the text that Euclid's algorithm over Q gives."""
         num, den = a * c, b * c
-        assume(num)
-        new = exactalg._make_ratfun(num, den)
-        with mock.patch.object(exactalg, "_poly_gcd", fraction_poly_gcd):
-            old = exactalg._make_ratfun(num, den)
-        assert type(new) is type(old)
-        assert new == old
-        assert str(new) == str(old)
+        got = exactalg._make_ratfun(num, den)
+        assert_canonical(got)
+        assert got * den == num
+        assert str(got) == monic_text(num.coeffs, den.coeffs)
 
-    @given(laurents().filter(bool), laurents().filter(bool),
-           laurents().filter(bool))
+    @given(int_laurents.filter(bool), int_laurents.filter(bool),
+           int_laurents.filter(bool))
     @settings(max_examples=80, deadline=None)
     def test_poly_gcd_is_monic_gcd_up_to_scale(self, a, b, c):
         pa, pb = ordinary_poly(a * c), ordinary_poly(b * c)
@@ -217,73 +297,69 @@ class TestCanonicalCoefficients:
                 == fraction_poly_gcd(pa, pb))
 
 
+def oracle_parts(y):
+    """(numerator, denominator) of any scalar, a Laurent over ONE."""
+    y = exactalg.coerce_scalar(y)
+    return (y, ONE) if isinstance(y, Laurent) else (y.num, y.den)
+
+
 def oracle_make_ratfun(num, den):
-    """num/den by one full gcd of the whole numerator and denominator: the
-    reference for the reduced-operand RatFun operators."""
+    """num/den by one full gcd over Z, content included, of the whole
+    numerator and denominator, then the unit +-q^s moved out of the
+    denominator: the reference for the reduced-operand RatFun
+    operators.  num and den may be any scalars."""
+    (n1, d1), (n2, d2) = oracle_parts(num), oracle_parts(den)
+    num, den = n1 * d2, d1 * n2
     if not den:
         raise ZeroDivisionError("division by zero scalar")
     if not num:
         return ZERO
-    sn, sd = min_exp(num), min_exp(den)
-    pn = {e - sn: c for e, c in num.coeffs.items()}
-    pd = {e - sd: c for e, c in den.coeffs.items()}
-    g = exactalg._poly_gcd(pn, pd)
-    if max(g) > 0:
-        gl = Laurent(g)
-        pn_l, r1 = exactalg._laurent_divmod(Laurent(pn), gl)
-        pd_l, r2 = exactalg._laurent_divmod(Laurent(pd), gl)
-        assert not r1 and not r2
-        pn, pd = pn_l.coeffs, pd_l.coeffs
-    lead = pd[max(pd)]
-    if lead != 1:
-        pn = {e: Fraction(c, lead) for e, c in pn.items()}
-        pd = {e: Fraction(c, lead) for e, c in pd.items()}
-    shift = sn - sd
-    if max(pd) == 0:
-        return Laurent({e + shift: c for e, c in pn.items()})
+    pn, pd = ordinary_poly(num), ordinary_poly(den)
+    content = gcd(*pn.values(), *pd.values())
+    g = Laurent({e: content * c
+                 for e, c in exactalg._poly_gcd(pn, pd).items()})
+    pn_l, r1 = exactalg._laurent_divmod(Laurent(pn), g)
+    pd_l, r2 = exactalg._laurent_divmod(Laurent(pd), g)
+    assert not r1 and not r2
+    sign = 1 if pd_l.coeffs[pd_l.max_exp()] > 0 else -1
+    shift = min_exp(num) - min_exp(den)
+    n = Laurent({e + shift: sign * c for e, c in pn_l.coeffs.items()})
+    d = {e: sign * c for e, c in pd_l.coeffs.items()}
+    if d == {0: 1}:
+        return n
     rf = object.__new__(RatFun)
-    rf.num = Laurent({e + shift: c for e, c in pn.items()})
-    rf.den = Laurent(pd)
-    rf._hash = None
+    rf.num, rf.den, rf._hash = n, Laurent(d), None
     return rf
 
 
-def oracle_parts(y):
-    return (y, ONE) if isinstance(y, Laurent) else (y.num, y.den)
-
-
 def oracle_add(x, y):
-    """x + y for a RatFun x by one full gcd."""
-    on, od = oracle_parts(y)
-    return oracle_make_ratfun(x.num * od + on * x.den, x.den * od)
+    """x + y by one full gcd."""
+    (nx, dx), (ny, dy) = oracle_parts(x), oracle_parts(y)
+    return oracle_make_ratfun(nx * dy + ny * dx, dx * dy)
 
 
 def oracle_neg(x):
-    return oracle_make_ratfun(-x.num, x.den) if isinstance(x, RatFun) else -x
+    nx, dx = oracle_parts(x)
+    return oracle_make_ratfun(-nx, dx)
 
 
 def oracle_mul(x, y):
-    on, od = oracle_parts(y)
-    return oracle_make_ratfun(x.num * on, x.den * od)
+    (nx, dx), (ny, dy) = oracle_parts(x), oracle_parts(y)
+    return oracle_make_ratfun(nx * ny, dx * dy)
 
 
 def oracle_truediv(x, y):
-    """x / y for a RatFun x, or for a Laurent x and a RatFun y."""
-    if isinstance(x, Laurent):
-        return oracle_make_ratfun(x * y.den, y.num)
-    on, od = oracle_parts(y)
-    return oracle_make_ratfun(x.num * od, x.den * on)
+    (nx, dx), (ny, dy) = oracle_parts(x), oracle_parts(y)
+    return oracle_make_ratfun(nx * dy, dx * ny)
 
 
 def oracle_inverse(x):
-    return oracle_make_ratfun(x.den, x.num)
+    return oracle_truediv(ONE, x)
 
 
 def oracle_pow(x, n):
     if n < 0:
         x, n = oracle_inverse(x), -n
-        if isinstance(x, Laurent):
-            return x ** n
     out = ONE
     for _ in range(n):
         out = oracle_mul(x, out)
@@ -295,7 +371,7 @@ def assert_same(new, old):
     assert str(new) == str(old)
     assert new == old
     assert hash(new) == hash(old)
-    assert all(canonical_coeff(c) for c in stored_coeffs(new)), new
+    assert_canonical(new)
 
 
 FACTORS = [parse_laurent(t) for t in ("1 + q", "1 - q", "1 + q^2",
@@ -365,24 +441,33 @@ class TestReducedOperandArithmetic:
             assert_same(y ** n, oracle_pow(y, n))
 
     def test_every_branch_matches_the_oracle(self):
+        """Each operator case of ``RatFun``, on a denominator of content
+        one and on one of content 6, which a monomial, an integer or a
+        rational constant can share."""
         d = parse_laurent("1 + q^2")
-        x = RatFun(parse_laurent("2 + q"), d * FACTORS[0])
         cases = [
-            ("monomial", Laurent({-3: Fraction(2, 3)})),
+            ("unit", -q ** -3),
+            ("monomial", Laurent({-3: 4})),
+            ("rational monomial", Laurent({-3: Fraction(2, 3)})),
+            ("rational constant", Laurent.const(Fraction(9, 4))),
             ("laurent", parse_laurent("q^-1 + q")),
             ("same-den", RatFun(parse_laurent("q^3 + 2*q^2 - 2 + q"),
                                 d * FACTORS[0])),
             ("other-den", RatFun(ONE, d * FACTORS[2])),
             ("coprime-den", RatFun(q, FACTORS[4])),
             ("cross-gcd", RatFun(FACTORS[0] * FACTORS[4], FACTORS[1])),
+            ("content", RatFun(3 * FACTORS[0], 2 * FACTORS[1])),
         ]
-        for kind, y in cases:
-            assert_same(x + y, oracle_add(x, y))
-            assert_same(x * y, oracle_mul(x, y))
-            assert_same(x / y, oracle_truediv(x, y))
-            assert_same(y / x, oracle_truediv(y, x))
-        for n in range(-2, 4):
-            assert_same(x ** n, oracle_pow(x, n))
+        for x in (RatFun(parse_laurent("2 + q"), d * FACTORS[0]),
+                  RatFun(parse_laurent("5 + q"), 6 * d * FACTORS[0])):
+            assert_canonical(x)
+            for kind, y in cases:
+                assert_same(x + y, oracle_add(x, y))
+                assert_same(x * y, oracle_mul(x, y))
+                assert_same(x / y, oracle_truediv(x, y))
+                assert_same(y / x, oracle_truediv(y, x))
+            for n in range(-2, 4):
+                assert_same(x ** n, oracle_pow(x, n))
 
     def test_demotion_to_laurent(self):
         a = RatFun(q, parse_laurent("1 + q^2")) * parse_laurent("q^-1 + q")
@@ -393,13 +478,19 @@ class TestReducedOperandArithmetic:
         assert type(a.coeffs[0]) is int and type(b.coeffs[0]) is int
 
     def test_trusted_constructor_stores_int(self):
+        """A non-integral coefficient enters as a RatFun over Z, and the
+        results, in the Laurent ring or out of it, store ints only."""
         half = Laurent({0: Fraction(1, 2)})
+        assert type(half) is RatFun
+        assert (half.num, half.den) == (ONE, Laurent.const(2))
         s = half + half
-        assert s == ONE and type(s.coeffs[0]) is int
+        assert s == ONE and type(s) is Laurent and type(s.coeffs[0]) is int
         t = Laurent({1: Fraction(1, 3)}) * 3
-        assert t == q and type(t.coeffs[1]) is int
-        assert type((Laurent({1: Fraction(1, 3)})
-                     * Laurent({0: Fraction(3, 2)})).coeffs[1]) is Fraction
+        assert t == q and type(t) is Laurent and type(t.coeffs[1]) is int
+        u = Laurent({1: Fraction(1, 3)}) * Laurent({0: Fraction(3, 2)})
+        assert type(u) is RatFun and (u.num, u.den) == (q, Laurent.const(2))
+        assert str(u) == "1/2*q"
+        assert_canonical(u)
 
     def test_gcd_runs_only_where_a_factor_can_remain(self):
         """The coefficient 97 keeps these operands out of every other
@@ -471,13 +562,20 @@ class TestRingFastPaths:
     @given(laurent_operands, laurent_operands | plain_numbers)
     @settings(max_examples=300, deadline=None)
     def test_laurent_sum_and_product(self, x, y):
+        """Operands over Q outside the Laurent ring, rational constants
+        and monomials among them, are RatFuns and meet the full-gcd
+        oracle instead of the general loops."""
+        in_ring = (type(x) is Laurent
+                   and type(exactalg.coerce_scalar(y)) is Laurent)
+        add, mul = ((laurent_add, laurent_mul) if in_ring
+                    else (oracle_add, oracle_mul))
         for _ in range(2):
-            assert_same(x + y, laurent_add(x, y))
-            assert_same(y + x, laurent_add(x, y))
-            assert_same(x * y, laurent_mul(x, y))
-            assert_same(y * x, laurent_mul(x, y))
-            assert_same(x - y, laurent_add(x, -y))
-            assert_same(y - x, laurent_add(-x, y))
+            assert_same(x + y, add(x, y))
+            assert_same(y + x, add(x, y))
+            assert_same(x * y, mul(x, y))
+            assert_same(y * x, mul(x, y))
+            assert_same(x - y, add(x, -y))
+            assert_same(y - x, add(-x, y))
 
     @given(st.one_of(ratfun_pairs(), sharing_products()))
     @settings(max_examples=200, deadline=None)
@@ -504,26 +602,33 @@ def primitive_polys(draw):
 
 
 class TestExactQuotient:
-    @given(laurents(), primitive_polys())
+    @given(int_laurents, primitive_polys())
     @settings(max_examples=150, deadline=None)
     def test_quotient_of_a_multiple(self, a, g):
         quo = exactalg._exact_quo(a * g, g)
         assert type(quo) is Laurent
         assert quo == a
-        assert all(canonical_coeff(c) for c in quo.coeffs.values())
+        assert_canonical(quo)
 
-    @given(laurents(), laurents())
+    @given(int_laurents, int_laurents)
     @settings(max_examples=150, deadline=None)
     def test_divmod_identity(self, a, b):
-        """a = quo*b + rem, with rem's exponents below min(a) + span(b)."""
+        """a = quo*b + rem over Z.  A nonzero remainder lies at or above
+        min(a), and either below min(a) + span(b), where the division
+        ends, or leading with a coefficient that b's leading coefficient
+        does not divide, where it stops.  A multiple of b, content and
+        all, leaves none."""
         assume(b)
         quo, rem = exactalg._laurent_divmod(a, b)
         assert quo * b + rem == a
         if rem:
+            top, lead = rem.max_exp(), b.coeffs[b.max_exp()]
             assert min_exp(a) <= min_exp(rem)
-            assert rem.max_exp() < min_exp(a) + b.max_exp() - min_exp(b)
+            assert (top < min_exp(a) + b.max_exp() - min_exp(b)
+                    or rem.coeffs[top] % lead)
         for part in (quo, rem):
-            assert all(canonical_coeff(c) for c in part.coeffs.values())
+            assert_canonical(part)
+        assert exactalg._laurent_divmod(a * b, b) == (a, ZERO)
 
     def test_non_divisor_raises(self):
         g = parse_laurent("1 + q")
@@ -536,18 +641,18 @@ class TestExactQuotient:
 
 
 class TestLaurentDivision:
-    @given(laurents(), factor_products, laurents().filter(bool),
+    @given(int_laurents, factor_products, int_laurents.filter(bool),
            factor_products)
     @settings(max_examples=150, deadline=None)
     def test_matches_the_full_gcd_path(self, a, fa, b, fb):
-        """An inexact quotient takes its common factor from the divisor
-        and the remainder; the result is the one a full gcd of both
-        operands gives."""
-        num, den = a * fa, b * fb
+        """An inexact quotient of Laurent polynomials over Z takes its
+        common factor from the divisor and the remainder; the result is
+        the one a full gcd of both operands gives."""
+        num, den = numerator(a * fa), numerator(b * fb)
         with mock.patch.object(exactalg, "_poly_gcd",
-                               wraps=exactalg._poly_gcd) as gcd:
+                               wraps=exactalg._poly_gcd) as poly_gcd:
             got = num / den
-        assert gcd.call_count <= 1
+        assert poly_gcd.call_count <= 1
         assert_same(got, exactalg._make_ratfun(num, den) if num else ZERO)
 
     def test_shared_factor_is_cancelled(self):

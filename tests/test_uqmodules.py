@@ -164,8 +164,8 @@ def test_demazure_dims_match_characters(label):
         m = module_of(label, lam)
         lam_star = tuple(-c for c in w0.act(lam))
         for w in group.elements:
-            plus = demazure_character(datum, group, w, lam)
-            minus = demazure_character(datum, group, group.multiply(w, w0),
+            plus = demazure_character(datum, w, lam)
+            minus = demazure_character(datum, group.multiply(w, w0),
                                        lam_star)
             for sign, char, flip in (("+", plus, 1), ("-", minus, -1)):
                 blocks = demazure_blocks(m, w, sign)
