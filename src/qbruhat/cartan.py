@@ -6,26 +6,81 @@ The symmetric bilinear form is normalized so short roots have squared
 length two, which keeps every pairing of a root-lattice element with an
 integral weight an integer.  One datum is kept per type, whatever the
 case of its label.
+
+The supported scope is declared here once, in ``SCOPE``: the ranks of
+each family, the largest Weyl group enumerated, the largest group whose
+whole pair poset is built without an anchor, the types with module
+arithmetic and the largest module built.  ``build_cartan`` refuses a
+rank outside its family's range; ``check_scope`` refuses a type outside
+the group, poset or module row, from the known group order
+(``group_order``), so nothing is enumerated to decide.  Each layer calls
+it before it builds anything, and the command line calls it for every
+layer a subcommand uses before any of them runs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 from .obs import memo
 
 
-# the supported families, each with its least and greatest rank
-_RANK_RANGE = {
-    "A": (1, 8),
-    "B": (2, 4),
-    "C": (2, 4),
-    "D": (4, 5),
-    "E": (6, 8),
-    "F": (4, 4),
-    "G": (2, 2),
+# The supported scope, one row per layer, in the order the command line
+# checks them.
+SCOPE = {
+    # data: each family's least and greatest rank
+    "ranks": {"A": (1, 8), "B": (2, 4), "C": (2, 4), "D": (4, 5),
+              "E": (6, 8), "F": (4, 4), "G": (2, 2)},
+    # group: the largest Weyl group enumerated; E7 and E8 are refused
+    "group": 500000,
+    # poset: the largest group whose whole pair poset is built without an
+    # anchor (D5); an anchored poset needs only its group
+    "poset": 1920,
+    # modules: the types with module arithmetic, one seed table each in
+    # ``uqmodules``, and the largest module built
+    "modules": ("A1", "A2", "B2"),
+    "module_dim": 400,
 }
+
+
+class ModuleScopeError(ValueError):
+    """Module arithmetic was requested outside the supported scope."""
+
+
+def group_order(family, rank):
+    """Order of the Weyl group of a type, known before enumeration."""
+    if family == "A":
+        return factorial(rank + 1)
+    if family in ("B", "C"):
+        return 2 ** rank * factorial(rank)
+    if family == "D":
+        return 2 ** (rank - 1) * factorial(rank)
+    return _EXCEPTIONAL_ORDERS[(family, rank)]
+
+
+_EXCEPTIONAL_ORDERS = {("E", 6): 51840, ("E", 7): 2903040,
+                       ("E", 8): 696729600, ("F", 4): 1152, ("G", 2): 12}
+
+
+def check_scope(datum, *layers):
+    """Refuse ``datum`` unless each named layer, taken in order, supports
+    it: ``"group"`` enumerates its Weyl group, ``"poset"`` builds the
+    whole pair poset without an anchor, ``"modules"`` does module
+    arithmetic.  The group and poset rows raise ValueError, the module
+    row ModuleScopeError."""
+    order = group_order(datum.family, datum.rank)
+    for layer in layers:
+        if layer == "modules" and datum.label not in SCOPE["modules"]:
+            *names, last = SCOPE["modules"]
+            raise ModuleScopeError("module arithmetic is limited to types "
+                                   "%s and %s" % (", ".join(names), last))
+        if layer != "modules" and order > SCOPE[layer]:
+            use = (" for a pair poset without an anchor"
+                   if layer == "poset" else "")
+            raise ValueError("the Weyl group of %s has order %d, over the "
+                             "cap %d%s" % (datum.label, order, SCOPE[layer],
+                                           use))
 
 
 def _dynkin_edges(family, rank):
@@ -233,14 +288,15 @@ class CartanDatum:
 def build_cartan(label):
     """Cartan datum for a type label such as ``A2``, ``B3`` or ``G2``;
     labels that spell the same type (``a2``, ``A2``) give one datum."""
-    if not label or label[0].upper() not in _RANK_RANGE:
+    ranks = SCOPE["ranks"]
+    if not label or label[0].upper() not in ranks:
         raise ValueError("unknown type label %r" % (label,))
     family = label[0].upper()
     try:
         rank = int(label[1:])
     except ValueError:
         raise ValueError("bad rank in type label %r" % (label,))
-    lo, hi = _RANK_RANGE[family]
+    lo, hi = ranks[family]
     if not lo <= rank <= hi:
         raise ValueError("rank %d out of the supported range %d..%d for %s"
                          % (rank, lo, hi, family))

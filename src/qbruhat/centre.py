@@ -107,12 +107,10 @@ def distinguishing_scan(labels=("A1", "A2", "A3", "B2", "B3")):
         expect = full_centre_rank(label)
         table = centre_table(label)
         dims = {w.idx: data.dim for w, data in table}
-        if dims[group.identity.idx] != expect:
-            raise AssertionError("%s: dim at e is %d, expected %d"
-                                 % (label, dims[group.identity.idx], expect))
-        if dims[w0.idx] != expect:
-            raise AssertionError("%s: dim at w0 is %d, expected %d"
-                                 % (label, dims[w0.idx], expect))
+        for name, w in (("e", group.identity), ("w0", w0)):
+            if dims[w.idx] != expect:
+                raise AssertionError("%s: dim at %s is %d, expected %d"
+                                     % (label, name, dims[w.idx], expect))
         middle = [w for w, _ in table
                   if w.idx not in (group.identity.idx, w0.idx)]
         offenders = [w for w in middle if dims[w.idx] >= expect]

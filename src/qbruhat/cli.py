@@ -6,8 +6,10 @@ graded ideal pieces and saturated strata, ``centre`` for centre
 dimensions, ``verify`` for the self-check suites.
 
 Exit codes: 0 on success, 1 when a computation violates an invariant,
-2 on unusable or out-of-scope arguments.  Output for a fixed invocation is
-byte-identical across runs.
+2 on unusable or out-of-scope arguments.  Each subcommand checks its type
+against the rows of ``cartan.SCOPE`` for the layers it uses, in the order
+data, group, unanchored poset, modules, before it builds anything.
+Output for a fixed invocation is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -18,14 +20,13 @@ import sys
 
 import click
 
-from .cartan import build_cartan
+from .cartan import SCOPE, ModuleScopeError, build_cartan, check_scope
 from .centre import centre_table
 from .characters import cell_translate_character, character_to_json
 from .coordring import CoordinateModel
 from .emit import json_document
 from .exactalg import format_scalar
 from .strata import DiamondPoset
-from .uqmodules import ModuleScopeError
 from .verify import SUITES, run_suites
 from .weyl import WeylGroup, format_word
 
@@ -35,11 +36,21 @@ SCHEMA_CENTRE = "qbruhat/centre-v1"
 SCHEMA_WEYL = "qbruhat/weyl-v1"
 
 
-def _load_group(label):
+def _in_scope(label, *layers):
+    """Refuse a type outside the scope of any layer named, before anything
+    is built: the data and group rows as a bad ``--type``, the module row
+    as out of scope (``main``)."""
     try:
-        return WeylGroup.build(build_cartan(label))
+        check_scope(build_cartan(label), *layers)
+    except ModuleScopeError:
+        raise
     except ValueError as err:
         raise click.BadParameter(str(err), param_hint="--type")
+
+
+def _load_group(label, *layers):
+    _in_scope(label, "group", *layers)
+    return WeylGroup.build(label)
 
 
 def _parse_element(group, text, hint):
@@ -49,17 +60,21 @@ def _parse_element(group, text, hint):
         raise click.BadParameter(str(err), param_hint=hint)
 
 
-def _parse_weight(datum, text, hint):
+def _parse_dominant(datum, text, hint, what):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != datum.rank:
         raise click.BadParameter(
             "expected %d comma-separated integers" % datum.rank,
             param_hint=hint)
     try:
-        return tuple(int(p) for p in parts)
+        weight = tuple(int(p) for p in parts)
     except ValueError:
         raise click.BadParameter("weights are comma-separated integers",
                                  param_hint=hint)
+    if not datum.is_dominant(weight):
+        raise click.BadParameter("%s must be dominant" % what,
+                                 param_hint=hint)
+    return weight
 
 
 @click.group()
@@ -117,12 +132,14 @@ def strata():
 @strata.command("build")
 @click.option("--type", "label", required=True, help="Cartan type, e.g. A2.")
 @click.option("--anchor", default=None,
-              help="Keep only pairs whose closure contains this element.")
+              help="Keep only pairs whose closure contains this element.  "
+                   "Required for a group of more than %d elements."
+                   % SCOPE["poset"])
 @click.option("--format", "fmt", default="json",
               type=click.Choice(["json", "dot", "csv"]))
 def strata_build(label, anchor, fmt):
     """Emit the pair poset with stratum ranks and covering edges."""
-    group = _load_group(label)
+    group = _load_group(label, *(() if anchor else ("poset",)))
     anchor_elem = (_parse_element(group, anchor, "--anchor")
                    if anchor else None)
     poset = DiamondPoset(group, anchor=anchor_elem)
@@ -189,12 +206,9 @@ def ideal():
               type=click.Choice(["json", "text"]))
 def ideal_demazure(label, lamtext, ytext, sign, fmt):
     """One graded piece: dual rows vanishing on the extreme closure."""
-    _load_group(label)
+    _in_scope(label, "group", "modules")
     model = CoordinateModel.get(label)
-    lam = _parse_weight(model.datum, lamtext, "--lambda")
-    if not model.datum.is_dominant(lam):
-        raise click.BadParameter("weight must be dominant",
-                                 param_hint="--lambda")
+    lam = _parse_dominant(model.datum, lamtext, "--lambda", "weight")
     y = _parse_element(model.group, ytext, "--y")
     piece = model.demazure_orth(y, sign, lam)
     module = piece.module
@@ -244,12 +258,9 @@ def ideal_stratum(label, ytext, ztext, nutext, bound, fmt):
     if bound < 1:
         raise click.BadParameter("bound must be at least 1",
                                  param_hint="--bound")
-    _load_group(label)
+    _in_scope(label, "group", "modules")
     model = CoordinateModel.get(label)
-    nu = _parse_weight(model.datum, nutext, "--nu")
-    if not model.datum.is_dominant(nu):
-        raise click.BadParameter("degree must be dominant",
-                                 param_hint="--nu")
+    nu = _parse_dominant(model.datum, nutext, "--nu", "degree")
     y = _parse_element(model.group, ytext, "--y")
     z = _parse_element(model.group, ztext, "--z")
     if not model.group.bruhat_leq(y, z):
@@ -295,7 +306,7 @@ def centre():
               type=click.Choice(["csv", "json"]))
 def centre_dim(label, fmt):
     """Centre dimension and generators for every element."""
-    _load_group(label)
+    _in_scope(label, "group")
     table = centre_table(label)
     if fmt == "json":
         doc = {

@@ -36,13 +36,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cartan import build_cartan
+from .cartan import ModuleScopeError, build_cartan, check_scope
 from .exactalg import (Laurent, ONE, ZERO, Subspace, charpoly, dot,
                        kernel, mat_mul, q_power_roots, rref)
 from .characters import weight_multiplicity
 from .obs import memo
-from .uqmodules import (ModuleScopeError, build_irrep, demazure_blocks,
-                        extreme_dual_row, lowering_string_to, _tensor_f)
+from .uqmodules import (build_irrep, demazure_blocks, extreme_dual_row,
+                        lowering_string_to, _tensor_f)
 from .weyl import WeylGroup
 
 
@@ -172,10 +172,13 @@ class SaturationResult:
 
 
 class CoordinateModel:
-    """All graded data of the matrix-coefficient algebra for one type."""
+    """All graded data of the matrix-coefficient algebra for one type.
+    A type outside the module row of ``cartan.SCOPE`` raises
+    ModuleScopeError before its group is built."""
 
     def __init__(self, label):
         self.datum = build_cartan(label)
+        check_scope(self.datum, "modules")
         self.group = WeylGroup.build(self.datum)
 
     @classmethod

@@ -20,7 +20,10 @@ group's cover lists.
 
 The pairs themselves come from the same lists: the upper set of each y
 unanchored, and the product of the lower set [e, a] with the upper set
-[a, w0] for an anchor a, since y <= a <= z already gives y <= z.
+[a, w0] for an anchor a, since y <= a <= z already gives y <= z.  The
+whole poset, without an anchor, is built only for the groups within the
+poset row of ``cartan.SCOPE``; an anchored one for any group that is
+built.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 import csv
 import io
 
+from .cartan import check_scope
 from .emit import strata_document
 from .weyl import WeylGroup, format_word
 
@@ -48,6 +52,7 @@ class DiamondPoset:
         # same way, so the pairs come out sorted by
         # (y.length, y.word, z.length, z.word)
         if anchor is None:
+            check_scope(group.datum, "poset")
             pairs = [(y, z) for y in group.sorted_elements()
                      for z in group.upper_set(y)]
         else:

@@ -46,8 +46,10 @@ multiset, all commutators (E_i F_j against F_j E_i + delta_ij [h_i]) and
 the weight grading of every matrix entry; the quantum Serre relations
 follow from those (see ``verify_module``), and that check is the only
 guard on the matrices.  Verified modules are kept per type and highest
-weight, and extreme vectors per module and Weyl element, by ``memo``;
-no module above ``MAX_DIM`` is built.
+weight, and extreme vectors per module and Weyl element, by ``memo``.
+Modules are built only for the types of the module row of
+``cartan.SCOPE``, one seed table each, and only up to its largest
+dimension.
 
 The extreme-vector (Demazure) closures follow Demazure's recursion.
 The raising closure V_w of v_{w lam} is, for s_i u > u, U(p_i) V_u =
@@ -74,19 +76,14 @@ satisfy <support weight, coroot_i> = eps_i - phi_i.
 from __future__ import annotations
 
 from collections import Counter, deque
+from itertools import groupby
 
+from .cartan import SCOPE, ModuleScopeError, check_scope
 from .exactalg import (Laurent, ONE, ZERO, Subspace, echelon_insert,
                        q_factorial, q_int, reduce_against)
 from .characters import weyl_character, weyl_dim
 from .obs import memo
 from .weyl import WeylGroup
-
-# the largest module dimension built
-MAX_DIM = 400
-
-
-class ModuleScopeError(ValueError):
-    """Module arithmetic was requested outside the supported scope."""
 
 
 def _row_apply(mat, row, dim):
@@ -148,19 +145,14 @@ class UqModule:
         self.emat = emat
         self.dim = len(weights)
         self.blocks = {}
-        self.block_order = []
-        t = 0
-        while t < self.dim:
-            wt = self.weights[t]
-            stop = t
-            while stop < self.dim and self.weights[stop] == wt:
-                stop += 1
+        stop = 0
+        for wt, run in groupby(self.weights):
             if wt in self.blocks:
                 raise AssertionError("weight block %s is not contiguous"
                                      % (wt,))
-            self.blocks[wt] = range(t, stop)
-            self.block_order.append(wt)
-            t = stop
+            start, stop = stop, stop + len(list(run))
+            self.blocks[wt] = range(start, stop)
+        self.block_order = list(self.blocks)
         if self.weights[0] != self.lam:
             raise AssertionError("basis does not start at the highest weight")
 
@@ -318,7 +310,8 @@ def verify_module(module, group):
 # F-words along the edges are a basis with these entries.  The raising
 # matrices follow by ``_raising_matrices`` (B2's V(omega_1) gets [2]_q
 # on its short string), and the verification in ``build_irrep`` pins
-# these down completely.
+# these down completely.  Its types are the module row of
+# ``cartan.SCOPE``.
 _SEED_TABLE = {
     ("A", 1): {
         0: ([(1,), (-1,)], [(0, 0, 1)]),
@@ -338,6 +331,7 @@ _SEED_TABLE = {
 @memo(lambda datum, lam: (datum.label, tuple(lam)))
 def build_irrep(datum, lam):
     """The integrable module of highest weight lam, fully verified."""
+    check_scope(datum, "modules")
     lam = tuple(lam)
     if len(lam) != datum.rank or any(c < 0 for c in lam):
         raise ValueError("bad dominant weight %s" % (lam,))
@@ -348,21 +342,16 @@ def build_irrep(datum, lam):
 
 
 def _build_irrep_inner(datum, group, lam):
-    fam = (datum.family, datum.rank)
     if not any(lam):
         return _module_from_edges(datum, lam, [lam], [])
-    if fam not in _SEED_TABLE:
-        names = ["%s%d" % key for key in _SEED_TABLE]
-        raise ModuleScopeError("module arithmetic is limited to types "
-                               "%s and %s" % (", ".join(names[:-1]),
-                                              names[-1]))
     expected = weyl_dim(datum, lam)
-    if expected > MAX_DIM:
+    if expected > SCOPE["module_dim"]:
         raise ModuleScopeError("dimension %d exceeds the cap %d"
-                               % (expected, MAX_DIM))
+                               % (expected, SCOPE["module_dim"]))
     nz = [i for i in range(datum.rank) if lam[i]]
     if len(nz) == 1 and lam[nz[0]] == 1:
-        return _module_from_edges(datum, lam, *_SEED_TABLE[fam][nz[0]])
+        return _module_from_edges(
+            datum, lam, *_SEED_TABLE[datum.family, datum.rank][nz[0]])
     # the least-dimensional fundamental weight in lam, ties to the larger
     # coordinate, then to the higher index
     i = max(nz, key=lambda j: (-weyl_dim(datum, datum.fund(j)), lam[j], j))

@@ -67,6 +67,22 @@ def _reflections(group):
          for s in group.gens})]
 
 
+def _distances(start, step):
+    """Breadth-first distances {idx: steps} from ``start``, moving from
+    w to each element of ``step(w)``."""
+    dist = {start.idx: 0}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for v in step(w):
+                if v.idx not in dist:
+                    dist[v.idx] = dist[w.idx] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
 def reflection_lengths(group):
     """Reflection length of each element, {idx: length}, by breadth-first
     search from e over the reflections, checked against
@@ -74,17 +90,7 @@ def reflection_lengths(group):
     ``reflection_length`` nor the fixed-lattice rank that Carter's
     theorem reads it off."""
     refl = _reflections(group)
-    dist = {group.identity.idx: 0}
-    frontier = [group.identity]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for t in refl:
-                tw = t * w
-                if tw.idx not in dist:
-                    dist[tw.idx] = dist[w.idx] + 1
-                    nxt.append(tw)
-        frontier = nxt
+    dist = _distances(group.identity, lambda w: [t * w for t in refl])
     for w in group.elements:
         if group.reflection_length(w) != dist.get(w.idx):
             raise AssertionError("reflection length of %s in %s"
@@ -99,19 +105,10 @@ def check_bruhat_chains(group):
     ``bruhat_leq``."""
     refl = _reflections(group)
     for y in group.elements:
-        reach = {y}
-        frontier = [y]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for t in refl:
-                    wt = w * t
-                    if wt.length > w.length and wt not in reach:
-                        reach.add(wt)
-                        nxt.append(wt)
-            frontier = nxt
+        reach = _distances(y, lambda w: [v for v in (w * t for t in refl)
+                                         if v.length > w.length])
         for z in group.elements:
-            if group.bruhat_leq(y, z) != (z in reach):
+            if group.bruhat_leq(y, z) != (z.idx in reach):
                 raise AssertionError("Bruhat order of %s and %s in %s"
                                      % (format_word(y.word),
                                         format_word(z.word),

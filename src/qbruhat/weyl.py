@@ -1,11 +1,12 @@
 """Finite Weyl groups acting on fundamental-weight coordinates.
 
 Elements are integer matrices.  The whole group is materialized eagerly
-by a breadth-first search from the identity, after its known order has
-been checked against ``MAX_ORDER`` (``group_order``).  The search keeps,
-for each simple generator s_i, the table of left multiplication by s_i,
-and an element's length is the depth at which the search first reaches
-it.  Construction does nothing else.
+by a breadth-first search from the identity, after its known order
+(``group_order``) has been checked against the group row of
+``cartan.SCOPE``.  The search keeps, for each simple generator s_i, the
+table of left multiplication by s_i, and an element's length is the
+depth at which the search first reaches it.  Construction does nothing
+else.
 
 Canonical reduced words are the lexicographically least ones:
 word(w) = (i,) + word(s_i w) with s_i the least left descent of w.  On
@@ -16,23 +17,18 @@ is a slot on its element.  Bruhat order comes from Deodhar's descent
 recursion on the table.  The Bruhat covers of every element are filled
 in once per group, on first use, by the lifting property; intervals,
 lower and upper sets are traversals of those cover lists.  One group is
-kept per type; the word pass, covers, fixed-space ranks and the sorted
-order are ``memo`` tables on the group, word texts are a ``memo`` table
-on ``format_word``, and Bruhat comparisons keep a table of every pair
-the descent recursion meets.  The recursive word memo, the subword
+kept per type; the word pass, covers, fixed-space ranks, the diagram
+involution and the sorted order are ``memo`` tables on the group, word
+texts are a ``memo`` table on ``format_word``, and Bruhat comparisons
+keep a table of every pair the descent recursion meets.  The recursive word memo, the subword
 test, a reflection-chain closure and the covers found by scanning
 neighbouring length levels live in the test suite as oracles.
 """
 
 from __future__ import annotations
 
-from math import factorial
-
-from .cartan import build_cartan
+from .cartan import build_cartan, check_scope, group_order
 from .obs import memo
-
-# the largest group enumerated; E7 and E8 are refused before any work
-MAX_ORDER = 500000
 
 
 class WeylElem:
@@ -107,31 +103,14 @@ def parse_word(text, rank):
     return tuple(letters)
 
 
-def group_order(family, rank):
-    """Order of the Weyl group of a type, known before enumeration."""
-    if family == "A":
-        return factorial(rank + 1)
-    if family in ("B", "C"):
-        return 2 ** rank * factorial(rank)
-    if family == "D":
-        return 2 ** (rank - 1) * factorial(rank)
-    return _EXCEPTIONAL_ORDERS[(family, rank)]
-
-
-_EXCEPTIONAL_ORDERS = {("E", 6): 51840, ("E", 7): 2903040,
-                       ("E", 8): 696729600, ("F", 4): 1152, ("G", 2): 12}
-
-
 class WeylGroup:
     """A finite Weyl group with its Bruhat combinatorics."""
 
     def __init__(self, datum):
+        check_scope(datum, "group")
         self.datum = datum
         self.rank = datum.rank
         expected = group_order(datum.family, datum.rank)
-        if expected > MAX_ORDER:
-            raise ValueError("the Weyl group of %s has order %d, over the "
-                             "cap %d" % (datum.label, expected, MAX_ORDER))
         # g_i . m changes only the rows k with a[k][i] != 0:
         # row_k -= a[k][i] * row_i.
         a = datum.cartan
@@ -176,7 +155,6 @@ class WeylGroup:
         if self.longest.length != n_pos:
             raise AssertionError("longest element length %d != %d"
                                  % (self.longest.length, n_pos))
-        self._theta = self._diagram_involution()
 
     @classmethod
     @memo(lambda cls, datum_or_label: _as_datum(datum_or_label).label)
@@ -347,13 +325,11 @@ class WeylGroup:
 
     # -- the diagram involution -----------------------------------------
 
+    @memo()
     def theta(self):
-        """Permutation t with w0 . omega_i = -omega_{t(i)} (0-based)."""
-        return self._theta
-
-    def _diagram_involution(self):
-        """Read off the columns of w0: column i is w0 . omega_i, which
-        must be -e_t for some t."""
+        """Permutation t with w0 . omega_i = -omega_{t(i)} (0-based), read
+        off the columns of w0: column i is w0 . omega_i, which must be
+        -e_t for some t."""
         w0 = self.longest.mat
         n = self.rank
         out = []

@@ -211,35 +211,6 @@ def test_criterion_08_translated_cone_character(criterion, a2_group):
         datum = a2_group.datum
         positives = [tuple(int(c) for c in rc)
                      for rc in datum.positive_roots]
-        ch = cell_translate_character(a2_group, a2_group.identity, 6)
-        seen = set()
-        for mu, c in ch.terms.items():
-            rc = datum.root_coords(mu)
-            assert c == brute_cone_count(
-                datum, tuple(-x for x in rc), positives)
-            seen.add(tuple(int(-x) for x in rc))
-        # completeness: every cone point within the truncation appears
-        for a in range(7):
-            for b in range(7):
-                if a + b > 6:
-                    continue
-                expect = brute_cone_count(datum, (a, b), positives)
-                if expect:
-                    assert (a, b) in seen
-
-        for label, tops in [("A1", 5), ("A2", 3), ("B2", 3)]:
-            d = build_cartan(label)
-            for lam in itertools.product(range(tops), repeat=d.rank):
-                assert build_irrep(d, lam).dim == weyl_dim(d, lam)
-
-
-def test_criterion_08_translated_cone_character(criterion, a2_group):
-    with criterion(8, "truncated cone character equals brute-force "
-                      "counting and the dimension formula matches "
-                      "module sizes"):
-        datum = a2_group.datum
-        positives = [tuple(int(c) for c in rc)
-                     for rc in datum.positive_roots]
         depth = 6
         ch = cell_translate_character(a2_group, a2_group.identity, depth)
         seen = set()
