@@ -6,16 +6,19 @@ monomial, so the Weyl character of a dominant weight comes out of the
 longest-word composite with no division anywhere; it is kept, by
 ``memo``, once per type and highest weight.
 
-The truncated cell character counts, up to a depth cutoff, the monoid
-elements spanned by a Weyl translate of the negative roots, with
-multiplicity the number of ways to write each point as a sum.  Depth of
-a lattice point means the sum of the absolute values of its simple-root
-coordinates.
+The truncated cell character of w counts, up to a depth cutoff, the
+multisets of roots w(-alpha), alpha > 0, summing to each lattice point
+mu.  Such a multiset sums to mu exactly when its alpha sum to
+-w^-1 mu, so the count is Kostant's partition count p(-w^-1 mu), kept
+by ``memo`` in one table per type with one integer per argument.  Depth
+of a lattice point means the sum of the absolute values of its
+simple-root coordinates.
 """
 
 from __future__ import annotations
 
-from operator import add
+import itertools
+from operator import add, sub
 
 from .emit import json_document
 from .obs import memo
@@ -114,73 +117,77 @@ def weyl_dim(datum, lam):
     return num // den
 
 
+@memo(lambda datum: datum.label)
+def _partition_counts(datum):
+    """The table behind ``kostant``: p(nu) by nu, one integer each,
+    filled as queries reach it."""
+    return {datum.zero(): 1}
+
+
+def kostant(datum, nu):
+    """Kostant's partition count p(nu): the number of multisets of
+    positive roots summing to nu, in simple-root coordinates.
+
+    Applying the derivation e^nu -> ht(nu) e^nu to the generating
+    function prod over alpha > 0 of (1 - e^alpha)^-1 gives
+    ht(nu) p(nu) = sum over alpha > 0 and m >= 1 of
+    ht(alpha) p(nu - m alpha).  Every nu - m alpha is lexicographically
+    below nu inside the box [0, nu], so one pass over the box in
+    lexicographic order fills what nu needs, with no recursion."""
+    counts = _partition_counts(datum)
+    nu = tuple(nu)
+    if nu not in counts and min(nu) >= 0:
+        for pt in itertools.product(*(range(c + 1) for c in nu)):
+            if pt not in counts:
+                total = 0
+                for alpha in datum.positive_roots:
+                    rest = tuple(map(sub, pt, alpha))
+                    while min(rest) >= 0:
+                        total += sum(alpha) * counts[rest]
+                        rest = tuple(map(sub, rest, alpha))
+                counts[pt] = total // sum(pt)
+    return counts.get(nu, 0)
+
+
 def cell_translate_character(group, w, depth):
     """Truncated character of the cone spanned by w applied to the
     negative roots: coefficient of mu counts multisets of those roots
     summing to mu, for every mu of depth at most the cutoff.
 
-    Enumerates partitions directly with a positivity budget, so no
-    cancellation between truncated factors can corrupt coefficients.
-    The walk runs in simple-root coordinates, where depth is the sum of
-    absolute values, and kept terms go back to fundamental coordinates.
-    """
+    The coefficient of mu is p(-w^-1 mu): a multiset of roots w(-alpha)
+    sums to mu exactly when its alpha sum to -w^-1 mu.  Each mu of the
+    depth ball is mapped there in integer simple-root coordinates, and
+    kept in fundamental coordinates when -w^-1 mu >= 0, where p >= 1.
+    Terms come in (depth, weight) order."""
     datum = group.datum
-    a, d, n = datum.cartan, datum.d, datum.rank
-    word = w.word
-    # budget(mu) = -(w rho, mu) is linear, so each root has an integer
-    # cost and every partial sum carries its budget along; on
-    # gamma = w(-alpha) it is (rho, alpha) = sum_j d_j alpha_j > 0.
-    roots = []
-    for coords in datum.positive_roots:
-        gamma = [-c for c in coords]
-        for i in reversed(word):
-            gamma[i] -= sum(a[i][j] * gamma[j] for j in range(n))
-        cost = sum(dj * c for dj, c in zip(d, coords))
-        roots.append((datum.root_to_fund(gamma), tuple(gamma), cost))
-    # the roots' fundamental coordinates fix the walk's order, and with
-    # it the insertion order of the terms
-    roots.sort()
-    # (w rho, alpha_i) = d_i <w rho, alpha_i^vee>, and w rho in
-    # fundamental coordinates is the row sums of w's matrix.
-    # Every target of depth <= cutoff satisfies budget(mu) <= cap, and the
-    # budget is strictly positive on each root, so partial sums past the
-    # cap can never reach a target and are safe to drop.
-    budget_cap = depth * max(abs(d[i] * sum(w.mat[i])) for i in range(n))
-
-    counts = {datum.zero(): 1}
-    budget = {datum.zero(): 0}
-    for _, gamma, cost in roots:
-        new = dict(counts)
-        cur = counts
-        while True:
-            nxt = {}
-            for mu, c in cur.items():
-                b = budget[mu] + cost
-                if b > budget_cap:
-                    continue
-                mu2 = tuple(map(add, mu, gamma))
-                budget[mu2] = b
-                nxt[mu2] = nxt.get(mu2, 0) + c
-            if not nxt:
-                break
-            for mu, c in nxt.items():
-                new[mu] = new.get(mu, 0) + c
-            cur = nxt
-        counts = new
-    terms = {datum.root_to_fund(mu): c for mu, c in counts.items()
-             if sum(map(abs, mu)) <= depth}
-    return FormalCharacter(datum, terms)
+    a, n = datum.cartan, datum.rank
+    # the ball grows one simple root alpha_j at a time, each point
+    # carrying (depth, mu in fundamental coordinates, -w^-1 mu)
+    ball = [(0, datum.zero(), datum.zero())]
+    for j in range(n):
+        gamma = [-1 if i == j else 0 for i in range(n)]
+        for i in w.word:
+            gamma[i] -= sum(a[i][k] * gamma[k] for k in range(n))
+        steps = [(abs(c), tuple(c * a[i][j] for i in range(n)),
+                  tuple(c * g for g in gamma))
+                 for c in range(-depth, depth + 1)]
+        # steps[s:2 * depth + 1 - s] are the c with |c| <= depth - s
+        ball = [(s + t, tuple(map(add, mu, dmu)), tuple(map(add, nu, dnu)))
+                for s, mu, nu in ball
+                for t, dmu, dnu in steps[s:2 * depth + 1 - s]]
+    return FormalCharacter(datum, {mu: kostant(datum, nu) for _, mu, nu in
+                                   sorted(p for p in ball if min(p[2]) >= 0)})
 
 
 def character_to_json(char, label, w_text, depth):
-    datum = char.datum
-    items = sorted(char.terms.items(),
-                   key=lambda kv: (datum.depth(kv[0]), kv[0]))
+    """The character's terms as a JSON document, in the character's own
+    order: (depth, weight) for a cell character."""
     doc = {
         "schema": SCHEMA_CHAR,
         "type": label,
         "w": w_text,
         "depth": depth,
-        "terms": [{"weight": list(mu), "coeff": c} for mu, c in items],
+        "terms": [{"weight": list(mu), "coeff": c}
+                  for mu, c in char.terms.items()],
     }
     return json_document(doc)

@@ -8,7 +8,8 @@ dimensions, ``verify`` for the self-check suites.
 Exit codes: 0 on success, 1 when a computation violates an invariant,
 2 on unusable or out-of-scope arguments.  Each subcommand checks its type
 against the rows of ``cartan.SCOPE`` for the layers it uses, in the order
-data, group, unanchored poset, modules, before it builds anything.
+data, group, unanchored poset, modules, before it builds anything;
+``ideal stratum`` also checks the dimension of its largest module.
 Output for a fixed invocation is byte-identical across runs.
 """
 
@@ -27,6 +28,7 @@ from .coordring import CoordinateModel
 from .emit import json_document
 from .exactalg import format_scalar
 from .strata import DiamondPoset
+from .uqmodules import check_module_dim
 from .verify import SUITES, run_suites
 from .weyl import WeylGroup, format_word
 
@@ -177,12 +179,11 @@ def char_sw(label, wtext, depth, fmt):
     if fmt == "json":
         click.echo(character_to_json(ch, label, format_word(w.word), depth))
         return
-    datum = group.datum
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["weight", "coeff"])
-    for mu, c in sorted(ch.terms.items(),
-                        key=lambda kv: (datum.depth(kv[0]), kv[0])):
+    # the terms come in (depth, weight) order
+    for mu, c in ch.terms.items():
         writer.writerow([" ".join(str(x) for x in mu), c])
     click.echo(buf.getvalue(), nl=False)
 
@@ -261,6 +262,8 @@ def ideal_stratum(label, ytext, ztext, nutext, bound, fmt):
     _in_scope(label, "group", "modules")
     model = CoordinateModel.get(label)
     nu = _parse_dominant(model.datum, nutext, "--nu", "degree")
+    # the saturation's largest module is V(nu + bound rho), rho = (1, ..., 1)
+    check_module_dim(model.datum, [c + bound for c in nu])
     y = _parse_element(model.group, ytext, "--y")
     z = _parse_element(model.group, ztext, "--z")
     if not model.group.bruhat_leq(y, z):

@@ -341,13 +341,20 @@ def build_irrep(datum, lam):
     return module
 
 
+def check_module_dim(datum, lam):
+    """dim V(lam) by the Weyl dimension formula; ModuleScopeError when it
+    exceeds the module cap of the scope table."""
+    dim = weyl_dim(datum, lam)
+    if dim > SCOPE["module_dim"]:
+        raise ModuleScopeError("dimension %d exceeds the cap %d"
+                               % (dim, SCOPE["module_dim"]))
+    return dim
+
+
 def _build_irrep_inner(datum, group, lam):
     if not any(lam):
         return _module_from_edges(datum, lam, [lam], [])
-    expected = weyl_dim(datum, lam)
-    if expected > SCOPE["module_dim"]:
-        raise ModuleScopeError("dimension %d exceeds the cap %d"
-                               % (expected, SCOPE["module_dim"]))
+    expected = check_module_dim(datum, lam)
     nz = [i for i in range(datum.rank) if lam[i]]
     if len(nz) == 1 and lam[nz[0]] == 1:
         return _module_from_edges(

@@ -1,6 +1,7 @@
 """Formal characters: Weyl, Demazure, and truncated cell cones."""
 
 import itertools
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -9,9 +10,10 @@ import pytest
 from qbruhat.cartan import CartanDatum, _invert_rational, build_cartan
 from qbruhat.characters import (FormalCharacter, cell_translate_character,
                                 character_to_json, demazure_character,
-                                demazure_step, weight_multiplicity,
+                                demazure_step, kostant, weight_multiplicity,
                                 weyl_character, weyl_dim)
 from qbruhat.weyl import WeylElem, WeylGroup
+from oracles import brute_cone_count
 
 import json
 
@@ -147,9 +149,11 @@ def test_cell_character_translates():
 
 
 def depth_filtered_cone(group, w, depth):
-    """The budgeted enumeration with each term's depth computed from the
-    Fraction-valued inverse Cartan matrix: the reference for the integer
-    root coordinates behind ``datum.depth``."""
+    """The budgeted enumeration of partial sums that the library used
+    before the Kostant pull-back, with each term's depth computed from the
+    Fraction-valued inverse Cartan matrix: the reference for the
+    coefficients and for the integer root coordinates behind
+    ``datum.depth``."""
     datum = group.datum
     roots = sorted(w.act(datum.neg(datum.root_to_fund(rc)))
                    for rc in datum.positive_roots)
@@ -182,14 +186,36 @@ def depth_filtered_cone(group, w, depth):
 
 
 @pytest.mark.parametrize("label,depth", [("A2", 6), ("B2", 5), ("G2", 4),
-                                         ("A3", 4), ("B3", 2), ("C3", 2)])
+                                         ("A3", 4), ("B3", 2), ("C3", 2),
+                                         ("C3", 3), ("D4", 1)])
 def test_cell_character_matches_depth_oracle(label, depth):
     group = WeylGroup.build(build_cartan(label))
+    datum = group.datum
     for w in group.elements:
         ch = cell_translate_character(group, w, depth)
-        # same terms in the same insertion order
-        assert list(ch.terms.items()) == list(
-            depth_filtered_cone(group, w, depth).items())
+        assert ch.terms == depth_filtered_cone(group, w, depth)
+        # terms come in (root-coordinate depth, weight) order
+        assert list(ch.terms) == sorted(
+            ch.terms, key=lambda mu: (datum.depth(mu), mu))
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3", "C3"])
+def test_kostant_matches_brute_cone_count(label):
+    """p(nu) for every nu >= 0 of height at most 6, against an
+    enumeration of root multiplicities that shares no code with it;
+    asked from the top down, so each query fills its own box."""
+    datum = build_cartan(label)
+    positives = list(datum.positive_roots)
+    checked = 0
+    for nu in sorted(itertools.product(range(7), repeat=datum.rank),
+                     reverse=True):
+        if sum(nu) <= 6:
+            assert kostant(datum, nu) == brute_cone_count(datum, nu,
+                                                          positives)
+            checked += 1
+    assert checked == math.comb(6 + datum.rank, datum.rank)
+    assert kostant(datum, (0,) * datum.rank) == 1
+    assert kostant(datum, (-1,) + (6,) * (datum.rank - 1)) == 0
 
 
 def test_cell_character_walk_stays_in_root_coordinates(monkeypatch):

@@ -1,11 +1,13 @@
 """Byte-identical stdout of fixed CLI invocations against stored goldens.
 
 Each golden under ``tests/golden/`` is the exact stdout of one
-``python -m qbruhat.cli`` run.  Regenerate one only when its output is
+``python -m qbruhat.cli`` run, and ``DIGESTS`` pins larger outputs by
+the sha256 of their stdout.  Regenerate one only when its output is
 meant to change, by running the listed arguments and redirecting stdout
-to the file.
+to the file (or taking its sha256).
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -45,16 +47,38 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_stdout_matches_golden(name):
+DIGESTS = {
+    "char-sw-D5": (["char", "sw", "--type", "D5", "--w",
+                    "s1 s3 s2 s1 s4 s3 s2 s1 s5 s3 s4", "--depth", "4"],
+                   "a0a3be4eada10079c2bc80e50828745c"
+                   "02d75beadaa4c91caab8f0b5986fba49"),
+    "char-sw-A5": (["char", "sw", "--type", "A5", "--w",
+                    "s1 s2 s1 s4 s3 s2 s1 s5 s4 s3", "--depth", "6"],
+                   "b6c9e21e67ecc9b4f4bb6c855fa3e4ac"
+                   "8a94d7ea9a20d947fcff2c2edbaa350f"),
+}
+
+
+def run_cli(args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "qbruhat.cli"]
-                          + CASES[name], capture_output=True, env=env,
-                          timeout=300)
+    proc = subprocess.run([sys.executable, "-m", "qbruhat.cli"] + args,
+                          capture_output=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout == (GOLDEN / (name + ".out")).read_bytes()
+    return proc.stdout
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_matches_golden(name):
+    stdout = run_cli(CASES[name])
+    assert stdout == (GOLDEN / (name + ".out")).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_stdout_matches_digest(name):
+    args, digest = DIGESTS[name]
+    assert hashlib.sha256(run_cli(args)).hexdigest() == digest
 
 
 def test_ratfun_golden_prints_a_rational_function():

@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 
 from qbruhat.cartan import build_cartan
-from qbruhat.characters import weight_multiplicity
+from qbruhat.characters import kostant, weight_multiplicity
 from qbruhat.coordring import (CoordinateModel, EigenvalueError,
                                SufficiencyError)
 from qbruhat.exactalg import ONE, ZERO, Laurent, Subspace, kernel, mat_mul
@@ -351,6 +351,24 @@ class TestStabilisingDegree:
                 assert k == 1 or mult(w, eta, k - 1) < m
                 checked += 1
         assert checked == cases
+
+    @pytest.mark.parametrize("label,blocks", [("A2", 114), ("B2", 296)])
+    def test_multiplicity_is_the_kostant_count(self, label, blocks):
+        """The multiplicity read off the Weyl character at k*.rho equals
+        Kostant's partition count p(-w^-1 eta); every offset the sweep
+        reaches lies in the cone, so each count is positive."""
+        model = CoordinateModel.get(label)
+        datum = model.datum
+        checked = 0
+        for w in model.group.elements:
+            winv = w.inverse()
+            for eta in eta_sweep(model, w):
+                beta = [-c for c in datum.root_coords(winv.act(eta))]
+                assert all(c.denominator == 1 for c in beta)
+                count = kostant(datum, [int(c) for c in beta])
+                assert model.sufficient_degree(w, eta)[1] == count >= 1
+                checked += 1
+        assert checked == blocks
 
     def test_offsets_off_the_cone_are_empty(self, a2_model):
         g = a2_model.group

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 import qbruhat
-from qbruhat import uqmodules, weyl
+from qbruhat import coordring, uqmodules, weyl
 from qbruhat.cartan import (SCOPE, ModuleScopeError, build_cartan,
                             check_scope, group_order)
 from qbruhat.cli import main
@@ -23,7 +23,7 @@ POSET_REFUSAL = ("the Weyl group of A6 has order 5040, over the cap 1920 "
 
 
 class GroupBuilt(Exception):
-    """Raised by a stubbed group or model build."""
+    """Raised by a stubbed group, model or module build."""
 
 
 @pytest.fixture()
@@ -121,6 +121,39 @@ def test_module_dimension_cap_is_read_from_the_table(monkeypatch):
     with pytest.raises(ModuleScopeError,
                        match="dimension 8 exceeds the cap 7"):
         uqmodules._build_irrep_inner(datum, WeylGroup.build(datum), (1, 1))
+
+
+@pytest.fixture()
+def no_modules(monkeypatch):
+    """Every module the coordinate model asks for raises GroupBuilt."""
+    def refuse(datum, lam):
+        raise GroupBuilt(lam)
+
+    monkeypatch.setattr(coordring, "build_irrep", refuse)
+
+
+@pytest.mark.parametrize("args, dim", [
+    ("--type A2 --nu 6,6", 729),
+    ("--type A2 --nu 2,2 --bound 5", 512),
+    ("--type B2 --nu 2,2 --bound 3", 1296),
+])
+def test_stratum_refuses_its_largest_module_at_the_edge(
+        no_modules, monkeypatch, capsys, args, dim):
+    """A saturation reaches V(nu + bound.rho); over the cap, the edge
+    refuses before any module is built."""
+    assert run_main(monkeypatch, "ideal stratum --y e --z e " + args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("out of scope: dimension %d exceeds the cap "
+                            "400\n" % dim)
+
+
+def test_stratum_within_the_dimension_cap_passes_the_edge(no_modules,
+                                                          monkeypatch):
+    # V(6,6) of A2 has dimension 343, within the cap
+    with pytest.raises(GroupBuilt):
+        run_main(monkeypatch, "ideal stratum --type A2 --y e --z e "
+                              "--nu 4,4 --bound 2")
 
 
 def test_caps_are_declared_only_in_the_table():
