@@ -18,7 +18,6 @@ arithmetic.
 
 from __future__ import annotations
 
-from .obs import memo
 from .weyl import WeylGroup, format_word
 
 
@@ -57,28 +56,22 @@ class CentreData:
 
 
 def centre_of(group, w):
-    """Fundamental weights are unit vectors, so w . omega_i is column i
-    of w's matrix, and w0 . omega_i = -omega_theta(i)."""
+    """The stabiliser of a dominant weight is the standard parabolic
+    subgroup of the simple reflections that fix it (Humphreys, 1.10-1.12),
+    so w . omega_i = omega_i iff s_i is not in the support of w.  And
+    w . omega_i = w0 . omega_i = -omega_theta(i) iff w0 w fixes omega_i."""
     theta = group.theta()
     n = group.rank
-    col = list(zip(*w.mat))
-    unit, negated = _unit_columns(n)
+    moved, flipped = group.supports()[w.idx]
     fixed = [i for i in range(n) if theta[i] == i]
     paired = [(i, theta[i]) for i in range(n) if theta[i] > i]
-    minus_fixed = [i for i in fixed if col[i] == unit[i]]
+    minus_fixed = [i for i in fixed if not moved >> i & 1]
     minus_paired = [(i, j) for i, j in paired
-                    if col[i] == unit[i] and col[j] == unit[j]]
-    plus_fixed = [i for i in fixed if col[i] == negated[i]]
+                    if not (moved >> i | moved >> j) & 1]
+    plus_fixed = [i for i in fixed if not flipped >> i & 1]
     plus_paired = [(i, j) for i, j in paired
-                   if col[i] == negated[j] and col[j] == negated[i]]
+                   if not (flipped >> i | flipped >> j) & 1]
     return CentreData(w, minus_fixed, minus_paired, plus_fixed, plus_paired)
-
-
-@memo(lambda n: n)
-def _unit_columns(n):
-    """The columns e_j and -e_j of rank n, as tuples."""
-    unit = [tuple(1 if k == j else 0 for k in range(n)) for j in range(n)]
-    return unit, [tuple(-x for x in e) for e in unit]
 
 
 def centre_table(label):

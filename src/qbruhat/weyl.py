@@ -1,12 +1,20 @@
 """Finite Weyl groups acting on fundamental-weight coordinates.
 
-Elements are integer matrices.  The whole group is materialized eagerly
-by a breadth-first search from the identity, after its known order
+An element w is keyed by the vector w(rho) in fundamental coordinates:
+the orbit of rho is regular (Humphreys, *Reflection Groups and Coxeter
+Groups*, 1.12), so the vector determines w.  The whole group is one
+breadth-first search over these vectors from rho, after its known order
 (``group_order``) has been checked against the group row of
-``cartan.SCOPE``.  The search keeps, for each simple generator s_i, the
-table of left multiplication by s_i, and an element's length is the
-depth at which the search first reaches it.  Construction does nothing
-else.
+``cartan.SCOPE``; s_i changes only the coordinates k with a[k][i] != 0.
+The search keeps, for each simple generator s_i, the table of left
+multiplication by s_i, an element's length (the depth at which the
+search first reaches it) and its left descents, read off the signs:
+s_i is a left descent of w iff (w rho)_i < 0.  The vectors are dropped
+after the search, and construction does nothing else: no matrix is
+built.  An element's action matrix is built on its first read, from
+the matrix of s_i w for its least left descent s_i by one row update,
+and kept on the element (Casselman, "Computation in Coxeter groups I",
+Electron. J. Combin. 9, 2002).
 
 Canonical reduced words are the lexicographically least ones:
 word(w) = (i,) + word(s_i w) with s_i the least left descent of w.  On
@@ -17,12 +25,13 @@ is a slot on its element.  Bruhat order comes from Deodhar's descent
 recursion on the table.  The Bruhat covers of every element are filled
 in once per group, on first use, by the lifting property; intervals,
 lower and upper sets are traversals of those cover lists.  One group is
-kept per type; the word pass, covers, fixed-space ranks, the diagram
-involution and the sorted order are ``memo`` tables on the group, word
-texts are a ``memo`` table on ``format_word``, and Bruhat comparisons
-keep a table of every pair the descent recursion meets.  The recursive word memo, the subword
-test, a reflection-chain closure and the covers found by scanning
-neighbouring length levels live in the test suite as oracles.
+kept per type; the word pass, covers, supports, fixed-space ranks, the
+diagram involution and the sorted order are ``memo`` tables on the
+group, word texts are a ``memo`` table on ``format_word``, and Bruhat
+comparisons keep a table of every pair the descent recursion meets.
+The matrix-keyed search, the recursive word memo, the subword test, a
+reflection-chain closure and the covers found by scanning neighbouring
+length levels live in the test suite as oracles.
 """
 
 from __future__ import annotations
@@ -32,14 +41,23 @@ from .obs import memo
 
 
 class WeylElem:
-    __slots__ = ("group", "idx", "mat", "length", "_word")
+    __slots__ = ("group", "idx", "length", "_mat", "_word")
 
-    def __init__(self, group, idx, mat, length):
+    def __init__(self, group, idx, length):
         self.group = group
         self.idx = idx
-        self.mat = mat
         self.length = length
+        self._mat = None
         self._word = None
+
+    @property
+    def mat(self):
+        """The action matrix on fundamental coordinates, built on first
+        read."""
+        mat = self._mat
+        if mat is None:
+            mat = self._mat = self.group._matrix(self.idx)
+        return mat
 
     @property
     def word(self):
@@ -109,48 +127,55 @@ class WeylGroup:
     def __init__(self, datum):
         check_scope(datum, "group")
         self.datum = datum
-        self.rank = datum.rank
+        self.rank = n = datum.rank
         expected = group_order(datum.family, datum.rank)
-        # g_i . m changes only the rows k with a[k][i] != 0:
-        # row_k -= a[k][i] * row_i.
+        # s_i changes only the coordinates k with a[k][i] != 0:
+        # v_k -= a[k][i] * v_i.
         a = datum.cartan
-        columns = [[(k, a[k][i]) for k in range(self.rank) if a[k][i]]
-                   for i in range(self.rank)]
-        ident = tuple(tuple(1 if i == j else 0 for j in range(self.rank))
-                      for i in range(self.rank))
-        index = {ident: 0}
-        order = [ident]
+        self._columns = columns = [[(k, a[k][i]) for k in range(n) if a[k][i]]
+                                   for i in range(n)]
+        rho = (1,) * n
+        index = {rho: 0}
+        order = [rho]
         lengths = [0]
-        lmul = [[] for _ in range(self.rank)]
-        # Breadth-first from the identity: the depth at which an element
-        # is first reached is its distance in the Cayley graph, i.e. its
-        # length, and lmul[i][idx] is the index of s_i . elements[idx].
-        for idx, m in enumerate(order):
+        lmul = [[] for _ in range(n)]
+        descents = []
+        # Breadth-first from rho: the depth at which w(rho) is first
+        # reached is the distance of w in the Cayley graph, i.e. its
+        # length, lmul[i][idx] is the index of s_i . elements[idx], and
+        # bit i of descents[idx] is set iff s_i is a left descent.
+        for idx, v in enumerate(order):
+            d = 0
             for i, col in enumerate(columns):
-                rows = list(m)
-                row_i = m[i]
+                vi = v[i]
+                if vi < 0:
+                    d |= 1 << i
+                u = list(v)
                 for k, aki in col:
-                    rows[k] = tuple(x - aki * y for x, y in zip(m[k], row_i))
-                p = tuple(rows)
+                    u[k] -= aki * vi
+                p = tuple(u)
                 j = index.get(p)
                 if j is None:
                     j = index[p] = len(order)
                     order.append(p)
                     lengths.append(lengths[idx] + 1)
                 lmul[i].append(j)
+            descents.append(d)
         if len(order) != expected:
             raise AssertionError("enumerated %d elements, expected %d"
                                  % (len(order), expected))
-        self.elements = [WeylElem(self, idx, m, lengths[idx])
-                         for idx, m in enumerate(order)]
+        self.elements = [WeylElem(self, idx, length)
+                         for idx, length in enumerate(lengths)]
+        self._descents = descents
         self._lmul = lmul
         self._length = lengths
         self.identity = self.elements[0]
-        self.gens = [self.elements[lmul[i][0]] for i in range(self.rank)]
+        self.gens = [self.elements[lmul[i][0]] for i in range(n)]
         # filled by bruhat_leq with every pair its descent loop meets,
         # so it is a path table rather than one memo entry per call
         self._bruhat = {}
-        self.longest = max(self.elements, key=lambda e: e.length)
+        # w0 rho = -rho
+        self.longest = self.elements[index[(-1,) * n]]
         n_pos = len(datum.positive_roots)
         if self.longest.length != n_pos:
             raise AssertionError("longest element length %d != %d"
@@ -202,12 +227,25 @@ class WeylGroup:
 
     def _first_descent(self, idx):
         """The least i with s_i a left descent of elements[idx]."""
-        length, lmul = self._length, self._lmul
-        return next(i for i in range(self.rank)
-                    if length[lmul[i][idx]] < length[idx])
+        d = self._descents[idx]
+        return (d & -d).bit_length() - 1
 
     def left_descent(self, w, i):
-        return self._length[self._lmul[i][w.idx]] < w.length
+        return bool(self._descents[w.idx] >> i & 1)
+
+    def _matrix(self, idx):
+        """The matrix of elements[idx], from that of s_i w for its least
+        left descent s_i: row_k -= a[k][i] * row_i."""
+        if not idx:
+            n = self.rank
+            return tuple(tuple(int(i == j) for j in range(n))
+                         for i in range(n))
+        i = self._first_descent(idx)
+        m = self.elements[self._lmul[i][idx]].mat
+        rows = list(m)
+        for k, aki in self._columns[i]:
+            rows[k] = tuple([x - aki * y for x, y in zip(m[k], m[i])])
+        return tuple(rows)
 
     # -- Bruhat order ---------------------------------------------------
 
@@ -233,7 +271,7 @@ class WeylGroup:
             if ly == 0:
                 result = True
                 break
-            s = next(i for i in range(self.rank) if length[lmul[i][zi]] < lz)
+            s = self._first_descent(zi)
             sy = lmul[s][yi]
             if length[sy] < ly:
                 yi = sy
@@ -327,19 +365,40 @@ class WeylGroup:
 
     @memo()
     def theta(self):
-        """Permutation t with w0 . omega_i = -omega_{t(i)} (0-based), read
-        off the columns of w0: column i is w0 . omega_i, which must be
-        -e_t for some t."""
-        w0 = self.longest.mat
+        """Permutation t with w0 . omega_i = -omega_{t(i)} (0-based): each
+        omega_i is carried along w0's word and must come out as -e_t for
+        some t."""
         n = self.rank
         out = []
         for i in range(n):
-            column = [w0[k][i] for k in range(n)]
-            if sorted(column) != [-1] + [0] * (n - 1):
+            v = [int(k == i) for k in range(n)]
+            for j in reversed(self.longest.word):
+                vj = v[j]
+                for k, akj in self._columns[j]:
+                    v[k] -= akj * vj
+            if sorted(v) != [-1] + [0] * (n - 1):
                 raise AssertionError("longest element does not negate "
                                      "fundamental weight %d" % (i + 1))
-            out.append(column.index(-1))
+            out.append(v.index(-1))
         return tuple(out)
+
+    # -- supports -------------------------------------------------------
+
+    @memo()
+    def supports(self):
+        """(support of w, support of w0 w) for every element, by index,
+        as bit masks: bit i is set iff s_i occurs in a reduced word.  For
+        the first letter s_i of w's word, supp(w) = supp(s_i w) + {i} and
+        w0 w = s_theta(i) . w0 (s_i w), because w0 s_i w0 = s_theta(i);
+        indices grow with length, so s_i w is done before w."""
+        lmul, theta = self._lmul, self.theta()
+        supp, opp = [0], [self.longest.idx]
+        for w in self.elements[1:]:
+            i = w.word[0]
+            v = lmul[i][w.idx]
+            supp.append(supp[v] | 1 << i)
+            opp.append(lmul[theta[i]][opp[v]])
+        return [(s, supp[o]) for s, o in zip(supp, opp)]
 
     @memo()
     def _sorted(self):

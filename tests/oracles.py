@@ -1,9 +1,10 @@
 """Earlier implementations, kept as test oracles.
 
 Each computes the same thing as a faster routine of the library by a
-different road: the fixed lattice by an exact kernel over Laurent
-scalars, Bruhat covers by scanning the neighbouring length level,
-canonical words by a recursion memoised per element
+different road: a Weyl group by a breadth-first search over whole
+action matrices (``matrix_keyed_search``), the fixed lattice by an
+exact kernel over Laurent scalars, Bruhat covers by scanning the
+neighbouring length level, canonical words by a recursion memoised per element
 (``recursive_canonical_word``), the pair poset by testing every pair of
 the group, its JSON document as a dict-of-dicts through ``json.dumps``
 (``dict_strata_json``), scalar sums and products
@@ -142,6 +143,32 @@ def mirror_module_from_edges(datum, lam, weights, edges):
         if parents[dst] is None and dst:
             parents[dst] = (src, gen)
     return UqModule(datum, lam, weights, parents, fmat, emat)
+
+
+def matrix_keyed_search(datum):
+    """The Weyl group of a datum as (matrices, lengths, lmul): a
+    breadth-first search from the identity matrix, each product keyed by
+    its whole matrix, with lmul[i][idx] the index of s_i . matrices[idx].
+    g_i . m changes only the rows k with a[k][i] != 0:
+    row_k -= a[k][i] * row_i."""
+    n, a = datum.rank, datum.cartan
+    columns = [[(k, a[k][i]) for k in range(n) if a[k][i]] for i in range(n)]
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    index, order, lengths = {ident: 0}, [ident], [0]
+    lmul = [[] for _ in range(n)]
+    for idx, m in enumerate(order):
+        for i, col in enumerate(columns):
+            rows = list(m)
+            for k, aki in col:
+                rows[k] = tuple([x - aki * y for x, y in zip(m[k], m[i])])
+            p = tuple(rows)
+            j = index.get(p)
+            if j is None:
+                j = index[p] = len(order)
+                order.append(p)
+                lengths.append(lengths[idx] + 1)
+            lmul[i].append(j)
+    return order, lengths, lmul
 
 
 def fixed_lattice(group, w):

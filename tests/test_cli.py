@@ -166,6 +166,12 @@ PINNED_STDOUT = {
         "a5b411158cef07d523a44e02be9f65807c572cf07df1e8a3c64981bcc5b14f4f",
     "centre dim --type F4":
         "b2bdc31756855d411edf5fe6974a09d6a89d06c50ac1745847882f1f8d86535f",
+    "weyl elements --type F4":
+        "1117ed9bac90ad9453c384ab03e1fdda0391af9d645c65823349b13618440d6b",
+    "weyl elements --type E6":
+        "d44066a5c2d8aa3f411b7c056e22e0fd583a1c4d5f08bab2a4026a6bfc95c2be",
+    "centre dim --type E6":
+        "fcaf7501384cb4e17acd56aa2e796abb718b17775797a58f8329960d2dfb8c0a",
 }
 
 

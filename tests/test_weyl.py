@@ -14,11 +14,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qbruhat.cartan import build_cartan
+from qbruhat.centre import centre_table
 from qbruhat import weyl
 from qbruhat.verify import check_bruhat_chains, reflection_lengths
 from qbruhat.weyl import (WeylElem, WeylGroup, format_word, group_order,
                           parse_word)
-from oracles import fixed_lattice, level_scan_covers, recursive_canonical_word
+from oracles import (fixed_lattice, level_scan_covers, matrix_keyed_search,
+                     recursive_canonical_word)
 
 
 ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48, "G2": 12}
@@ -283,6 +285,66 @@ def test_words_are_filled_lazily_once(monkeypatch):
     assert group.gens[0].word == (0,)
     assert len(calls) == len(group) - 1
     assert len(set(words)) == len(group)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "A5", "A6",
+                                   "A7", "B2", "B3", "B4", "C2", "C3",
+                                   "C4", "D4", "D5", "G2", "F4", "E6"])
+def test_group_matches_matrix_keyed_search(label):
+    """Keying the search by w(rho) gives the order, the left
+    multiplication table, the lengths and the matrices of the search
+    keyed by whole matrices."""
+    datum = build_cartan(label)
+    mats, lengths, lmul = matrix_keyed_search(datum)
+    group = WeylGroup(datum)
+    assert group._lmul == lmul
+    assert [w.length for w in group.elements] == lengths
+    assert [w.mat for w in group.elements] == mats
+
+
+def test_matrices_are_built_lazily_along_descents(monkeypatch):
+    """Construction, theta, the sorted order, covers, Bruhat comparisons
+    and the centre table build no matrix; reading one element's matrix
+    builds those of its descent chain down to e, each once."""
+    built = []
+    real = WeylGroup._matrix
+
+    def counted(self, idx):
+        built.append(idx)
+        return real(self, idx)
+
+    monkeypatch.setattr(WeylGroup, "_matrix", counted)
+    group = WeylGroup(build_cartan("F4"))
+    monkeypatch.setattr(WeylGroup, "build", lambda label: group)
+    group.theta()
+    group.sorted_elements()
+    group.cover_lists()
+    assert all(group.bruhat_leq(group.identity, w) for w in group.elements)
+    assert len(centre_table("F4")) == len(group)
+    assert built == []
+    w = group.parse("s1 s2 s3 s2 s4")
+    chain = [w.idx]
+    while chain[-1]:
+        x = chain[-1]
+        chain.append(group._lmul[group._first_descent(x)][x])
+    w.mat
+    assert built == chain
+    w.mat
+    group.elements[chain[2]].mat
+    assert built == chain
+    assert [u.mat for u in group.elements] == matrix_keyed_search(
+        group.datum)[0]
+    assert sorted(built) == list(range(len(group)))
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "D4", "G2"])
+def test_supports_are_the_letters_of_w_and_w0_w(label):
+    group = group_of(label)
+    supports = group.supports()
+    for w in group.elements:
+        opposite = group.longest * w
+        assert supports[w.idx] == (sum(1 << i for i in set(w.word)),
+                                   sum(1 << i for i in set(opposite.word)))
 
 
 def test_format_word_is_memoised_per_word():
