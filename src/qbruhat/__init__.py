@@ -11,10 +11,10 @@ ideals, commutation checks, eigenvalue decompositions, and saturations.
 from .exactalg import Laurent, RatFun, Subspace, Q, ONE, ZERO, q_int
 from .cartan import CartanDatum, build_cartan
 from .weyl import WeylGroup, format_word, parse_word
-from .strata import DiamondPoset, build_poset
+from .strata import DiamondPoset
 from .characters import (FormalCharacter, cell_translate_character,
                          demazure_character, weyl_character, weyl_dim)
-from .uqmodules import UqModule, build_irrep, demazure_submodule
+from .uqmodules import UqModule, build_irrep
 from .coordring import (CoordinateModel, EigenvalueError, NonStratumError,
                         SufficiencyError)
 from .centre import CentreData, centre_of, centre_table
@@ -23,10 +23,10 @@ __all__ = [
     "Laurent", "RatFun", "Subspace", "Q", "ONE", "ZERO", "q_int",
     "CartanDatum", "build_cartan",
     "WeylGroup", "format_word", "parse_word",
-    "DiamondPoset", "build_poset",
+    "DiamondPoset",
     "FormalCharacter", "cell_translate_character", "demazure_character",
     "weyl_character", "weyl_dim",
-    "UqModule", "build_irrep", "demazure_submodule",
+    "UqModule", "build_irrep",
     "CoordinateModel", "EigenvalueError", "NonStratumError",
     "SufficiencyError",
     "CentreData", "centre_of", "centre_table",

@@ -5,7 +5,10 @@ dual of the integrable module of highest weight lam, and the product of
 two dual rows is read off from the canonical embedding of the module of
 the summed weight into the tensor product (replaying exact lowering
 words, so no basis choices enter).  Everything downstream is blockwise
-linear algebra over the exact scalars:
+linear algebra over the exact scalars.  Closures and ideal pieces are
+``GradedPiece``s of ``uqmodules``, one canonical ``Subspace`` per weight
+block, and each module converts between its indices and block-local
+coordinates:
 
 * pair pieces, the graded ideal pieces attached to a pair (y, z) of
   Weyl elements: in each block the orthogonal (A meet B)^perp, with A
@@ -41,8 +44,8 @@ from .exactalg import (Laurent, ONE, ZERO, Subspace, charpoly, dot,
                        kernel, mat_mul, q_power_roots, rref)
 from .characters import weight_multiplicity
 from .obs import memo
-from .uqmodules import (build_irrep, demazure_blocks, extreme_dual_row,
-                        lowering_string_to, _tensor_f)
+from .uqmodules import (GradedPiece, build_irrep, demazure_blocks,
+                        extreme_dual_row, lowering_string_to, _tensor_f)
 from .weyl import WeylGroup
 
 
@@ -56,91 +59,6 @@ class EigenvalueError(RuntimeError):
 
 class NonStratumError(RuntimeError):
     """The support extremes of an ideal piece are not singletons."""
-
-
-class GradedPiece:
-    """Weight-graded subspace of the dual of one module.
-
-    ``blocks`` maps each weight whose block the piece meets nonzero to a
-    ``Subspace`` of that block's local coordinates; a missing weight is a
-    zero block.  Subspaces are canonical, so equality of pieces is plain
-    equality of data.
-    """
-
-    def __init__(self, module, blocks):
-        self.module = module
-        self.blocks = {wt: sub for wt, sub in blocks.items() if sub.dim}
-
-    @classmethod
-    def from_rows(cls, module, rows):
-        """The piece spanned by sparse rows (dicts index -> scalar), each
-        supported in one weight block."""
-        per = {}
-        for row in rows:
-            if not row:
-                continue
-            wt = module.weights[min(row)]
-            rng = module.weight_indices(wt)
-            dense = [ZERO] * len(rng)
-            for k, c in row.items():
-                if k not in rng:
-                    raise ValueError("row spans more than one weight block")
-                dense[k - rng.start] = c
-            per.setdefault(wt, []).append(dense)
-        return cls(module, {wt: Subspace.from_vectors(len(rws[0]), rws)
-                            for wt, rws in per.items()})
-
-    @property
-    def dim(self):
-        return sum(sub.dim for sub in self.blocks.values())
-
-    def block_dim(self, wt):
-        return self.block_subspace(wt).dim
-
-    def block_subspace(self, wt):
-        wt = tuple(wt)
-        return self.blocks.get(wt) or Subspace.zero(
-            len(self.module.weight_indices(wt)))
-
-    def weight_dims(self):
-        """Sorted (weight, piece dim) list over the nonzero blocks."""
-        return sorted((wt, sub.dim) for wt, sub in self.blocks.items())
-
-    def contains_row(self, row):
-        return self.contains_cell(dict(enumerate(row)))
-
-    def contains_cell(self, cell):
-        """Whether the sparse row (a dict index -> scalar) lies in the
-        piece, tested block by block."""
-        per = {}
-        for k, c in cell.items():
-            if c:
-                per.setdefault(self.module.weights[k], []).append((k, c))
-        for wt, items in per.items():
-            sub = self.blocks.get(wt)
-            if sub is None:
-                return False
-            dense = [ZERO] * sub.ambient
-            start = self.module.weight_indices(wt).start
-            for k, c in items:
-                dense[k - start] = c
-            if not sub.contains(dense):
-                return False
-        return True
-
-    def is_subpiece(self, other):
-        if self.module is not other.module:
-            raise ValueError("pieces live over different modules")
-        return all(wt in other.blocks and sub.is_subspace_of(other.blocks[wt])
-                   for wt, sub in self.blocks.items())
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedPiece):
-            return NotImplemented
-        return self.module is other.module and self.blocks == other.blocks
-
-    def __repr__(self):
-        return "GradedPiece(dim %d of %d)" % (self.dim, self.module.dim)
 
 
 class SaturationResult:
@@ -248,7 +166,7 @@ class CoordinateModel:
     @memo(lambda self, w, sign, lam: (w.idx, sign, tuple(lam)))
     def closure(self, w, sign, lam):
         """The extreme-vector closure of w with the given sign, raising
-        ('+') or lowering ('-'), as a Subspace of each block it meets."""
+        ('+') or lowering ('-'), as a ``GradedPiece`` of the module."""
         return demazure_blocks(self.module(lam), w, sign)
 
     def demazure_orth(self, w, sign, lam):
@@ -268,14 +186,15 @@ class CoordinateModel:
         raising closure of z, block by block; a block either closure
         misses is the full block."""
         module = self.module(lam)
-        lower = self.closure(y, "-", lam)
-        upper = self.closure(z, "+", lam)
-        blocks = {}
-        for wt, rng in module.blocks.items():
-            zero = Subspace.zero(len(rng))
-            blocks[wt] = lower.get(wt, zero).intersect(
-                upper.get(wt, zero)).orthogonal_complement()
-        return GradedPiece(module, blocks)
+        return GradedPiece(module, {
+            wt: self._closure_meet(y, z, lam, wt).orthogonal_complement()
+            for wt in module.blocks})
+
+    def _closure_meet(self, y, z, lam, wt):
+        """A meet B on the block of weight wt in degree lam, A the
+        lowering closure of y and B the raising closure of z."""
+        return self.closure(y, "-", lam).block_subspace(wt).intersect(
+            self.closure(z, "+", lam).block_subspace(wt))
 
     @memo(lambda self, lam, eta, side, nu:
           (tuple(lam), tuple(eta), side, tuple(nu)))
@@ -355,12 +274,10 @@ class CoordinateModel:
         back_tbl = self.pair_table(nu, lam)
         # the highest row commutes with exponent (nu, mu - lam), the
         # lowest with -(w0 nu, mu - w0 lam)
-        extremes = []
-        for name, sign, w in [("highest", 1, self.group.identity),
-                              ("lowest", -1, self.group.longest)]:
-            row = self.extreme_row(nu, w)
-            j = next(k for k, c in enumerate(row) if c)
-            extremes.append((name, sign, w.act(nu), w.act(lam), j))
+        mnu = self.module(nu)
+        extremes = [(name, sign, w.act(nu), w.act(lam), mnu.extreme_index(w))
+                    for name, sign, w in [("highest", 1, self.group.identity),
+                                          ("lowest", -1, self.group.longest)]]
         for r in range(mlam.dim):
             mu = mlam.weights[r]
             for name, sign, wnu, wlam, j in extremes:
@@ -385,31 +302,35 @@ class CoordinateModel:
         c_w(nu) . x = a . c_w(nu) on the dual block of weight blk in
         degree lam: row t lists the block coordinates of the image of
         the t-th unit row.  Raises SufficiencyError when the solve is
-        inconsistent or ambiguous."""
+        inconsistent or ambiguous.
+
+        The extreme row c_w(nu) is a scalar times the unit row of its
+        line j0, and that scalar stands on both sides of c . x = a . c,
+        so the equation is solved with the unit row: the product cells
+        (j0, u) and (t, j0) as they are."""
         datum = self.datum
         mlam = self.module(lam)
         blk = tuple(blk)
         rng = mlam.weight_indices(blk)
         if not len(rng):
             return []
-        ex = self.extreme_row(nu, w)
-        j0 = next(k for k, c in enumerate(ex) if c)
-        cex = ex[j0]
+        j0 = self.module(nu).extreme_index(w)
         target_wt = datum.add(w.act(nu), blk)
         big = self.module(self.datum.add(nu, lam))
-        trg = big.weight_indices(target_wt)
+        n = len(big.weight_indices(target_wt))
         left_tbl = self.pair_table(nu, lam)
         right_tbl = self.pair_table(lam, nu)
-        lrows = [_restrict(left_tbl.get((j0, u), {}), trg, cex) for u in rng]
-        rrows = [_restrict(right_tbl.get((t, j0), {}), trg, cex) for t in rng]
+        lrows = [_restrict(big, left_tbl.get((j0, u), {}), target_wt)
+                 for u in rng]
+        rrows = [_restrict(big, right_tbl.get((t, j0), {}), target_wt)
+                 for t in rng]
         # one reduction of [L^T | R^T]: the first b pivots certify that
         # left multiplication is injective, a later one that some image
         # row is not in its span; otherwise column b + t holds row t of
         # the operator
         b = len(rng)
         ech, piv = rref([lcol + rcol for lcol, rcol in
-                         zip(_transpose(lrows, len(trg)),
-                             _transpose(rrows, len(trg)))])
+                         zip(_transpose(lrows, n), _transpose(rrows, n))])
         if piv[:b] != list(range(b)):
             raise SufficiencyError(
                 "left multiplication by the extreme row is not injective "
@@ -556,8 +477,7 @@ class CoordinateModel:
         parts = self.twisted_decomposition(w, eta, lam=lam)
         blk = datum.add(w.act(lam), tuple(eta))
         mlam = self.module(lam)
-        rng = mlam.weight_indices(blk)
-        b = len(rng)
+        b = len(mlam.weight_indices(blk))
         zero = datum.zero()
         qp_block = self.demazure_orth(w, "+", lam).block_subspace(blk)
         central = next((sub for mu, sub in parts if mu == zero),
@@ -578,10 +498,7 @@ class CoordinateModel:
             half = tuple(Fraction(c, 2) for c in datum.root_coords(mu))
             expect = datum.add(lam, datum.root_to_fund(half))
             for row in sub.rows:
-                g = [ZERO] * mlam.dim
-                for t, c in enumerate(row):
-                    g[rng.start + t] = c
-                top = lowering_string_to(mlam, g, w)
+                top = lowering_string_to(mlam, mlam.globalize(blk, row), w)
                 got = mlam.row_support_weight(top)
                 if tuple(got) != tuple(expect):
                     raise AssertionError(
@@ -610,7 +527,12 @@ class CoordinateModel:
         blocks are read.  There the pair piece is (A meet B)^perp, A and B
         the lowering closure of y and the raising closure of z, so the
         step takes the canonical meet of the two closure blocks instead of
-        the kernel of the pair piece's block, with the same rows."""
+        the kernel of the pair piece's block, with the same rows.
+
+        The anchor's extreme row is a scalar times the unit row of its
+        line j0.  That scalar only scales the matrix of pairings whose
+        kernel a step takes, so the step multiplies by the unit row: the
+        product cells (j0, t) as they are."""
         if by not in ("y", "z"):
             raise ValueError("by must be 'y' or 'z'")
         datum = self.datum
@@ -622,26 +544,19 @@ class CoordinateModel:
             krho = tuple(k * c for c in rho)
             lam_t = datum.add(nu, krho)
             big = self.module(lam_t)
-            lower = self.closure(y, "-", lam_t)
-            upper = self.closure(z, "+", lam_t)
-            ex = self.extreme_row(krho, anchor)
-            j0 = next(t for t, c in enumerate(ex) if c)
-            cex = ex[j0]
+            j0 = self.module(krho).extreme_index(anchor)
             table = self.pair_table(krho, nu)
             shift = anchor.act(krho)
             blocks = {}
             for wt in mnu.block_order:
                 rng = mnu.weight_indices(wt)
                 twt = datum.add(shift, wt)
-                trg = big.weight_indices(twt)
-                imgs = [_restrict(table.get((j0, t), {}), trg, cex)
-                        for t in rng]
-                zero = Subspace.zero(len(trg))
-                cons = lower.get(twt, zero).intersect(
-                    upper.get(twt, zero)).rows
+                cons = self._closure_meet(y, z, lam_t, twt).rows
                 if not cons:
                     blocks[wt] = Subspace.full(len(rng))
                     continue
+                imgs = [_restrict(big, table.get((j0, t), {}), twt)
+                        for t in rng]
                 gmat = [[dot(img, kr) for kr in cons] for img in imgs]
                 blocks[wt] = Subspace(len(rng), *kernel(
                     _transpose(gmat, len(cons)), len(rng)))
@@ -698,15 +613,13 @@ class CoordinateModel:
         return wy, wz, sat
 
 
-def _restrict(cell, trg, scale):
-    """Dense coordinates, times scale, of a sparse product row on the
-    index range trg of its target block."""
-    out = [ZERO] * len(trg)
-    for t, c in cell.items():
-        if not trg.start <= t < trg.stop:
-            raise AssertionError("product escapes the target block")
-        out[t - trg.start] = scale * c
-    return out
+def _restrict(module, cell, wt):
+    """Dense coordinates of a sparse product row on the block of weight
+    wt of the module it lands in."""
+    local = module.localize(cell)
+    if any(other != wt for other in local):
+        raise AssertionError("product escapes the target block")
+    return local.get(wt) or [ZERO] * len(module.weight_indices(wt))
 
 
 def _transpose(rows, ncols):

@@ -33,7 +33,7 @@ import io
 
 from .cartan import check_scope
 from .emit import strata_document
-from .weyl import WeylGroup, format_word
+from .weyl import format_word
 
 SCHEMA_STRATA = "qbruhat/strata-v1"
 
@@ -188,9 +188,3 @@ def order_isomorphic(p1, p2):
         return False
 
     return backtrack(0)
-
-
-def build_poset(label, anchor_text=None):
-    group = WeylGroup.build(label)
-    anchor = group.parse(anchor_text) if anchor_text else None
-    return DiamondPoset(group, anchor=anchor)

@@ -61,6 +61,12 @@ Chevalley involution, which swaps E_i with F_i and lam with -w0 lam:
 the lowest line closed under E_i along the reversed word of y w0.
 ``demazure_blocks`` has the argument.
 
+A module owns its coordinates: ``localize`` and ``globalize`` convert
+between basis indices and the local coordinates of a weight block, and
+``extreme_index`` names the line of an extreme weight.  A weight-graded
+subspace of a module or of its dual, a closure or an ideal piece, is a
+``GradedPiece``: one canonical ``Subspace`` per block it meets.
+
 Conventions.  The comultiplication used for tensor actions is
 
     F (x ox y) = F x ox y + K x ox F y
@@ -198,10 +204,45 @@ class UqModule:
 
     def row_support_weight(self, row):
         """The single block weight carrying the support of the row."""
-        wts = {self.weights[k] for k, c in enumerate(row) if c}
+        wts = list(self.localize(dict(enumerate(row))))
         if len(wts) != 1:
             raise ValueError("row support spans %d weight blocks" % len(wts))
-        return next(iter(wts))
+        return wts[0]
+
+    # -- block-local coordinates -----------------------------------------
+
+    def localize(self, vec):
+        """A sparse vector (a dict index -> scalar) in block-local
+        coordinates: {weight: dense list over that weight's block} for
+        each block its nonzero entries meet."""
+        out = {}
+        for k, c in vec.items():
+            if c:
+                wt = self.weights[k]
+                rng = self.blocks[wt]
+                dense = out.get(wt)
+                if dense is None:
+                    dense = out[wt] = [ZERO] * len(rng)
+                dense[k - rng.start] = c
+        return out
+
+    def globalize(self, wt, local):
+        """The dense row over the whole basis of a row local over the
+        block of weight wt."""
+        row = [ZERO] * self.dim
+        start = self.blocks[wt].start
+        row[start:start + len(local)] = local
+        return row
+
+    def extreme_index(self, w):
+        """The basis index of the extreme line of weight w(lam); its
+        block must have multiplicity one."""
+        wt = w.act(self.lam)
+        rng = self.weight_indices(wt)
+        if len(rng) != 1:
+            raise AssertionError("extreme weight %s has multiplicity %d"
+                                 % (wt, len(rng)))
+        return rng.start
 
     def __repr__(self):
         return "UqModule(%s, lam=%s, dim %d)" % (self.datum.label, self.lam,
@@ -590,12 +631,7 @@ extreme_vector = UqModule.extreme_vector
 def extreme_dual_row(module, w):
     """The dual row taking value 1 on the extreme vector of weight w(lam)
     and vanishing on every other weight block."""
-    wt = w.act(module.lam)
-    rng = module.weight_indices(wt)
-    if len(rng) != 1:
-        raise AssertionError("extreme weight %s has multiplicity %d"
-                             % (wt, len(rng)))
-    j = rng.start
+    j = module.extreme_index(w)
     vec = extreme_vector(module, w)
     if set(vec) != {j}:
         raise AssertionError("extreme vector is not supported on its line")
@@ -604,15 +640,85 @@ def extreme_dual_row(module, w):
     return row
 
 
+# -- graded pieces ---------------------------------------------------------
+
+
+class GradedPiece:
+    """Weight-graded subspace of one module or of its dual.
+
+    ``blocks`` maps each weight whose block the piece meets nonzero to a
+    ``Subspace`` of that block's local coordinates; a missing weight is a
+    zero block.  Subspaces are canonical, so equality of pieces is plain
+    equality of data.
+    """
+
+    def __init__(self, module, blocks):
+        self.module = module
+        self.blocks = {wt: sub for wt, sub in blocks.items() if sub.dim}
+
+    @classmethod
+    def from_rows(cls, module, rows):
+        """The piece spanned by sparse rows (dicts index -> scalar), each
+        supported in one weight block."""
+        per = {}
+        for row in rows:
+            local = module.localize(row)
+            if len(local) > 1:
+                raise ValueError("row spans more than one weight block")
+            for wt, dense in local.items():
+                per.setdefault(wt, []).append(dense)
+        return cls(module, {wt: Subspace.from_vectors(len(rws[0]), rws)
+                            for wt, rws in per.items()})
+
+    @property
+    def dim(self):
+        return sum(sub.dim for sub in self.blocks.values())
+
+    def block_dim(self, wt):
+        return self.block_subspace(wt).dim
+
+    def block_subspace(self, wt):
+        wt = tuple(wt)
+        return self.blocks.get(wt) or Subspace.zero(
+            len(self.module.weight_indices(wt)))
+
+    def weight_dims(self):
+        """Sorted (weight, piece dim) list over the nonzero blocks."""
+        return sorted((wt, sub.dim) for wt, sub in self.blocks.items())
+
+    def contains_row(self, row):
+        return self.contains_cell(dict(enumerate(row)))
+
+    def contains_cell(self, cell):
+        """Whether the sparse row (a dict index -> scalar) lies in the
+        piece, tested block by block."""
+        return all(wt in self.blocks and self.blocks[wt].contains(dense)
+                   for wt, dense in self.module.localize(cell).items())
+
+    def is_subpiece(self, other):
+        if self.module is not other.module:
+            raise ValueError("pieces live over different modules")
+        return all(wt in other.blocks and sub.is_subspace_of(other.blocks[wt])
+                   for wt, sub in self.blocks.items())
+
+    def __eq__(self, other):
+        if not isinstance(other, GradedPiece):
+            return NotImplemented
+        return self.module is other.module and self.blocks == other.blocks
+
+    def __repr__(self):
+        return "GradedPiece(dim %d of %d)" % (self.dim, self.module.dim)
+
+
 # -- Demazure pieces -------------------------------------------------------
 
 
 def demazure_blocks(module, w, sign):
     """The span of the extreme vector of weight w(lam) under raising
-    (sign '+') or lowering (sign '-') closure, as {weight: Subspace} over
-    the blocks it meets, in block-local coordinates.  The two closures
-    that are the whole module, lowering at e and raising at the longest
-    element, are returned as full blocks without a search.
+    (sign '+') or lowering (sign '-') closure, as a ``GradedPiece`` of
+    the module.  The two closures that are the whole module, lowering at
+    e and raising at the longest element, are returned as full blocks
+    without a search.
 
     The span is built by Demazure's recursion.  Write V_u = U+ v_{u lam}
     for the raising closure.  If s_i u > u, then U(p_i) V_u = V_{s_i u},
@@ -629,7 +735,9 @@ def demazure_blocks(module, w, sign):
     y w0 read through the twist: the line v_{w0 lam} closed under E_i
     along the reversed word of y w0.  One X_i-closure step applies X_i
     once to every vector of the running span list, those it appends
-    included, and keeps an image only when it is independent.
+    included, and keeps an image only when it is independent.  Only the
+    line matters, so the span starts from the unit vector of the
+    extreme line, not from the extreme vector.
 
     Each block is kept in canonical reduced echelon form as it grows,
     one ``echelon_insert`` per image, so the result does not depend on
@@ -640,27 +748,23 @@ def demazure_blocks(module, w, sign):
     if w == (group.identity if sign == "-" else group.longest):
         # the highest weight vector spans the module under lowering, and
         # so, the module being irreducible, does the lowest under raising
-        return {wt: Subspace.full(len(rng))
-                for wt, rng in module.blocks.items()}
+        return GradedPiece(module, {wt: Subspace.full(len(rng))
+                                    for wt, rng in module.blocks.items()})
     if sign == "+":
-        apply_gen, start, u = module.f_apply, {0: ONE}, w
+        apply_gen, line, u = module.f_apply, group.identity, w
     else:
-        apply_gen = module.e_apply
-        start = extreme_vector(module, group.longest)
+        apply_gen, line = module.e_apply, group.longest
         u = group.multiply(w, group.longest)
     blocks = {}
 
     def insert(vec):
-        wt = module.weights[min(vec)]
-        rng = module.weight_indices(wt)
-        dense = [ZERO] * len(rng)
-        for k, c in vec.items():
-            dense[k - rng.start] = c
+        (wt, dense), = module.localize(vec).items()
         # the block's Subspace is fresh and not yet handed out, so its
         # lists may grow in place
-        sub = blocks.setdefault(wt, Subspace.zero(len(rng)))
+        sub = blocks.setdefault(wt, Subspace.zero(len(dense)))
         return echelon_insert(sub.rows, sub.pivots, dense)
 
+    start = {module.extreme_index(line): ONE}
     insert(start)
     span = [start]
     for i in reversed(u.word):
@@ -670,33 +774,7 @@ def demazure_blocks(module, w, sign):
             img = apply_gen(i, v)
             if img and insert(img):
                 span.append(img)
-    return blocks
-
-
-def blocks_to_subspace(module, blocks):
-    """Assemble per-block Subspaces into one global canonical Subspace.
-
-    Valid because rows from different weight blocks have disjoint support
-    and block index ranges increase along the basis order.
-    """
-    rows = []
-    pivots = []
-    for wt in module.block_order:
-        if wt not in blocks:
-            continue
-        rng = module.weight_indices(wt)
-        for row, p in zip(blocks[wt].rows, blocks[wt].pivots):
-            g = [ZERO] * module.dim
-            for t, c in enumerate(row):
-                if c:
-                    g[rng.start + t] = c
-            rows.append(g)
-            pivots.append(rng.start + p)
-    return Subspace(module.dim, rows, pivots)
-
-
-def demazure_submodule(module, w, sign):
-    return blocks_to_subspace(module, demazure_blocks(module, w, sign))
+    return GradedPiece(module, blocks)
 
 
 # -- string data on dual rows ---------------------------------------------

@@ -19,7 +19,8 @@ their orthogonals as (rows, pivots) tuples by ``kernel``, pair pieces
 as the sum of the two orthogonals
 (``sum_of_orthogonals_pair_piece``), modules by stepping off the
 fundamental weight of the highest index, saturation steps by the kernel
-of that sum of orthogonals in degree nu + k rho, tensor closures by a
+of that sum of orthogonals in degree nu + k rho, against products with
+the extreme row itself, its scalar included, tensor closures by a
 block solver with its own elimination and change-of-basis table, and
 the raising matrices of the fundamental seeds as the mirrors of their
 lowering edges.  Tensor
@@ -53,7 +54,7 @@ from collections import Counter, deque
 from fractions import Fraction
 
 from qbruhat.characters import weyl_character, weyl_dim
-from qbruhat.coordring import GradedPiece, _restrict, _transpose
+from qbruhat.coordring import _transpose
 from qbruhat.exactalg import (Laurent, ONE, RatFun, Subspace, ZERO,
                               _common_factor, _coprime_quotient, _exact_quo,
                               _ratfun, coerce_scalar, dot,
@@ -63,7 +64,8 @@ from qbruhat.strata import SCHEMA_STRATA
 from qbruhat.uqmodules import (_SEED_TABLE, _bump, _close_tensor,
                                _compose, _module_from_edges,
                                _raising_matrices, _reorder_module,
-                               _tensor_f, UqModule, extreme_vector)
+                               _tensor_f, GradedPiece, UqModule,
+                               extreme_vector)
 
 
 class _BlockSolver:
@@ -559,10 +561,25 @@ def max_index_irrep(datum, lam, built):
     return module
 
 
+def restrict_cell(module, cell, wt, scale):
+    """Dense coordinates, times scale, of a sparse product cell on the
+    block of weight wt; raises when the cell leaves that block."""
+    trg = module.weight_indices(wt)
+    out = [ZERO] * len(trg)
+    for t, c in cell.items():
+        if t not in trg:
+            raise AssertionError("product escapes the target block")
+        out[t - trg.start] = scale * c
+    return out
+
+
 def pair_piece_saturation(model, y, z, nu, bound, by="z"):
     """The pieces of ``model.saturation``, each step k taking the kernel
     of the pair piece of degree nu + k rho, built as a sum of
-    orthogonals, on the blocks it reads."""
+    orthogonals, on the blocks it reads.  The products are taken with
+    the anchor's extreme row itself, its scalar ex[j0] included, and
+    each block is checked to equal the one taken with the unit row of
+    the line j0."""
     datum = model.datum
     anchor = z if by == "z" else y
     mnu = model.module(nu)
@@ -581,16 +598,22 @@ def pair_piece_saturation(model, y, z, nu, bound, by="z"):
             rng = mnu.weight_indices(wt)
             twt = datum.add(shift, wt)
             trg = big.weight_indices(twt)
-            imgs = [_restrict(table.get((j0, t), {}), trg, ex[j0])
-                    for t in rng]
             entry = target.blocks.get(twt)
             srows = [list(r) for r in entry.rows] if entry else []
             cons = kernel(srows, len(trg))[0] if len(trg) else []
             if not cons:
                 blocks[wt] = Subspace.full(len(rng))
                 continue
-            gmat = [[dot(img, kr) for kr in cons] for img in imgs]
-            ech, piv = kernel(_transpose(gmat, len(cons)), len(rng))
+            found = []
+            for scale in (ex[j0], ONE):
+                imgs = [restrict_cell(big, table.get((j0, t), {}), twt,
+                                      scale) for t in rng]
+                gmat = [[dot(img, kr) for kr in cons] for img in imgs]
+                found.append(kernel(_transpose(gmat, len(cons)), len(rng)))
+            if found[0] != found[1]:
+                raise AssertionError("the extreme scalar changes block %s "
+                                     "at step %d" % (wt, k))
+            ech, piv = found[0]
             if ech:
                 blocks[wt] = Subspace(len(rng), ech, piv)
         pieces.append(GradedPiece(mnu, blocks))

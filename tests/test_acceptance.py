@@ -25,7 +25,7 @@ from qbruhat.characters import (cell_translate_character, demazure_character,
                                 weyl_dim)
 from qbruhat.exactalg import ZERO, Laurent
 from qbruhat.strata import DiamondPoset
-from qbruhat.uqmodules import build_irrep, demazure_submodule
+from qbruhat.uqmodules import build_irrep, demazure_blocks
 from qbruhat.verify import (check_centre_tables, check_commutation_grid,
                             check_distinguishing_scan,
                             check_extreme_relations_grid, check_sl3_pieces,
@@ -184,23 +184,23 @@ def test_criterion_07_closure_dims_match_characters(criterion):
                 m = build_irrep(datum, lam)
                 lam_star = tuple(-c for c in w0.act(lam))
                 for w in group.elements:
-                    plus = demazure_submodule(m, w, "+")
+                    plus = demazure_blocks(m, w, "+")
                     assert plus.dim == demazure_character(
                         datum, w, lam).mass()
-                    minus = demazure_submodule(m, w, "-")
+                    minus = demazure_blocks(m, w, "-")
                     assert minus.dim == demazure_character(
                         datum, group.multiply(w, w0),
                         lam_star).mass()
             lam = tuple(2 for _ in range(datum.rank))
             m = build_irrep(datum, lam)
             for sign in ["+", "-"]:
-                subs = {w.idx: demazure_submodule(m, w, sign)
+                subs = {w.idx: demazure_blocks(m, w, sign)
                         for w in group.elements}
                 for y in group.elements:
                     for z in group.elements:
                         expect = (group.bruhat_leq(y, z) if sign == "+"
                                   else group.bruhat_leq(z, y))
-                        got = subs[y.idx].is_subspace_of(subs[z.idx])
+                        got = subs[y.idx].is_subpiece(subs[z.idx])
                         assert got == expect
 
 

@@ -12,7 +12,8 @@ from click.testing import CliRunner
 
 import qbruhat.cli as climod
 from qbruhat.cli import cli, main
-from qbruhat.coordring import CoordinateModel, GradedPiece, SaturationResult
+from qbruhat.coordring import CoordinateModel, SaturationResult
+from qbruhat.uqmodules import GradedPiece
 from qbruhat.verify import check_stratum_indexing
 
 

@@ -9,7 +9,7 @@ import pytest
 from qbruhat.cartan import build_cartan
 from qbruhat.characters import kostant, weight_multiplicity
 from qbruhat.coordring import (CoordinateModel, EigenvalueError,
-                               SufficiencyError)
+                               SufficiencyError, _restrict)
 from qbruhat.exactalg import ONE, ZERO, Laurent, Subspace, kernel, mat_mul
 from qbruhat.uqmodules import ModuleScopeError, build_irrep
 from oracles import (brute_cone_count, bruhat_pairs, dense_check_commutation,
@@ -73,6 +73,19 @@ class TestProducts:
         assert str(err.value) == (
             "highest-row relation fails at index 0 of degree (1, 0), "
             "extreme degree nu=(0, 1)")
+
+
+    def test_restricted_cell_stays_in_its_target_block(self, a2_model):
+        """The product of the highest lines of degrees (1, 0) and (0, 1)
+        lies in the block (1, 1) of V(1, 1); restricted there it is its
+        one coordinate, restricted to another weight it escapes."""
+        big = a2_model.module((1, 1))
+        cell = a2_model.pair_table((1, 0), (0, 1))[(0, 0)]
+        assert _restrict(big, cell, (1, 1)) == [cell[0]]
+        assert _restrict(big, {}, (0, 0)) == [ZERO, ZERO]
+        with pytest.raises(AssertionError,
+                           match="product escapes the target block"):
+            _restrict(big, cell, (0, 0))
 
 
 class TestCommutation:
@@ -173,12 +186,12 @@ class TestIdealPieces:
 
     def test_plus_piece_dims_complement_closures(self, a2_model):
         # orthogonal pieces have complementary dimension blockwise
-        from qbruhat.uqmodules import demazure_submodule
+        from qbruhat.uqmodules import demazure_blocks
         lam = (1, 1)
         m = a2_model.module(lam)
         for w in a2_model.group.elements:
             piece = a2_model.demazure_orth(w, "+", lam)
-            sub = demazure_submodule(m, w, "+")
+            sub = demazure_blocks(m, w, "+")
             assert piece.dim + sub.dim == m.dim
 
     def test_support_extremes_of_plus_piece(self, a2_model):
@@ -204,7 +217,7 @@ class TestIdealPieces:
     def test_incomparable_support_extremes(self, a2_model):
         # a hand-made piece missing two incomparable blocks reports both
         # as maximal and as minimal
-        from qbruhat.coordring import GradedPiece
+        from qbruhat.uqmodules import GradedPiece
         m = a2_model.module((1, 1))
         holes = {(2, -1), (-1, 2)}
         rows = []
@@ -256,7 +269,8 @@ class TestBlockRepresentation:
             m = model.module(lam)
             for w in model.group.elements:
                 for sign in "+-":
-                    assert_subspace_blocks(m, model.closure(w, sign, lam))
+                    assert_subspace_blocks(
+                        m, model.closure(w, sign, lam).blocks)
                     assert_subspace_blocks(
                         m, model.demazure_orth(w, sign, lam).blocks)
 
@@ -644,8 +658,8 @@ class TestSaturation:
             held = [piece.blocks for piece in sat.pieces]
             held.append(a2_model.pair_piece(y, z, nu).blocks)
             for lam in degrees:
-                held += [a2_model.closure(y, "-", lam),
-                         a2_model.closure(z, "+", lam)]
+                held += [a2_model.closure(y, "-", lam).blocks,
+                         a2_model.closure(z, "+", lam).blocks]
             rows += [row for blocks in held for sub in blocks.values()
                      for row in sub.rows]
         modules = [a2_model.module(lam) for lam in degrees]

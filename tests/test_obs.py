@@ -12,10 +12,11 @@ import pytest
 from qbruhat import cartan, characters, coordring, exactalg, uqmodules, weyl
 from qbruhat.cartan import build_cartan
 from qbruhat.characters import weyl_character
-from qbruhat.coordring import CoordinateModel, GradedPiece
+from qbruhat.coordring import CoordinateModel
 from qbruhat.exactalg import parse_laurent
 from qbruhat.obs import memo
-from qbruhat.uqmodules import ModuleScopeError, UqModule, build_irrep
+from qbruhat.uqmodules import (GradedPiece, ModuleScopeError, UqModule,
+                               build_irrep)
 from qbruhat.weyl import WeylElem, WeylGroup
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qbruhat"

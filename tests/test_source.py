@@ -126,3 +126,25 @@ def test_every_src_function_has_a_caller():
             defined += [("%s:%s" % (path.stem, qual), name)
                         for qual, name in _definitions(tree)]
     assert [label for label, name in defined if name not in used] == []
+
+
+def test_every_export_has_a_caller():
+    """Every name of ``qbruhat.__all__`` is read, as a name or an
+    attribute, in a package module other than ``__init__``, in the
+    demos or in the bench.  A name only tests read is not part of the
+    package's surface; ``__all__`` alone does not keep it alive."""
+    root = TRACER.parents[1]
+    package = pathlib.Path(qbruhat.__file__).resolve().parent
+    used = set()
+    for path in [p for p in sorted(package.glob("*.py"))
+                 if p.name != "__init__.py"] + \
+            sorted((root / "demos").glob("*.py")) + \
+            sorted((root / "qbench").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert qbruhat.__all__
+    assert [name for name in qbruhat.__all__ if name not in used] == []

@@ -7,9 +7,15 @@ import pytest
 
 from qbruhat.cartan import build_cartan
 from qbruhat.emit import json_document, strata_document
-from qbruhat.strata import DiamondPoset, build_poset, order_isomorphic
+from qbruhat.strata import DiamondPoset, order_isomorphic
 from qbruhat.weyl import WeylGroup, format_word
 from oracles import all_pairs_filter, dict_strata_json, level_scan_covers
+
+
+def build_poset(label, anchor_text=None):
+    group = WeylGroup.build(label)
+    anchor = group.parse(anchor_text) if anchor_text else None
+    return DiamondPoset(group, anchor=anchor)
 
 
 def brute_pairs(group):

@@ -14,10 +14,10 @@ from qbruhat.cartan import build_cartan
 from qbruhat.characters import demazure_character, weyl_character, weyl_dim
 from qbruhat.exactalg import (Laurent, ONE, RatFun, Subspace, ZERO,
                               q_binomial)
-from qbruhat.uqmodules import (ModuleScopeError, _SEED_TABLE, _compose,
-                               _module_from_edges, _reorder_module,
-                               _tensor_f, build_irrep,
-                               demazure_blocks, demazure_submodule,
+from qbruhat.uqmodules import (GradedPiece, ModuleScopeError, _SEED_TABLE,
+                               _compose, _module_from_edges,
+                               _reorder_module, _tensor_f, build_irrep,
+                               demazure_blocks,
                                extreme_dual_row, extreme_vector,
                                lowering_string_to, string_counts,
                                verify_module)
@@ -168,13 +168,13 @@ def test_demazure_dims_match_characters(label):
             minus = demazure_character(datum, group.multiply(w, w0),
                                        lam_star)
             for sign, char, flip in (("+", plus, 1), ("-", minus, -1)):
-                blocks = demazure_blocks(m, w, sign)
-                got = {wt: sub.dim for wt, sub in blocks.items()}
+                piece = demazure_blocks(m, w, sign)
+                got = {wt: sub.dim for wt, sub in piece.blocks.items()}
                 want = {wt: char.coefficient(tuple(flip * c for c in wt))
                         for wt in m.block_order}
                 assert got == {wt: k for wt, k in want.items() if k}, \
                     (lam, w.word, sign)
-                assert demazure_submodule(m, w, sign).dim == char.mass()
+                assert piece.dim == char.mass()
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "B2"])
@@ -184,14 +184,14 @@ def test_bruhat_equals_closure_inclusion(label, sign):
     group = WeylGroup.build(datum)
     lam = tuple([2] * datum.rank)  # regular, so the order is faithful
     m = module_of(label, lam)
-    subs = {w.idx: demazure_submodule(m, w, sign) for w in group.elements}
+    subs = {w.idx: demazure_blocks(m, w, sign) for w in group.elements}
     for y in group.elements:
         for z in group.elements:
             if sign == "+":
                 expect = group.bruhat_leq(y, z)
             else:
                 expect = group.bruhat_leq(z, y)
-            assert subs[y.idx].is_subspace_of(subs[z.idx]) == expect, \
+            assert subs[y.idx].is_subpiece(subs[z.idx]) == expect, \
                 (label, sign, y.word, z.word)
 
 
@@ -199,14 +199,84 @@ def test_adjoint_lowering_closure_of_short_element(a2_group):
     # lowering closure of the extreme vector at s1 inside the 8-dim
     # module: one line in the zero block plus four extreme lines below
     m = module_of("A2", (1, 1))
-    sub = demazure_submodule(m, a2_group.gens[0], "-")
-    assert sub.dim == 5
-    per_block = {}
-    for row in sub.rows:
-        wt = m.row_support_weight(row)
-        per_block[wt] = per_block.get(wt, 0) + 1
+    piece = demazure_blocks(m, a2_group.gens[0], "-")
+    assert piece.dim == 5
+    per_block = {wt: sub.dim for wt, sub in piece.blocks.items()}
     assert per_block == {(-1, 2): 1, (0, 0): 1, (-2, 1): 1,
                          (1, -2): 1, (-1, -1): 1}
+
+
+# -- block-local coordinates and extreme lines ------------------------------
+
+_COORD_RANGES = {
+    "A1": [(a,) for a in range(3)],
+    "A2": list(itertools.product(range(3), repeat=2)),
+    "B2": list(itertools.product(range(3), repeat=2)),
+}
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2"])
+def test_localize_globalize_round_trip(label):
+    """Every block of every module up to (2, 2): a unit vector and a
+    vector with every block coordinate nonzero localize to that block
+    alone and globalize back to the same dense row."""
+    for lam in _COORD_RANGES[label]:
+        m = module_of(label, lam)
+        for wt, rng in m.blocks.items():
+            local = [Laurent.q_power(t) + ONE for t in range(len(rng))]
+            g = m.globalize(wt, local)
+            assert len(g) == m.dim
+            assert [k for k, c in enumerate(g) if c] == list(rng)
+            assert m.localize(dict(enumerate(g))) == {wt: local}
+            for k in rng:
+                unit = m.localize({k: ONE})
+                assert list(unit) == [wt]
+                assert m.globalize(wt, unit[wt]) == \
+                    [ONE if j == k else ZERO for j in range(m.dim)]
+
+
+def test_localize_splits_a_vector_across_blocks():
+    m = module_of("A2", (1, 1))
+    zero_block = m.weight_indices((0, 0))
+    vec = {0: ONE, zero_block.start + 1: 2 * q, m.dim - 1: ZERO}
+    assert m.localize(vec) == {(1, 1): [ONE], (0, 0): [ZERO, 2 * q]}
+    assert m.localize({}) == {}
+
+
+@pytest.mark.parametrize("label", ["A2", "B2"])
+def test_extreme_index_is_the_support_of_the_dual_row(label):
+    m = module_of(label, (1, 1))
+    for w in WeylGroup.build(build_cartan(label)).elements:
+        row = extreme_dual_row(m, w)
+        assert [k for k, c in enumerate(row) if c] == [m.extreme_index(w)]
+
+
+@pytest.mark.parametrize("block", [range(0, 2), range(0)])
+def test_extreme_index_rejects_a_block_of_multiplicity_other_than_one(
+        a2_group, block, monkeypatch):
+    m = module_of("A2", (1, 1))
+    monkeypatch.setitem(m.blocks, (1, 1), block)
+    with pytest.raises(AssertionError,
+                       match=r"extreme weight \(1, 1\) has multiplicity %d"
+                       % len(block)):
+        m.extreme_index(a2_group.identity)
+
+
+def test_row_support_weight_rejects_rows_over_several_blocks():
+    m = module_of("A2", (1, 1))
+    row = [ZERO] * m.dim
+    with pytest.raises(ValueError, match="spans 0 weight blocks"):
+        m.row_support_weight(row)
+    row[0] = row[m.dim - 1] = ONE
+    with pytest.raises(ValueError, match="spans 2 weight blocks"):
+        m.row_support_weight(row)
+
+
+def test_graded_piece_rejects_a_row_over_two_blocks():
+    m = module_of("A2", (1, 1))
+    with pytest.raises(ValueError,
+                       match="row spans more than one weight block"):
+        GradedPiece.from_rows(m, [{0: ONE}, {1: ONE, m.dim - 1: q}])
 
 
 def test_lowering_string_reaches_extreme_weight():
@@ -426,7 +496,7 @@ def test_incremental_closures_match_rref_oracle(label, top):
         m = module_of(label, lam)
         for w in group.elements:
             for sign in "+-":
-                got = demazure_blocks(m, w, sign)
+                got = demazure_blocks(m, w, sign).blocks
                 want = {wt: Subspace(len(m.weight_indices(wt)), *entry)
                         for wt, entry in
                         rref_demazure_blocks(m, w, sign).items()}
