@@ -10,6 +10,7 @@ Run:  python3 demos/ideal_walk_rank2.py
 
 from qbruhat.coordring import CoordinateModel
 from qbruhat.exactalg import format_scalar
+from qbruhat.uqmodules import extreme_dual_row
 from qbruhat.weyl import format_word
 
 DEGREES = [(1, 0), (0, 1), (1, 1)]
@@ -46,23 +47,23 @@ def main():
                    "degree %s" % (deg,))
 
     print("\n== product of the two short extreme coefficients ==")
-    prod = model.multiply((1, 0), model.extreme_row((1, 0), s1),
-                          (0, 1), model.extreme_row((0, 1), s2))
+    prod = model.multiply((1, 0), extreme_dual_row(model.module((1, 0)), s1),
+                          (0, 1), extreme_dual_row(model.module((0, 1)), s2))
     mod = model.module((1, 1))
-    support = sorted({mod.weights[k] for k, c in enumerate(prod) if c})
+    support = sorted({mod.weights[k] for k in prod})
     print("  support weights:", support)
     pair = model.pair_piece(s1, w12, (1, 1))
     print("  zero-weight plane of the pair piece has dim",
           pair.block_dim((0, 0)))
-    print("  product lies inside it:", pair.contains_row(prod))
+    print("  product lies inside it:", pair.contains_cell(prod))
 
     print("\n== saturation recovers the long coefficient ==")
     raw = model.pair_piece(s1, w12, (0, 1))
     print("  raw pair piece at degree (0, 1): dim", raw.dim)
     sat = model.saturation(s1, w12, (0, 1), 1)
-    target = model.extreme_row((0, 1), s2)
+    target = extreme_dual_row(model.module((0, 1)), s2)
     print("  after one step: dims %s, contains the %s coefficient: %s"
-          % (sat.dims, format_word(s2.word), sat.final.contains_row(target)))
+          % (sat.dims, format_word(s2.word), sat.final.contains_cell(target)))
 
     print("\n== the recovered piece knows its stratum ==")
     wy, wz, sat2 = model.stratum_of(s1, w12, (1, 1))

@@ -10,7 +10,8 @@ case of its label.
 The supported scope is declared here once, in ``SCOPE``: the ranks of
 each family, the largest Weyl group enumerated, the largest group whose
 whole pair poset is built without an anchor, the types with module
-arithmetic and the largest module built.  ``build_cartan`` refuses a
+arithmetic, the largest module built and the largest depth ball a cone
+character is truncated to.  ``build_cartan`` refuses a
 rank outside its family's range; ``check_scope`` refuses a type outside
 the group, poset or module row, from the known group order
 (``group_order``), so nothing is enumerated to decide.  Each layer calls
@@ -41,6 +42,9 @@ SCOPE = {
     # ``uqmodules``, and the largest module built
     "modules": ("A1", "A2", "B2"),
     "module_dim": 400,
+    # characters: the most lattice points in the depth ball of a cone
+    # character; A8 has 40 081 at the default depth 6
+    "depth_ball": 50000,
 }
 
 

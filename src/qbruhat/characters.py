@@ -12,14 +12,17 @@ mu.  Such a multiset sums to mu exactly when its alpha sum to
 -w^-1 mu, so the count is Kostant's partition count p(-w^-1 mu), kept
 by ``memo`` in one table per type with one integer per argument.  Depth
 of a lattice point means the sum of the absolute values of its
-simple-root coordinates.
+simple-root coordinates.  The ball is counted before it is built, and
+one over the depth-ball row of ``cartan.SCOPE`` is refused.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import comb
 from operator import add, sub
 
+from .cartan import SCOPE
 from .emit import json_document
 from .obs import memo
 
@@ -149,6 +152,23 @@ def kostant(datum, nu):
     return counts.get(nu, 0)
 
 
+def check_depth(rank, depth):
+    """Refuse a depth whose ball is over the depth-ball row of
+    ``cartan.SCOPE``, counting it without building a point: a point with
+    k nonzero root coordinates picks them, their signs and their sizes,
+    k positive integers of sum at most depth, in 2^k C(rank, k)
+    C(depth, k) ways.  ValueError names the depth, the rank and the
+    count."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    size = sum(2 ** k * comb(rank, k) * comb(depth, k)
+               for k in range(rank + 1))
+    if size > SCOPE["depth_ball"]:
+        raise ValueError("the depth-%d ball of rank %d has %d points, over "
+                         "the cap %d" % (depth, rank, size,
+                                         SCOPE["depth_ball"]))
+
+
 def cell_translate_character(group, w, depth):
     """Truncated character of the cone spanned by w applied to the
     negative roots: coefficient of mu counts multisets of those roots
@@ -158,9 +178,11 @@ def cell_translate_character(group, w, depth):
     sums to mu exactly when its alpha sum to -w^-1 mu.  Each mu of the
     depth ball is mapped there in integer simple-root coordinates, and
     kept in fundamental coordinates when -w^-1 mu >= 0, where p >= 1.
-    Terms come in (depth, weight) order."""
+    Terms come in (depth, weight) order.  ``check_depth`` refuses a
+    ball over the scope first."""
     datum = group.datum
     a, n = datum.cartan, datum.rank
+    check_depth(n, depth)
     # the ball grows one simple root alpha_j at a time, each point
     # carrying (depth, mu in fundamental coordinates, -w^-1 mu)
     ball = [(0, datum.zero(), datum.zero())]

@@ -9,23 +9,23 @@ Exit codes: 0 on success, 1 when a computation violates an invariant,
 2 on unusable or out-of-scope arguments.  Each subcommand checks its type
 against the rows of ``cartan.SCOPE`` for the layers it uses, in the order
 data, group, unanchored poset, modules, before it builds anything;
-``ideal stratum`` also checks the dimension of its largest module.
+``ideal stratum`` also checks the dimension of its largest module, and
+``char sw`` the size of its depth ball.
 Output for a fixed invocation is byte-identical across runs.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import sys
 
 import click
 
 from .cartan import SCOPE, ModuleScopeError, build_cartan, check_scope
 from .centre import centre_table
-from .characters import cell_translate_character, character_to_json
+from .characters import (cell_translate_character, character_to_json,
+                         check_depth)
 from .coordring import CoordinateModel
-from .emit import json_document
+from .emit import csv_text, json_document
 from .exactalg import format_scalar
 from .strata import DiamondPoset
 from .uqmodules import check_module_dim
@@ -170,22 +170,21 @@ def char():
               type=click.Choice(["json", "csv"]))
 def char_sw(label, wtext, depth, fmt):
     """Truncated character of the cell cone translated by w."""
-    if depth < 0:
-        raise click.BadParameter("depth must be nonnegative",
-                                 param_hint="--depth")
-    group = _load_group(label)
+    _in_scope(label, "group")
+    try:
+        check_depth(build_cartan(label).rank, depth)
+    except ValueError as err:
+        raise click.BadParameter(str(err), param_hint="--depth")
+    group = WeylGroup.build(label)
     w = _parse_element(group, wtext, "--w")
     ch = cell_translate_character(group, w, depth)
     if fmt == "json":
         click.echo(character_to_json(ch, label, format_word(w.word), depth))
         return
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["weight", "coeff"])
     # the terms come in (depth, weight) order
-    for mu, c in ch.terms.items():
-        writer.writerow([" ".join(str(x) for x in mu), c])
-    click.echo(buf.getvalue(), nl=False)
+    click.echo(csv_text(["weight", "coeff"],
+                        ([" ".join(map(str, mu)), c]
+                         for mu, c in ch.terms.items())), nl=False)
 
 
 # -- ideals ---------------------------------------------------------------
@@ -321,13 +320,10 @@ def centre_dim(label, fmt):
         }
         click.echo(json_document(doc))
         return
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["w", "dim", "generators"])
-    for w, data in table:
-        writer.writerow([format_word(w.word), data.dim,
-                         ";".join(data.generators())])
-    click.echo(buf.getvalue(), nl=False)
+    click.echo(csv_text(["w", "dim", "generators"],
+                        ([format_word(w.word), data.dim,
+                          ";".join(data.generators())] for w, data in table)),
+               nl=False)
 
 
 # -- verify ---------------------------------------------------------------

@@ -4,11 +4,14 @@ The algebra lives here degree by degree: the piece of degree lam is the
 dual of the integrable module of highest weight lam, and the product of
 two dual rows is read off from the canonical embedding of the module of
 the summed weight into the tensor product (replaying exact lowering
-words, so no basis choices enter).  Everything downstream is blockwise
-linear algebra over the exact scalars.  Closures and ideal pieces are
-``GradedPiece``s of ``uqmodules``, one canonical ``Subspace`` per weight
-block, and each module converts between its indices and block-local
-coordinates:
+words, so no basis choices enter).  A dual row is sparse, a dict from
+basis index to scalar, like a product cell; the row of an extreme
+coefficient c_w(lam) is the unit cell of its line, because every check
+below asks only whether that line lies in a subspace.  Everything
+downstream is blockwise linear algebra over the exact scalars.
+Closures and ideal pieces are ``GradedPiece``s of ``uqmodules``, one
+canonical ``Subspace`` per weight block, and each module converts
+between its indices and block-local coordinates:
 
 * pair pieces, the graded ideal pieces attached to a pair (y, z) of
   Weyl elements: in each block the orthogonal (A meet B)^perp, with A
@@ -20,9 +23,10 @@ coordinates:
   congruence compares, stay sparse, so no coordinate outside a cell's
   support is multiplied or subtracted;
 * conjugation operators solving c . x = a . c past an extreme
-  coefficient, their twisted eigen-decompositions, and the induced
-  splitting of each weight block, whose eigenvalues are the exact
-  integer q-power roots of each operator's characteristic polynomial;
+  coefficient, on the unit row of its line, their twisted
+  eigen-decompositions, and the induced splitting of each weight
+  block, whose eigenvalues are the exact integer q-power roots of each
+  operator's characteristic polynomial;
 * saturation chains that divide an ideal piece by an extreme
   coefficient until the chain stabilizes, and the support extremes
   that recover the pair of Weyl elements labelling a stratum.  A step
@@ -31,8 +35,8 @@ coordinates:
   builds no pair piece above the starting degree.
 
 One model is kept per type, and each model keeps its product tables,
-extreme rows, closures, ideal pieces, saturations and decompositions in
-``memo`` tables that live as long as the model.
+closures, ideal pieces, saturations and decompositions in ``memo``
+tables that live as long as the model.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from .exactalg import (Laurent, ONE, ZERO, Subspace, charpoly, dot,
 from .characters import weight_multiplicity
 from .obs import memo
 from .uqmodules import (GradedPiece, build_irrep, demazure_blocks,
-                        extreme_dual_row, lowering_string_to, _tensor_f)
+                        lowering_string_to, _bump, _tensor_f)
 from .weyl import WeylGroup
 
 
@@ -139,27 +143,18 @@ class CoordinateModel:
         return table
 
     def multiply(self, lam, rowa, mu, rowb):
-        """Product of two dual rows, as a dense row of degree lam+mu."""
-        big = self.module(self.datum.add(lam, mu))
+        """Product of two sparse dual rows, a sparse row of degree
+        lam+mu: the sum of the product cells (r, s) times rowa[r] rowb[s]."""
         table = self.pair_table(lam, mu)
-        out = [ZERO] * big.dim
-        for r, a in enumerate(rowa):
-            if not a:
-                continue
-            for s, b in enumerate(rowb):
-                if not b:
-                    continue
+        out = {}
+        for r, a in rowa.items():
+            for s, b in rowb.items():
                 cell = table.get((r, s))
-                if not cell:
-                    continue
-                ab = a * b
-                for t, c in cell.items():
-                    out[t] = out[t] + ab * c
+                if cell and a and b:
+                    ab = a * b
+                    for t, c in cell.items():
+                        _bump(out, t, ab * c)
         return out
-
-    @memo(lambda self, lam, w: (tuple(lam), w.idx))
-    def extreme_row(self, lam, w):
-        return extreme_dual_row(self.module(lam), w)
 
     # -- graded ideal pieces --------------------------------------------
 
@@ -222,13 +217,10 @@ class CoordinateModel:
 
     # -- q-commutation ---------------------------------------------------
 
-    def commutation_exponent(self, lam, nu, mu, eta):
-        """Integer exponent (lam, nu) - (eta, mu)."""
+    def commutation_factor(self, lam, nu, mu, eta):
+        """q^e for the integer exponent e = (lam, nu) - (eta, mu)."""
         e = self.datum.inner(lam, nu) - self.datum.inner(eta, mu)
-        if e.denominator != 1:
-            raise AssertionError("commutation exponent %s is not an integer"
-                                 % (e,))
-        return int(e)
+        return _q_power(e, "commutation exponent %s is not an integer", e)
 
     def check_commutation(self, nu, mu, lam, eta):
         """Both congruences for every pair of dual basis rows with the
@@ -238,8 +230,7 @@ class CoordinateModel:
         membership is tested block by block."""
         mnu = self.module(nu)
         mlam = self.module(lam)
-        e = self.commutation_exponent(lam, nu, mu, eta)
-        qe = Laurent.q_power(e)
+        qe = self.commutation_factor(lam, nu, mu, eta)
         jplus = self.left_ideal_piece(lam, eta, "+", nu)
         jminus = self.left_ideal_piece(lam, eta, "-", nu)
         front_tbl = self.pair_table(nu, lam)
@@ -281,11 +272,8 @@ class CoordinateModel:
         for r in range(mlam.dim):
             mu = mlam.weights[r]
             for name, sign, wnu, wlam, j in extremes:
-                e = sign * datum.inner(wnu, datum.sub(mu, wlam))
-                if e.denominator != 1:
-                    raise AssertionError("%s-row exponent not integral"
-                                         % name)
-                qe = Laurent.q_power(int(e))
+                qe = _q_power(sign * datum.inner(wnu, datum.sub(mu, wlam)),
+                              "%s-row exponent not integral", name)
                 back = back_tbl.get((j, r), {})
                 if front_tbl.get((r, j), {}) != {t: qe * c
                                                  for t, c in back.items()}:
@@ -349,10 +337,8 @@ class CoordinateModel:
         step = tuple(1 if j == i else 0 for j in range(datum.rank))
         phi = self.conj_block(w, step, lam, blk)
         eta = datum.sub(tuple(blk), w.act(lam))
-        twist = datum.inner(w.inverse().act(eta), datum.fund(i))
-        if twist.denominator != 1:
-            raise AssertionError("twist exponent is not integral")
-        tq = Laurent.q_power(int(twist))
+        tq = _q_power(datum.inner(w.inverse().act(eta), datum.fund(i)),
+                      "twist exponent is not integral")
         return [[tq * c for c in row] for row in phi]
 
     def sufficient_degree(self, w, eta):
@@ -611,6 +597,14 @@ class CoordinateModel:
             raise NonStratumError("support extreme is not an extreme "
                                   "weight of degree %s" % (nu,))
         return wy, wz, sat
+
+
+def _q_power(e, message, *args):
+    """q^e for an exponent e that must be an integer; AssertionError with
+    the text message % args when it is not."""
+    if e.denominator != 1:
+        raise AssertionError(message % args)
+    return Laurent.q_power(int(e))
 
 
 def _restrict(module, cell, wt):

@@ -1,14 +1,17 @@
-"""The writers of the JSON documents the package prints.
+"""The writers of the JSON and CSV documents the package prints.
 
-Every document is the text of ``json.dumps(doc, indent=2,
+Every JSON document is the text of ``json.dumps(doc, indent=2,
 sort_keys=True)``, so equal documents are equal bytes.  The small ones
 (the character, centre, ideal and Weyl documents of the CLI) go through
 ``json_document``.  The strata document, which has one object per pair
 and one list per covering edge and reaches tens of megabytes on E6, goes
 through ``strata_document``, which writes those exact bytes by template
-without building the dict-of-dicts.
+without building the dict-of-dicts.  Every CSV document goes through
+``csv_text``.
 """
 
+import csv
+import io
 import json
 from json.encoder import encode_basestring_ascii
 
@@ -24,6 +27,16 @@ def json_document(doc):
     """The text of one JSON document: two-space indents and sorted keys,
     so equal documents are equal bytes."""
     return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def csv_text(header, rows):
+    """The text ``csv.writer`` gives the header row and then each row,
+    every line ended by a bare newline."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _extend_list(out, items):

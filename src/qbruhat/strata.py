@@ -28,11 +28,8 @@ built.
 
 from __future__ import annotations
 
-import csv
-import io
-
 from .cartan import check_scope
-from .emit import strata_document
+from .emit import csv_text, strata_document
 from .weyl import format_word
 
 SCHEMA_STRATA = "qbruhat/strata-v1"
@@ -133,13 +130,10 @@ class DiamondPoset:
         return "\n".join(lines) + "\n"
 
     def to_csv(self):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["y", "z", "rank"])
-        for k, (y, z) in enumerate(self.pairs):
-            writer.writerow([format_word(y.word), format_word(z.word),
-                             self.stratum_rank(k)])
-        return buf.getvalue()
+        return csv_text(["y", "z", "rank"],
+                        ([format_word(y.word), format_word(z.word),
+                          self.stratum_rank(k)]
+                         for k, (y, z) in enumerate(self.pairs)))
 
 
 def order_isomorphic(p1, p2):

@@ -46,10 +46,9 @@ multiset, all commutators (E_i F_j against F_j E_i + delta_ij [h_i]) and
 the weight grading of every matrix entry; the quantum Serre relations
 follow from those (see ``verify_module``), and that check is the only
 guard on the matrices.  Verified modules are kept per type and highest
-weight, and extreme vectors per module and Weyl element, by ``memo``.
-Modules are built only for the types of the module row of
-``cartan.SCOPE``, one seed table each, and only up to its largest
-dimension.
+weight by ``memo``.  Modules are built only for the types of the module
+row of ``cartan.SCOPE``, one seed table each, and only up to its
+largest dimension.
 
 The extreme-vector (Demazure) closures follow Demazure's recursion.
 The raising closure V_w of v_{w lam} is, for s_i u > u, U(p_i) V_u =
@@ -67,13 +66,19 @@ between basis indices and the local coordinates of a weight block, and
 subspace of a module or of its dual, a closure or an ideal piece, is a
 ``GradedPiece``: one canonical ``Subspace`` per block it meets.
 
+An extreme weight space is a line, and every check on an extreme
+coefficient asks only whether its line lies in some subspace, which no
+nonzero scalar changes.  So no extreme vector is built: the dual row of
+an extreme weight is the unit cell of its line (``extreme_dual_row``).
+
 Conventions.  The comultiplication used for tensor actions is
 
     F (x ox y) = F x ox y + K x ox F y
     E (x ox y) = E x ox K^{-1} y + x ox E y
 
-and dual vectors are rows paired against the basis, carrying the right
-action (r . u)(v) = r(u v).  A row supported in the weight-mu block has
+and dual vectors are sparse rows, dicts from basis index to scalar,
+paired against the basis and carrying the right action
+(r . u)(v) = r(u v).  A row supported in the weight-mu block has
 support weight mu; the lowering generators raise support weight by a
 simple root and the raising generators lower it.  String lengths on rows
 satisfy <support weight, coroot_i> = eps_i - phi_i.
@@ -86,24 +91,20 @@ from itertools import groupby
 
 from .cartan import SCOPE, ModuleScopeError, check_scope
 from .exactalg import (Laurent, ONE, ZERO, Subspace, echelon_insert,
-                       q_factorial, q_int, reduce_against)
+                       q_int, reduce_against)
 from .characters import weyl_character, weyl_dim
 from .obs import memo
 from .weyl import WeylGroup
 
 
-def _row_apply(mat, row, dim):
-    """Dense row times sparse matrix (column -> {row: entry})."""
-    out = [ZERO] * dim
-    for k in range(dim):
-        col = mat.get(k)
-        if not col:
-            continue
-        acc = ZERO
-        for r, f in col.items():
-            if row[r]:
-                acc = acc + row[r] * f
-        out[k] = acc
+def _row_apply(mat, row):
+    """Sparse row times sparse matrix (column -> {row: entry}): entry k
+    of the result pairs the row with column k."""
+    out = {}
+    for k, col in mat.items():
+        acc = sum((row[r] * f for r, f in col.items() if r in row), ZERO)
+        if acc:
+            out[k] = acc
     return out
 
 
@@ -173,38 +174,17 @@ class UqModule:
     def e_apply(self, i, vec):
         return _apply(self.emat[i], vec)
 
-    def f_divided(self, i, vec, n):
-        for _ in range(n):
-            vec = self.f_apply(i, vec)
-        fact = q_factorial(n, self.datum.d[i])
-        return {k: c / fact for k, c in vec.items()}
-
-    @memo(lambda self, w: w.idx)
-    def extreme_vector(self, w):
-        """Coordinates of the canonical extreme vector of weight w(lam),
-        produced by divided lowering powers along the canonical word."""
-        if w.length == 0:
-            return {0: ONE}
-        i = w.word[0]
-        grp = w.group
-        shorter = grp.multiply(grp.gens[i], w)
-        n = self.datum.coroot_pairing(shorter.act(self.lam), i)
-        if n < 0:
-            raise AssertionError("negative lowering exponent on the way "
-                                 "to %r" % (w,))
-        return self.f_divided(i, self.extreme_vector(shorter), n)
-
-    # -- right action on rows (dense lists) -------------------------------
+    # -- right action on sparse rows (dicts index -> scalar) -------------
 
     def row_f(self, i, row):
-        return _row_apply(self.fmat[i], row, self.dim)
+        return _row_apply(self.fmat[i], row)
 
     def row_e(self, i, row):
-        return _row_apply(self.emat[i], row, self.dim)
+        return _row_apply(self.emat[i], row)
 
     def row_support_weight(self, row):
         """The single block weight carrying the support of the row."""
-        wts = list(self.localize(dict(enumerate(row))))
+        wts = list(self.localize(row))
         if len(wts) != 1:
             raise ValueError("row support spans %d weight blocks" % len(wts))
         return wts[0]
@@ -227,12 +207,10 @@ class UqModule:
         return out
 
     def globalize(self, wt, local):
-        """The dense row over the whole basis of a row local over the
+        """The sparse row over the whole basis of a row local over the
         block of weight wt."""
-        row = [ZERO] * self.dim
         start = self.blocks[wt].start
-        row[start:start + len(local)] = local
-        return row
+        return {start + t: c for t, c in enumerate(local) if c}
 
     def extreme_index(self, w):
         """The basis index of the extreme line of weight w(lam); its
@@ -622,22 +600,15 @@ def _reorder_module(datum, lam, wts, parents, fmat, emat):
     return UqModule(datum, lam, weights, pars, remap(fmat), remap(emat))
 
 
-# -- extreme vectors and their duals --------------------------------------
-
-
-extreme_vector = UqModule.extreme_vector
+# -- extreme rows ----------------------------------------------------------
 
 
 def extreme_dual_row(module, w):
-    """The dual row taking value 1 on the extreme vector of weight w(lam)
-    and vanishing on every other weight block."""
-    j = module.extreme_index(w)
-    vec = extreme_vector(module, w)
-    if set(vec) != {j}:
-        raise AssertionError("extreme vector is not supported on its line")
-    row = [ZERO] * module.dim
-    row[j] = ONE / vec[j]
-    return row
+    """The dual row of the extreme line of weight w(lam): the unit cell of
+    its index.  That weight space is a line, so the row is a nonzero
+    multiple of the one taking value 1 on the extreme vector, and it
+    vanishes on every other weight block."""
+    return {module.extreme_index(w): ONE}
 
 
 # -- graded pieces ---------------------------------------------------------
@@ -685,9 +656,6 @@ class GradedPiece:
     def weight_dims(self):
         """Sorted (weight, piece dim) list over the nonzero blocks."""
         return sorted((wt, sub.dim) for wt, sub in self.blocks.items())
-
-    def contains_row(self, row):
-        return self.contains_cell(dict(enumerate(row)))
 
     def contains_cell(self, cell):
         """Whether the sparse row (a dict index -> scalar) lies in the
@@ -780,25 +748,25 @@ def demazure_blocks(module, w, sign):
 # -- string data on dual rows ---------------------------------------------
 
 
-def string_counts(module, row, i):
-    """(phi, eps): how often the row survives the lowering-side and the
-    raising-side right actions for direction i."""
-    if not any(row):
-        return 0, 0
-    return (_string_length(module.row_f, i, row, module.dim),
-            _string_length(module.row_e, i, row, module.dim))
-
-
-def _string_length(act, i, row, dim):
-    """How often act(i, .) applied to the row stays nonzero."""
+def _string(act, i, row, dim):
+    """(n, last): how often act(i, .) applied to the row stays nonzero,
+    and the last nonzero row of that string (the row itself when n is
+    0).  A string longer than the module's dimension raises."""
     n = 0
-    cur = act(i, row)
-    while any(cur):
-        cur = act(i, cur)
+    nxt = act(i, row)
+    while nxt:
+        row, nxt = nxt, act(i, nxt)
         n += 1
         if n > dim:
             raise AssertionError("runaway string in direction %d" % i)
-    return n
+    return n, row
+
+
+def string_counts(module, row, i):
+    """(phi, eps): how often the row survives the lowering-side and the
+    raising-side right actions for direction i."""
+    return (_string(module.row_f, i, row, module.dim)[0],
+            _string(module.row_e, i, row, module.dim)[0])
 
 
 def lowering_string_to(module, row, w):
@@ -806,9 +774,5 @@ def lowering_string_to(module, row, w):
     each letter i, the last nonzero row of the i-string (the row itself
     when the string has length zero, zero stays zero)."""
     for i in w.word:
-        while True:
-            nxt = module.row_f(i, row)
-            if not any(nxt):
-                break
-            row = nxt
+        row = _string(module.row_f, i, row, module.dim)[1]
     return row

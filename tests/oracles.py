@@ -35,17 +35,22 @@ raising action ``_tensor_e`` on its weight block
 (``_submodule_from_highest``).  The q-commutation congruences on dense
 product rows of length dim V(nu + lam), and the left-ideal pieces they
 are tested against from the same dense rows
-(``dense_check_commutation``).
+(``dense_check_commutation``), each product a dense row by the
+earlier dense ``multiply`` (``dense_multiply``).  The canonical extreme
+vectors, which the library no longer builds, by divided lowering
+powers along the canonical word (``canonical_extreme_vector``), and the
+extreme rows scaled to take value 1 on them (``canonical_extreme_row``).
 
 Cone multiplicities by brute-force partition enumeration
 (``brute_cone_count``), which never calls the library's character code.
 
 Small helpers that only tests call live here too: root-lattice
 membership (``in_root_lattice``), the lowest exponent of a Laurent
-polynomial (``min_exp``), the scalar of a product of extreme rows
-(``extreme_product_scalar``), the comparable pairs of a group in
-(length, word) order (``bruhat_pairs``) and the block offsets a sweep
-of small modules reaches (``eta_sweep``).
+polynomial (``min_exp``), a dense row as a sparse one (``sparse``),
+the scalar of a product of extreme rows (``extreme_product_scalar``),
+the comparable pairs of a group in (length, word) order
+(``bruhat_pairs``) and the block offsets a sweep of small modules
+reaches (``eta_sweep``).
 """
 
 import itertools
@@ -58,14 +63,13 @@ from qbruhat.coordring import _transpose
 from qbruhat.exactalg import (Laurent, ONE, RatFun, Subspace, ZERO,
                               _common_factor, _coprime_quotient, _exact_quo,
                               _ratfun, coerce_scalar, dot,
-                              identity_matrix, kernel, q_binomial, q_int,
-                              reduce_against)
+                              identity_matrix, kernel, q_binomial,
+                              q_factorial, q_int, reduce_against)
 from qbruhat.strata import SCHEMA_STRATA
 from qbruhat.uqmodules import (_SEED_TABLE, _bump, _close_tensor,
                                _compose, _module_from_edges,
                                _raising_matrices, _reorder_module,
-                               _tensor_f, GradedPiece, UqModule,
-                               extreme_vector)
+                               _tensor_f, GradedPiece, UqModule)
 
 
 class _BlockSolver:
@@ -487,7 +491,7 @@ def rref_demazure_blocks(module, w, sign):
         blocks[wt] = gauss_jordan_rref(rows + [res])
         return True
 
-    start = extreme_vector(module, w)
+    start = canonical_extreme_vector(module, w)
     insert(start)
     frontier = [start]
     while frontier:
@@ -577,7 +581,7 @@ def pair_piece_saturation(model, y, z, nu, bound, by="z"):
     """The pieces of ``model.saturation``, each step k taking the kernel
     of the pair piece of degree nu + k rho, built as a sum of
     orthogonals, on the blocks it reads.  The products are taken with
-    the anchor's extreme row itself, its scalar ex[j0] included, and
+    the anchor's canonical extreme row, its scalar ex included, and
     each block is checked to equal the one taken with the unit row of
     the line j0."""
     datum = model.datum
@@ -589,8 +593,7 @@ def pair_piece_saturation(model, y, z, nu, bound, by="z"):
         lam_t = datum.add(nu, krho)
         target = sum_of_orthogonals_pair_piece(model, y, z, lam_t)
         big = model.module(lam_t)
-        ex = model.extreme_row(krho, anchor)
-        j0 = next(t for t, c in enumerate(ex) if c)
+        (j0, ex), = canonical_extreme_row(model, krho, anchor).items()
         table = model.pair_table(krho, nu)
         shift = anchor.act(krho)
         blocks = {}
@@ -605,7 +608,7 @@ def pair_piece_saturation(model, y, z, nu, bound, by="z"):
                 blocks[wt] = Subspace.full(len(rng))
                 continue
             found = []
-            for scale in (ex[j0], ONE):
+            for scale in (ex, ONE):
                 imgs = [restrict_cell(big, table.get((j0, t), {}), twt,
                                       scale) for t in rng]
                 gmat = [[dot(img, kr) for kr in cons] for img in imgs]
@@ -620,13 +623,41 @@ def pair_piece_saturation(model, y, z, nu, bound, by="z"):
     return pieces
 
 
+def dense_multiply(model, lam, rowa, mu, rowb):
+    """Product of two dense dual rows, as a dense row of degree lam+mu,
+    every pair of nonzero entries summed into it through its product
+    cell."""
+    big = model.module(model.datum.add(lam, mu))
+    table = model.pair_table(lam, mu)
+    out = [ZERO] * big.dim
+    for r, a in enumerate(rowa):
+        if not a:
+            continue
+        for s, b in enumerate(rowb):
+            if not b:
+                continue
+            cell = table.get((r, s))
+            if not cell:
+                continue
+            ab = a * b
+            for t, c in cell.items():
+                out[t] = out[t] + ab * c
+    return out
+
+
+def sparse(row):
+    """A dense row as a sparse one: its nonzero entries by index."""
+    return {k: c for k, c in enumerate(row) if c}
+
+
 def dense_product_cell(model, lam, r, mu, s):
     """The product of the dual basis rows delta_r (degree lam) and
-    delta_s (degree mu) as a dense row, by ``multiply`` on unit rows."""
+    delta_s (degree mu) as a dense row, by ``dense_multiply`` on unit
+    rows."""
     def unit(deg, k):
         return [ONE if t == k else ZERO
                 for t in range(model.module(deg).dim)]
-    return model.multiply(lam, unit(lam, r), mu, unit(mu, s))
+    return dense_multiply(model, lam, unit(lam, r), mu, unit(mu, s))
 
 
 def dense_left_ideal_piece(model, lam, eta, side, nu):
@@ -660,8 +691,7 @@ def dense_check_commutation(model, nu, mu, lam, eta):
     """``model.check_commutation`` on dense rows: both products as rows
     of length dim V(nu + lam), subtracted entry by entry, and tested
     against the dense left-ideal pieces; raises the library's text."""
-    e = model.commutation_exponent(lam, nu, mu, eta)
-    qe = Laurent.q_power(e)
+    qe = model.commutation_factor(lam, nu, mu, eta)
     jplus = dense_left_ideal_piece(model, lam, eta, "+", nu)
     jminus = dense_left_ideal_piece(model, lam, eta, "-", nu)
     for r in model.module(nu).weight_indices(mu):
@@ -669,13 +699,13 @@ def dense_check_commutation(model, nu, mu, lam, eta):
             front = dense_product_cell(model, nu, r, lam, s)
             back = dense_product_cell(model, lam, s, nu, r)
             diff = [a - qe * b for a, b in zip(front, back)]
-            if not jplus.contains_row(diff):
+            if not jplus.contains_cell(sparse(diff)):
                 raise AssertionError(
                     "plus congruence fails at (r=%d, s=%d), weights "
                     "mu=%s eta=%s, degrees nu=%s lam=%s"
                     % (r, s, mu, eta, tuple(nu), tuple(lam)))
             diff2 = [b - qe * a for a, b in zip(front, back)]
-            if not jminus.contains_row(diff2):
+            if not jminus.contains_cell(sparse(diff2)):
                 raise AssertionError(
                     "minus congruence fails at (r=%d, s=%d), weights "
                     "mu=%s eta=%s, degrees nu=%s lam=%s"
@@ -874,14 +904,44 @@ def min_exp(p):
     return min(p.coeffs)
 
 
+def canonical_extreme_vector(module, w):
+    """Coordinates of the canonical extreme vector of weight w(lam):
+    v_e is the highest vector, and v_w = F_i^(n) v_{s_i w} for the first
+    letter i of the canonical word of w, with n = <s_i w lam, alpha_i^v>
+    and the divided power F_i^(n) = F_i^n / [n]_{d_i}!."""
+    if w.length == 0:
+        return {0: ONE}
+    i = w.word[0]
+    grp = w.group
+    shorter = grp.multiply(grp.gens[i], w)
+    n = module.datum.coroot_pairing(shorter.act(module.lam), i)
+    if n < 0:
+        raise AssertionError("negative lowering exponent on the way "
+                             "to %r" % (w,))
+    vec = canonical_extreme_vector(module, shorter)
+    for _ in range(n):
+        vec = module.f_apply(i, vec)
+    fact = q_factorial(n, module.datum.d[i])
+    return {k: c / fact for k, c in vec.items()}
+
+
+def canonical_extreme_row(model, lam, w):
+    """The sparse dual row c_w(lam) of degree lam: the row of the extreme
+    line of weight w(lam) taking value 1 on the canonical extreme
+    vector; raises unless that vector lies on one line."""
+    (j, c), = canonical_extreme_vector(model.module(lam), w).items()
+    return {j: ONE / c}
+
+
 def extreme_product_scalar(model, lam, mu, w):
-    """The scalar s with c_w(lam) c_w(mu) = s . c_w(lam+mu)."""
-    prod = model.multiply(lam, model.extreme_row(lam, w),
-                          mu, model.extreme_row(mu, w))
-    target = model.extreme_row(model.datum.add(lam, mu), w)
-    j = next(k for k, c in enumerate(target) if c)
-    s = prod[j] / target[j]
-    if [s * c for c in target] != prod:
+    """The scalar s with c_w(lam) c_w(mu) = s . c_w(lam+mu), for the
+    canonical extreme rows."""
+    prod = model.multiply(lam, canonical_extreme_row(model, lam, w),
+                          mu, canonical_extreme_row(model, mu, w))
+    target = canonical_extreme_row(model, model.datum.add(lam, mu), w)
+    (j, c), = target.items()
+    s = prod.get(j, ZERO) / c
+    if {j: s * c} != prod:
         raise AssertionError("extreme product is not proportional to "
                              "the extreme row")
     return s

@@ -11,10 +11,11 @@ from qbruhat.characters import kostant, weight_multiplicity
 from qbruhat.coordring import (CoordinateModel, EigenvalueError,
                                SufficiencyError, _restrict)
 from qbruhat.exactalg import ONE, ZERO, Laurent, Subspace, kernel, mat_mul
-from qbruhat.uqmodules import ModuleScopeError, build_irrep
-from oracles import (brute_cone_count, bruhat_pairs, dense_check_commutation,
-                     dense_left_ideal_piece, eta_sweep,
-                     extreme_product_scalar, pair_piece_saturation,
+from qbruhat.uqmodules import ModuleScopeError, build_irrep, extreme_dual_row
+from oracles import (brute_cone_count, bruhat_pairs, canonical_extreme_row,
+                     dense_check_commutation, dense_left_ideal_piece,
+                     dense_multiply, eta_sweep,
+                     extreme_product_scalar, pair_piece_saturation, sparse,
                      sum_of_orthogonals_pair_piece, tuple_demazure_orth)
 
 Q = Laurent({1: 1})
@@ -28,11 +29,13 @@ def a1():
 class TestProducts:
     def test_rank_one_frozen_products(self, a1):
         g = a1.group
-        top = a1.extreme_row((1,), g.identity)
-        bot = a1.extreme_row((1,), g.longest)
-        assert a1.multiply((1,), bot, (1,), top) == [ZERO, ONE, ZERO]
-        assert a1.multiply((1,), top, (1,), bot) == [ZERO, Q, ZERO]
-        assert a1.multiply((1,), top, (1,), top) == [ONE, ZERO, ZERO]
+        m = a1.module((1,))
+        top = extreme_dual_row(m, g.identity)
+        bot = extreme_dual_row(m, g.longest)
+        assert (top, bot) == ({0: ONE}, {1: ONE})
+        assert a1.multiply((1,), bot, (1,), top) == {1: ONE}
+        assert a1.multiply((1,), top, (1,), bot) == {1: Q}
+        assert a1.multiply((1,), top, (1,), top) == {0: ONE}
 
     def test_extreme_product_scalars_rank_one(self, a1):
         for w in a1.group.elements:
@@ -47,12 +50,27 @@ class TestProducts:
 
     def test_product_degree_additivity(self, a2_model):
         g = a2_model.group
-        row = a2_model.extreme_row((1, 0), g.gens[0])
-        other = a2_model.extreme_row((0, 1), g.gens[1])
+        row = canonical_extreme_row(a2_model, (1, 0), g.gens[0])
+        other = canonical_extreme_row(a2_model, (0, 1), g.gens[1])
         prod = a2_model.multiply((1, 0), row, (0, 1), other)
         big = a2_model.module((1, 1))
-        assert len(prod) == big.dim
-        assert any(prod)
+        assert prod and all(prod.values())
+        assert all(0 <= t < big.dim for t in prod)
+        assert {big.weights[t] for t in prod} == {(0, 0)}
+
+    @pytest.mark.parametrize("lam,mu", [((1, 0), (0, 1)), ((1, 1), (1, 0)),
+                                        ((0, 1), (1, 1))])
+    def test_sparse_product_matches_the_dense_one(self, a2_model, lam, mu):
+        """Sums of two unit rows with Laurent coefficients, over every
+        pair of indices, multiply to the dense product made sparse."""
+        ma, mb = a2_model.module(lam), a2_model.module(mu)
+        for r, s in itertools.product(range(ma.dim), range(mb.dim)):
+            rowa = {r: Q + ONE, ma.dim - 1 - r: Q}
+            rowb = {s: ONE - Q, 0: Q * Q}
+            dense = dense_multiply(
+                a2_model, lam, [rowa.get(k, ZERO) for k in range(ma.dim)],
+                mu, [rowb.get(k, ZERO) for k in range(mb.dim)])
+            assert a2_model.multiply(lam, rowa, mu, rowb) == sparse(dense)
 
     def test_exact_relations_with_corner_rows(self, a2_model, b2_model):
         assert a2_model.check_extreme_relations((1, 1), (1, 0))
@@ -154,8 +172,11 @@ class TestCommutation:
     def test_exponent_integrality_guard(self, b2_model):
         # spinor-spinor pairings stay integral even though the form has
         # half-integral values on single fundamental weights
-        e = b2_model.commutation_exponent((0, 1), (0, 1), (0, 1), (0, -1))
-        assert isinstance(e, int)
+        datum = b2_model.datum
+        e = datum.inner((0, 1), (0, 1)) - datum.inner((0, -1), (0, 1))
+        assert e.denominator == 1
+        qe = b2_model.commutation_factor((0, 1), (0, 1), (0, 1), (0, -1))
+        assert qe == Laurent.q_power(int(e)) and qe.is_monomial()
 
 
 class TestIdealPieces:
@@ -584,8 +605,8 @@ class TestSaturation:
         assert sat.dims[0] == 0
         assert sat.final.dim == 1
         assert sat.stabilized
-        assert sat.final.contains_row(a2_model.extreme_row((0, 1),
-                                                           g.gens[1]))
+        assert sat.final.contains_cell(
+            extreme_dual_row(a2_model.module((0, 1)), g.gens[1]))
 
     def test_stratum_round_trip(self, a2_model):
         g = a2_model.group

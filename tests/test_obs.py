@@ -15,8 +15,7 @@ from qbruhat.characters import weyl_character
 from qbruhat.coordring import CoordinateModel
 from qbruhat.exactalg import parse_laurent
 from qbruhat.obs import memo
-from qbruhat.uqmodules import (GradedPiece, ModuleScopeError, UqModule,
-                               build_irrep)
+from qbruhat.uqmodules import GradedPiece, ModuleScopeError, build_irrep
 from qbruhat.weyl import WeylElem, WeylGroup
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qbruhat"
@@ -38,15 +37,6 @@ def _model_case(call_a, call_b, owner, attr):
     model = CoordinateModel("A2")
     g = model.group
     return (lambda: call_a(model, g), lambda: call_b(model, g), owner, attr)
-
-
-def _extreme_vector_case():
-    datum = build_cartan("A2")
-    group = WeylGroup.build(datum)
-    module = uqmodules._build_irrep_inner(datum, group, (2, 1))
-    return (lambda: module.extreme_vector(group.longest),
-            lambda: uqmodules.extreme_vector(module, group.longest),
-            UqModule, "f_divided")
 
 
 def _cancel_case():
@@ -86,7 +76,6 @@ MEMOS = {
         lambda: build_irrep(build_cartan("A2"), [3, 1]),
         lambda: build_irrep(build_cartan("a2"), (3, 1)),
         uqmodules, "_build_irrep_inner"),
-    "extreme_vector": _extreme_vector_case,
     "CoordinateModel.get": lambda: (
         lambda: CoordinateModel.get("a1"), lambda: CoordinateModel.get("A1"),
         CoordinateModel, "__init__"),
@@ -94,10 +83,6 @@ MEMOS = {
         lambda m, g: m.pair_table([1, 0], [0, 1]),
         lambda m, g: m.pair_table((1, 0), (0, 1)),
         CoordinateModel, "iota_vectors"),
-    "extreme_row": lambda: _model_case(
-        lambda m, g: m.extreme_row([1, 1], g.longest),
-        lambda m, g: m.extreme_row((1, 1), g.longest),
-        coordring, "extreme_dual_row"),
     "closure": lambda: _model_case(
         lambda m, g: m.closure(g.gens[1], "-", [2, 1]),
         lambda m, g: m.closure(g.gens[1], "-", (2, 1)),

@@ -2,6 +2,7 @@
 line, which refuses an out-of-scope type before any group is built."""
 
 import ast
+import itertools
 import pathlib
 import sys
 from types import SimpleNamespace
@@ -12,6 +13,7 @@ import qbruhat
 from qbruhat import coordring, uqmodules, weyl
 from qbruhat.cartan import (SCOPE, ModuleScopeError, build_cartan,
                             check_scope, group_order)
+from qbruhat.characters import cell_translate_character, check_depth
 from qbruhat.cli import main
 from qbruhat.coordring import CoordinateModel
 from qbruhat.strata import DiamondPoset
@@ -159,10 +161,52 @@ def test_stratum_within_the_dimension_cap_passes_the_edge(no_modules,
 def test_caps_are_declared_only_in_the_table():
     """No package module but ``cartan`` spells a cap of the table as a
     number."""
-    caps = {SCOPE[row] for row in ("group", "poset", "module_dim")}
+    caps = {SCOPE[row]
+            for row in ("group", "poset", "module_dim", "depth_ball")}
     package = pathlib.Path(qbruhat.__file__).parent
     spelled = {path.name for path in package.glob("*.py")
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.Constant)
                and type(node.value) is int and node.value in caps}
     assert spelled == {"cartan.py"}
+
+
+def _ball(rank, depth):
+    """The lattice points of the depth ball, by enumeration."""
+    return sum(1 for pt in itertools.product(range(-depth, depth + 1),
+                                             repeat=rank)
+               if sum(map(abs, pt)) <= depth)
+
+
+def test_depth_ball_is_counted_exactly(monkeypatch):
+    """The count ``check_depth`` compares with the cap is the number of
+    lattice points of depth at most d: a cap one below the enumerated
+    count refuses, a cap at it accepts."""
+    for rank, depth in [(1, 0), (1, 5), (2, 6), (3, 4), (4, 3), (5, 2)]:
+        size = _ball(rank, depth)
+        monkeypatch.setitem(SCOPE, "depth_ball", size)
+        check_depth(rank, depth)
+        monkeypatch.setitem(SCOPE, "depth_ball", size - 1)
+        with pytest.raises(ValueError, match="has %d points" % size):
+            check_depth(rank, depth)
+
+
+def test_every_rank_is_in_scope_at_the_default_depth():
+    for rank in range(1, max(hi for _, hi in SCOPE["ranks"].values()) + 1):
+        check_depth(rank, 6)
+
+
+def test_a_deep_ball_is_refused_before_a_point_is_built(no_groups,
+                                                         monkeypatch, capsys):
+    """``char sw --type A8 --depth 10`` (1 256 465 points) exits 2 with
+    one line and builds no group; the library refuses the same depth
+    before it reads the group's element."""
+    assert run_main(monkeypatch, "char sw --type A8 --depth 10") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "Error: Invalid value for --depth: the depth-10 ball of rank 8 has "
+        "1256465 points, over the cap %d\n" % SCOPE["depth_ball"])
+    group = SimpleNamespace(datum=build_cartan("A8"))
+    with pytest.raises(ValueError, match="the depth-10 ball of rank 8"):
+        cell_translate_character(group, None, 10)

@@ -47,6 +47,38 @@ def test_no_unused_imports():
     assert found == []
 
 
+def _dense_row(node):
+    """Whether the node builds a row over a whole module: ``[ZERO] *
+    <expr>.dim`` or ``dict(enumerate(...))``."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return (isinstance(node.left, ast.List)
+                and [getattr(e, "id", None) for e in node.left.elts]
+                == ["ZERO"]
+                and isinstance(node.right, ast.Attribute)
+                and node.right.attr == "dim")
+    return (isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "dict"
+            and len(node.args) == 1 and isinstance(node.args[0], ast.Call)
+            and getattr(node.args[0].func, "id", None) == "enumerate")
+
+
+def test_no_module_length_dense_rows():
+    """Dual rows are sparse dicts from basis index to scalar: no package
+    module builds a dense row of a module's length, ``[ZERO] * m.dim``,
+    or turns one into a dict with ``dict(enumerate(row))``."""
+    found = []
+    for path in sorted(pathlib.Path(qbruhat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += ["%s:%d" % (path.name, node.lineno)
+                  for node in ast.walk(tree) if _dense_row(node)]
+    assert found == []
+    # the check sees both spellings
+    assert _dense_row(ast.parse("[ZERO] * self.module(lam).dim").body[0]
+                      .value)
+    assert _dense_row(ast.parse("dict(enumerate(row))").body[0].value)
+    assert not _dense_row(ast.parse("[ZERO] * len(rng)").body[0].value)
+
+
 def test_every_traced_target_resolves():
     """Each (layer, name, attr) of the bench tracer's ``TARGETS`` names
     an attribute of ``qbruhat.<layer>``, so ``--trace 1`` can wrap it.

@@ -18,14 +18,15 @@ from qbruhat.uqmodules import (GradedPiece, ModuleScopeError, _SEED_TABLE,
                                _compose, _module_from_edges,
                                _reorder_module, _tensor_f, build_irrep,
                                demazure_blocks,
-                               extreme_dual_row, extreme_vector,
-                               lowering_string_to, string_counts,
+                               extreme_dual_row, lowering_string_to,
+                               string_counts,
                                verify_module)
 from qbruhat.weyl import WeylGroup
 
 import oracles
 from oracles import (_BlockSolver, _mat_accum, _serre_sum, _tensor_e,
-                     first_pivot_close_tensor, max_index_irrep,
+                     canonical_extreme_vector, first_pivot_close_tensor,
+                     max_index_irrep,
                      mirror_module_from_edges, negated_verify_module,
                      rref_demazure_blocks)
 
@@ -90,20 +91,37 @@ def test_f_and_e_move_weights():
 def test_extreme_vector_weights(a2_group):
     m = module_of("A2", (2, 1))
     for w in a2_group.elements:
-        vec = extreme_vector(m, w)
+        vec = canonical_extreme_vector(m, w)
         wts = {m.weights[k] for k, c in vec.items() if c}
         assert wts == {w.act((2, 1))}
         # extreme blocks are lines, so the vector spans its block
         assert len(m.weight_indices(w.act((2, 1)))) == 1
 
 
+@pytest.mark.parametrize("label", ["A1", "A2", "B2"])
+def test_canonical_extreme_vectors_lie_on_their_lines(label):
+    """For every w on every module up to (2, 2), the divided-power
+    extreme vector is nonzero and lies exactly on the line
+    ``extreme_index(w)``, and ``extreme_dual_row`` is the unit cell of
+    that line, pairing nonzero with the vector."""
+    group = WeylGroup.build(build_cartan(label))
+    for lam in _COORD_RANGES[label]:
+        m = module_of(label, lam)
+        for w in group.elements:
+            j = m.extreme_index(w)
+            vec = canonical_extreme_vector(m, w)
+            assert list(vec) == [j] and vec[j]
+            assert extreme_dual_row(m, w) == {j: ONE}
+
+
 def test_extreme_dual_row_pairing(b2_group):
     m = module_of("B2", (1, 1))
     for w in b2_group.elements:
-        vec = extreme_vector(m, w)
+        vec = canonical_extreme_vector(m, w)
         row = extreme_dual_row(m, w)
-        pairing = sum((row[k] * c for k, c in vec.items()), ZERO)
-        assert pairing == ONE
+        assert row == {m.extreme_index(w): ONE}
+        pairing = sum((row.get(k, ZERO) * c for k, c in vec.items()), ZERO)
+        assert pairing and pairing == vec[m.extreme_index(w)]
 
 
 def test_string_counts_identity():
@@ -114,7 +132,7 @@ def test_string_counts_identity():
     for wt in m.block_order:
         rng = m.weight_indices(wt)
         for k in rng:
-            row = [ONE if j == k else ZERO for j in range(m.dim)]
+            row = {k: ONE}
             for i in range(2):
                 phi, eps = string_counts(m, row, i)
                 assert eps - phi == datum.coroot_pairing(wt, i)
@@ -122,7 +140,21 @@ def test_string_counts_identity():
 
 def test_string_counts_zero_row():
     m = module_of("A2", (1, 0))
-    assert string_counts(m, [ZERO] * m.dim, 0) == (0, 0)
+    assert string_counts(m, {}, 0) == (0, 0)
+    assert string_counts(m, {k: ZERO for k in range(m.dim)}, 0) == (0, 0)
+
+
+def test_a_string_longer_than_the_module_is_a_runaway(monkeypatch):
+    """A right action that never kills a row stops after dim steps, in
+    both string walks."""
+    m = module_of("A2", (1, 0))
+    monkeypatch.setattr(m, "row_f", lambda i, row: row)
+    for walk in (lambda: string_counts(m, {0: ONE}, 1),
+                 lambda: lowering_string_to(
+                     m, {0: ONE}, WeylGroup.build(m.datum).gens[1])):
+        with pytest.raises(AssertionError,
+                           match="runaway string in direction 1"):
+            walk()
 
 
 def test_extreme_string_vanishing_at_regular_weights(a2_group):
@@ -219,20 +251,21 @@ _COORD_RANGES = {
 def test_localize_globalize_round_trip(label):
     """Every block of every module up to (2, 2): a unit vector and a
     vector with every block coordinate nonzero localize to that block
-    alone and globalize back to the same dense row."""
+    alone and globalize back to the same sparse row, whose support is
+    the block; a zero local coordinate is dropped."""
     for lam in _COORD_RANGES[label]:
         m = module_of(label, lam)
         for wt, rng in m.blocks.items():
             local = [Laurent.q_power(t) + ONE for t in range(len(rng))]
             g = m.globalize(wt, local)
-            assert len(g) == m.dim
-            assert [k for k, c in enumerate(g) if c] == list(rng)
-            assert m.localize(dict(enumerate(g))) == {wt: local}
+            assert sorted(g) == list(rng)
+            assert all(g.values())
+            assert m.localize(g) == {wt: local}
             for k in rng:
                 unit = m.localize({k: ONE})
                 assert list(unit) == [wt]
-                assert m.globalize(wt, unit[wt]) == \
-                    [ONE if j == k else ZERO for j in range(m.dim)]
+                assert m.globalize(wt, unit[wt]) == {k: ONE}
+            assert m.globalize(wt, [ZERO] * len(rng)) == {}
 
 
 def test_localize_splits_a_vector_across_blocks():
@@ -247,8 +280,7 @@ def test_localize_splits_a_vector_across_blocks():
 def test_extreme_index_is_the_support_of_the_dual_row(label):
     m = module_of(label, (1, 1))
     for w in WeylGroup.build(build_cartan(label)).elements:
-        row = extreme_dual_row(m, w)
-        assert [k for k, c in enumerate(row) if c] == [m.extreme_index(w)]
+        assert extreme_dual_row(m, w) == {m.extreme_index(w): ONE}
 
 
 @pytest.mark.parametrize("block", [range(0, 2), range(0)])
@@ -264,12 +296,11 @@ def test_extreme_index_rejects_a_block_of_multiplicity_other_than_one(
 
 def test_row_support_weight_rejects_rows_over_several_blocks():
     m = module_of("A2", (1, 1))
-    row = [ZERO] * m.dim
-    with pytest.raises(ValueError, match="spans 0 weight blocks"):
-        m.row_support_weight(row)
-    row[0] = row[m.dim - 1] = ONE
+    for row in ({}, {0: ZERO}):
+        with pytest.raises(ValueError, match="spans 0 weight blocks"):
+            m.row_support_weight(row)
     with pytest.raises(ValueError, match="spans 2 weight blocks"):
-        m.row_support_weight(row)
+        m.row_support_weight({0: ONE, m.dim - 1: ONE})
 
 
 def test_graded_piece_rejects_a_row_over_two_blocks():
@@ -285,8 +316,12 @@ def test_lowering_string_reaches_extreme_weight():
     w = group.parse("s1 s2")
     row = extreme_dual_row(m, group.identity)
     top = lowering_string_to(m, row, w)
-    assert any(top)
+    assert top == row
     assert m.row_support_weight(top) == (1, 1)
+    # from the lowest line, the strings along w0 climb to the highest
+    top = lowering_string_to(m, extreme_dual_row(m, group.longest),
+                             group.longest)
+    assert list(top) == [m.extreme_index(group.identity)]
 
 
 # -- raising matrices against the tensor-side oracle -----------------------
