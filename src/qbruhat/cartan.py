@@ -186,6 +186,13 @@ class CartanDatum:
         self._coord_den = lcm(*(x.denominator for row in inv for x in row))
         self._coord_num = tuple(tuple(int(x * self._coord_den) for x in row)
                                 for row in inv)
+        # s_i changes only the coordinates k with a[k][i] != 0:
+        # v_k -= a[k][i] * v_i; ``reflect`` applies it, and the Weyl
+        # group's search reads the table directly.
+        a = self.cartan
+        self.reflection_steps = tuple(
+            tuple((k, a[k][i]) for k in range(rank) if a[k][i])
+            for i in range(rank))
         self.positive_roots = self._close_roots()
 
     # -- weights (fundamental coordinates) ------------------------------
@@ -264,26 +271,37 @@ class CartanDatum:
 
     # -- roots ----------------------------------------------------------
 
+    def reflect(self, mu, letters):
+        """s_{i_k} ... s_{i_1} mu for letters i_1, ..., i_k: each letter
+        reflects the weight in turn, in fundamental coordinates."""
+        v = list(mu)
+        steps = self.reflection_steps
+        for i in letters:
+            vi = v[i]
+            if vi:
+                for k, aki in steps[i]:
+                    v[k] -= aki * vi
+        return tuple(v)
+
     def _close_roots(self):
+        """The positive roots in simple-root coordinates, sorted by
+        (height, coordinates): the closure of the simple roots under the
+        simple reflections, read in root coordinates."""
         n = self.rank
-        a = self.cartan
-        simple = [tuple(1 if j == i else 0 for j in range(n))
-                  for i in range(n)]
-        seen = set(simple)
-        queue = list(simple)
+        seen = {self.simple_root(i) for i in range(n)}
+        queue = list(seen)
         while queue:
-            c = queue.pop()
+            mu = queue.pop()
             for i in range(n):
-                pairing = sum(a[i][j] * c[j] for j in range(n))
-                new = list(c)
-                new[i] -= pairing
-                new = tuple(new)
+                new = self.reflect(mu, (i,))
                 if new not in seen:
                     seen.add(new)
                     queue.append(new)
-        pos = [c for c in seen if all(x >= 0 for x in c)]
-        pos.sort(key=lambda c: (sum(c), c))
-        return tuple(pos)
+        den = self._coord_den
+        roots = [tuple(c // den for c in self._scaled_coords(mu))
+                 for mu in seen]
+        return tuple(sorted((c for c in roots if min(c) >= 0),
+                            key=lambda c: (sum(c), c)))
 
     def __repr__(self):
         return "CartanDatum(%s)" % self.label

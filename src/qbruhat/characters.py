@@ -181,16 +181,16 @@ def cell_translate_character(group, w, depth):
     Terms come in (depth, weight) order.  ``check_depth`` refuses a
     ball over the scope first."""
     datum = group.datum
-    a, n = datum.cartan, datum.rank
+    n = datum.rank
     check_depth(n, depth)
     # the ball grows one simple root alpha_j at a time, each point
     # carrying (depth, mu in fundamental coordinates, -w^-1 mu)
     ball = [(0, datum.zero(), datum.zero())]
     for j in range(n):
-        gamma = [-1 if i == j else 0 for i in range(n)]
-        for i in w.word:
-            gamma[i] -= sum(a[i][k] * gamma[k] for k in range(n))
-        steps = [(abs(c), tuple(c * a[i][j] for i in range(n)),
+        alpha = datum.simple_root(j)
+        gamma = [int(g) for g in datum.root_coords(
+            datum.reflect(datum.neg(alpha), w.word))]
+        steps = [(abs(c), tuple(c * x for x in alpha),
                   tuple(c * g for g in gamma))
                  for c in range(-depth, depth + 1)]
         # steps[s:2 * depth + 1 - s] are the c with |c| <= depth - s

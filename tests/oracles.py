@@ -2,9 +2,12 @@
 
 Each computes the same thing as a faster routine of the library by a
 different road: a Weyl group by a breadth-first search over whole
-action matrices (``matrix_keyed_search``), the fixed lattice by an
-exact kernel over Laurent scalars, Bruhat covers by scanning the
-neighbouring length level, canonical words by a recursion memoised per element
+action matrices (``matrix_keyed_search``, its matrices kept per datum
+by ``search_matrices``), the fixed lattice by an exact kernel over
+Laurent scalars of such a matrix, the positive roots by closing the
+simple roots in root coordinates (``root_coordinate_closure``),
+Bruhat covers by scanning the neighbouring length level, canonical
+words by a recursion memoised per element
 (``recursive_canonical_word``), the pair poset by testing every pair of
 the group, its JSON document as a dict-of-dicts through ``json.dumps``
 (``dict_strata_json``), scalar sums and products
@@ -53,6 +56,7 @@ the comparable pairs of a group in (length, word) order
 reaches (``eta_sweep``).
 """
 
+import functools
 import itertools
 import json
 from collections import Counter, deque
@@ -177,12 +181,48 @@ def matrix_keyed_search(datum):
     return order, lengths, lmul
 
 
+@functools.cache
+def search_matrices(datum):
+    """The action matrices of ``matrix_keyed_search``, kept per datum; a
+    group's element of index idx has matrix ``search_matrices(datum)
+    [idx]``, since the two searches share their left multiplication
+    table (``test_group_matches_matrix_keyed_search``)."""
+    return matrix_keyed_search(datum)[0]
+
+
 def fixed_lattice(group, w):
-    """Kernel of w - 1 on the weight lattice, as an exact Subspace."""
+    """Kernel of w - 1 on the weight lattice, as an exact Subspace, from
+    w's matrix in the matrix-keyed search."""
     n = group.rank
-    rows = [[Laurent.const(w.mat[i][j] - (1 if i == j else 0))
+    mat = search_matrices(group.datum)[w.idx]
+    rows = [[Laurent.const(mat[i][j] - (1 if i == j else 0))
              for j in range(n)] for i in range(n)]
     return Subspace(n, *kernel(rows, n))
+
+
+def root_coordinate_closure(datum):
+    """The positive roots in simple-root coordinates, sorted by (height,
+    coordinates): the simple roots closed under the simple reflections
+    written in root coordinates, c_i -= sum_j a[i][j] c_j."""
+    n = datum.rank
+    a = datum.cartan
+    simple = [tuple(1 if j == i else 0 for j in range(n))
+              for i in range(n)]
+    seen = set(simple)
+    queue = list(simple)
+    while queue:
+        c = queue.pop()
+        for i in range(n):
+            pairing = sum(a[i][j] * c[j] for j in range(n))
+            new = list(c)
+            new[i] -= pairing
+            new = tuple(new)
+            if new not in seen:
+                seen.add(new)
+                queue.append(new)
+    pos = [c for c in seen if all(x >= 0 for x in c)]
+    pos.sort(key=lambda c: (sum(c), c))
+    return tuple(pos)
 
 
 def level_scan_covers(group):

@@ -33,7 +33,8 @@ from qbruhat.verify import (check_centre_tables, check_commutation_grid,
                             check_stratum_indexing, check_stratum_ranks,
                             check_walk_exponent, reflection_lengths)
 from qbruhat.weyl import WeylGroup
-from oracles import brute_cone_count, bruhat_pairs, eta_sweep, fixed_lattice
+from oracles import (brute_cone_count, bruhat_pairs, eta_sweep,
+                     fixed_lattice, search_matrices)
 
 # the fundamental degrees and rho of a rank-two type
 DEGREES = [(1, 0), (0, 1), (1, 1)]
@@ -256,13 +257,14 @@ def test_criterion_10_stratum_ranks(criterion, a2_group, b2_group):
         for group, full_rank in [(a2_group, 1), (b2_group, 0)]:
             check_stratum_ranks(group, full_rank)
             dist = reflection_lengths(group)
+            mats = search_matrices(group.datum)
             for z in group.elements:
                 fl = fixed_lattice(group, z)
                 assert fl.dim == group.fixed_space_rank(z)
                 assert fl.dim == group.rank - dist[z.idx]
                 # the fixed lattice really is fixed
                 for row in fl.rows:
-                    img = [sum((row[c] * z.mat[r][c]
+                    img = [sum((row[c] * mats[z.idx][r][c]
                                 for c in range(group.rank)), ZERO)
                            for r in range(group.rank)]
                     assert img == list(row)

@@ -7,7 +7,7 @@ import pytest
 import itertools
 
 from qbruhat.cartan import _invert_rational, build_cartan
-from oracles import in_root_lattice
+from oracles import in_root_lattice, root_coordinate_closure
 
 
 EXPECTED_CARTAN = {
@@ -20,8 +20,14 @@ EXPECTED_CARTAN = {
     "G2": ((2, -3), (-1, 2)),
 }
 
-POSITIVE_ROOT_COUNTS = {"A1": 1, "A2": 3, "A3": 6, "B2": 4,
-                        "B3": 9, "C2": 4, "D4": 12, "G2": 6}
+POSITIVE_ROOT_COUNTS = {"A1": 1, "A2": 3, "A3": 6, "A4": 10, "A5": 15,
+                        "A6": 21, "A7": 28, "A8": 36, "B2": 4, "B3": 9,
+                        "B4": 16, "C2": 4, "C3": 9, "C4": 16, "D4": 12,
+                        "D5": 20, "E6": 36, "E7": 63, "E8": 120, "F4": 24,
+                        "G2": 6}
+
+# every type in scope
+LABELS = sorted(POSITIVE_ROOT_COUNTS)
 
 
 @pytest.mark.parametrize("label", sorted(EXPECTED_CARTAN))
@@ -31,10 +37,52 @@ def test_cartan_matrix(label):
     assert datum.rank == len(EXPECTED_CARTAN[label])
 
 
-@pytest.mark.parametrize("label", sorted(POSITIVE_ROOT_COUNTS))
+@pytest.mark.parametrize("label", LABELS)
 def test_positive_root_count(label):
     datum = build_cartan(label)
     assert len(datum.positive_roots) == POSITIVE_ROOT_COUNTS[label]
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_positive_roots_match_root_coordinate_closure(label):
+    """Closing the simple roots under ``reflect`` in fundamental
+    coordinates gives the roots, in the same order, of the closure
+    written in root coordinates."""
+    datum = build_cartan(label)
+    assert datum.positive_roots == root_coordinate_closure(datum)
+
+
+def _coxeter_exponent(datum, i, j):
+    """The order m_ij of s_i s_j: 2, 3, 4 or 6 as a_ij a_ji is 0, 1, 2
+    or 3."""
+    return {0: 2, 1: 3, 2: 4, 3: 6}[datum.cartan[i][j] * datum.cartan[j][i]]
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_reflect_is_the_simple_reflection(label):
+    """Each s_i is an involution that negates alpha_i, fixes omega_j for
+    j != i and keeps the form; (s_i s_j)^m_ij fixes rho."""
+    datum = build_cartan(label)
+    n = datum.rank
+    weights = [datum.rho(), datum.fund(0), datum.fund(n - 1),
+               tuple(range(-1, n - 1)), datum.simple_root(n // 2)]
+    for i in range(n):
+        alpha = datum.simple_root(i)
+        assert datum.reflect(alpha, (i,)) == datum.neg(alpha)
+        for j in range(n):
+            if j != i:
+                assert datum.reflect(datum.fund(j), (i,)) == datum.fund(j)
+            m = _coxeter_exponent(datum, i, j) if j != i else 1
+            # rho is regular, so no shorter power of s_i s_j fixes it
+            orbit = [datum.reflect(datum.rho(), (i, j) * k)
+                     for k in range(1, m + 1)]
+            assert orbit.index(datum.rho()) == m - 1
+        for mu in weights:
+            s_mu = datum.reflect(mu, (i,))
+            assert datum.reflect(s_mu, (i,)) == mu
+            for nu in weights:
+                assert datum.inner(s_mu, datum.reflect(nu, (i,))) == \
+                    datum.inner(mu, nu)
 
 
 @pytest.mark.parametrize("label", sorted(EXPECTED_CARTAN))

@@ -286,6 +286,19 @@ class TestExitCodes:
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("Error: ")
 
+    @pytest.mark.parametrize("token", ["s+1", "s01", "s1_0", "s-1"])
+    def test_bad_generator_token_exits_two(self, monkeypatch, capsys,
+                                           token):
+        monkeypatch.setattr(sys, "argv", ["qbruhat", "weyl", "info",
+                                          "--type", "A2", "--w", token])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("Error: Invalid value for --w: bad "
+                                "generator token %r\n" % (token,))
+
     def test_bare_group_still_prints_its_help(self, monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv", ["qbruhat", "ideal"])
         with pytest.raises(SystemExit) as exc:

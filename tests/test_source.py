@@ -79,6 +79,23 @@ def test_no_module_length_dense_rows():
     assert not _dense_row(ast.parse("[ZERO] * len(rng)").body[0].value)
 
 
+def test_only_cartan_reads_the_cartan_matrix():
+    """The Cartan matrix is read only inside ``cartan.py``: other
+    modules reflect weights with ``CartanDatum.reflect`` or read roots
+    through the datum's methods, so no package module other than
+    ``cartan.py`` reads an attribute ``.cartan``."""
+    found = []
+    for path in sorted(pathlib.Path(qbruhat.__file__).parent.glob("*.py")):
+        if path.name == "cartan.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += ["%s:%d" % (path.name, node.lineno)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr == "cartan"]
+    assert found == []
+
+
 def test_every_traced_target_resolves():
     """Each (layer, name, attr) of the bench tracer's ``TARGETS`` names
     an attribute of ``qbruhat.<layer>``, so ``--trace 1`` can wrap it.

@@ -20,7 +20,7 @@ from qbruhat.verify import check_bruhat_chains, reflection_lengths
 from qbruhat.weyl import (WeylElem, WeylGroup, format_word, group_order,
                           parse_word)
 from oracles import (fixed_lattice, level_scan_covers, matrix_keyed_search,
-                     recursive_canonical_word)
+                     recursive_canonical_word, search_matrices)
 
 
 ORDERS = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48, "G2": 12}
@@ -124,6 +124,27 @@ def test_parse_rejects_garbage():
     assert parse_word("s1 s2 s1", 2) == (0, 1, 0)
 
 
+@pytest.mark.parametrize("token", ["s+1", "s01", "s\u0661", "s1_0", "s-1",
+                                   "s", "s 1x", "S1", "s1.0", "s\u00b9"])
+def test_parse_accepts_only_ascii_digit_indices(token):
+    with pytest.raises(ValueError, match="^bad generator token"):
+        parse_word(token, 10)
+
+
+@pytest.mark.parametrize("text,rank,word", [("s1", 1, (0,)),
+                                            ("s10 s9", 10, (9, 8)),
+                                            ("  s2\ts1 ", 2, (1, 0))])
+def test_parse_reads_ascii_digit_indices(text, rank, word):
+    assert parse_word(text, rank) == word
+
+
+@pytest.mark.parametrize("text,index", [("s0", 0), ("s3", 3), ("s10", 10)])
+def test_parse_names_an_index_out_of_range(text, index):
+    with pytest.raises(ValueError, match="^generator index %d out of range "
+                                         "1..2$" % index):
+        parse_word(text, 2)
+
+
 def test_multiplication_table_closed():
     group = group_of("A2")
     for a in group.elements:
@@ -136,13 +157,16 @@ def test_multiplication_table_closed():
 def test_multiplication_matches_matrix_product():
     for label in ("B2", "A3", "G2"):
         group = group_of(label)
+        mats = search_matrices(group.datum)
         n = group.rank
         for a in group.elements:
+            ma = mats[a.idx]
             for b in group.elements:
-                prod = tuple(tuple(sum(a.mat[i][k] * b.mat[k][j]
+                mb = mats[b.idx]
+                prod = tuple(tuple(sum(ma[i][k] * mb[k][j]
                                        for k in range(n))
                                    for j in range(n)) for i in range(n))
-                assert (a * b).mat == prod
+                assert mats[(a * b).idx] == prod
 
 
 def test_inverse():
@@ -196,12 +220,13 @@ def test_reflection_length_against_oracle(label):
 
 def test_fixed_lattice_really_fixed():
     group = group_of("B2")
+    mats = search_matrices(group.datum)
     n = group.rank
     for w in group.elements:
         lattice = fixed_lattice(group, w)
         assert lattice.dim == group.fixed_space_rank(w)
         for row in lattice.rows:
-            image = [sum((row[j] * w.mat[i][j] for j in range(n)),
+            image = [sum((row[j] * mats[w.idx][i][j] for j in range(n)),
                          start=row[0] - row[0]) for i in range(n)]
             assert image == list(row)
 
@@ -292,28 +317,25 @@ def test_words_are_filled_lazily_once(monkeypatch):
                                    "C4", "D4", "D5", "G2", "F4", "E6"])
 def test_group_matches_matrix_keyed_search(label):
     """Keying the search by w(rho) gives the order, the left
-    multiplication table, the lengths and the matrices of the search
-    keyed by whole matrices."""
+    multiplication table and the lengths of the search keyed by whole
+    matrices; the fundamental images of each element are its matrix's
+    columns, and w(rho) is the sum of them."""
     datum = build_cartan(label)
     mats, lengths, lmul = matrix_keyed_search(datum)
     group = WeylGroup(datum)
     assert group._lmul == lmul
     assert [w.length for w in group.elements] == lengths
-    assert [w.mat for w in group.elements] == mats
+    rho = datum.rho()
+    for w, mat in zip(group.elements, mats):
+        assert group.fundamental_images(w) == tuple(zip(*mat))
+        assert w.act(rho) == tuple(map(sum, mat))
 
 
-def test_matrices_are_built_lazily_along_descents(monkeypatch):
+def test_fundamental_images_are_filled_lazily_along_descents(monkeypatch):
     """Construction, theta, the sorted order, covers, Bruhat comparisons
-    and the centre table build no matrix; reading one element's matrix
-    builds those of its descent chain down to e, each once."""
-    built = []
-    real = WeylGroup._matrix
-
-    def counted(self, idx):
-        built.append(idx)
-        return real(self, idx)
-
-    monkeypatch.setattr(WeylGroup, "_matrix", counted)
+    and the centre table fill no entry of the fundamental-image table;
+    one fixed-space rank fills the entries of its element's descent
+    chain down to e, and nothing else."""
     group = WeylGroup(build_cartan("F4"))
     monkeypatch.setattr(WeylGroup, "build", lambda label: group)
     group.theta()
@@ -321,20 +343,17 @@ def test_matrices_are_built_lazily_along_descents(monkeypatch):
     group.cover_lists()
     assert all(group.bruhat_leq(group.identity, w) for w in group.elements)
     assert len(centre_table("F4")) == len(group)
-    assert built == []
+    assert group.__dict__.get("_memo_fundamental_images", {}) == {}
     w = group.parse("s1 s2 s3 s2 s4")
     chain = [w.idx]
     while chain[-1]:
         x = chain[-1]
         chain.append(group._lmul[group._first_descent(x)][x])
-    w.mat
-    assert built == chain
-    w.mat
-    group.elements[chain[2]].mat
-    assert built == chain
-    assert [u.mat for u in group.elements] == matrix_keyed_search(
-        group.datum)[0]
-    assert sorted(built) == list(range(len(group)))
+    group.fixed_space_rank(w)
+    table = group.__dict__["_memo_fundamental_images"]
+    assert sorted(table) == sorted(chain)
+    mats = search_matrices(group.datum)
+    assert all(table[x] == tuple(zip(*mats[x])) for x in chain)
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "D4", "G2"])
@@ -390,11 +409,14 @@ def test_sorted_elements_against_word_sort(label):
 @pytest.mark.parametrize("label", ["A2", "A3", "A4", "B3", "D4", "D5",
                                    "F4", "G2"])
 def test_theta_against_action(label):
+    """Column i of w0's matrix in the matrix-keyed search is
+    -omega_theta(i)."""
     group = group_of(label)
     datum = group.datum
+    w0 = search_matrices(datum)[group.longest.idx]
     for i in range(group.rank):
-        image = group.longest.act(datum.fund(i))
-        assert image == datum.neg(datum.fund(group.theta()[i]))
+        column = tuple(row[i] for row in w0)
+        assert column == datum.neg(datum.fund(group.theta()[i]))
 
 
 def test_theta_involution():
