@@ -13,11 +13,14 @@ generators: moving the product of the top and bottom extreme rows of
 degree nu past a coefficient of weight data (lam, mu) multiplies it by
 q to the power (nu + w0 nu, mu - lam), which vanishes exactly when w0
 negates nu.  It is computed symbolically; nothing here touches module
-arithmetic.
+arithmetic.  The contributing orbits depend on w only through the
+supports of w and of w0 w, so they are worked out once per type and
+pair of support masks.
 """
 
 from __future__ import annotations
 
+from .obs import memo
 from .weyl import WeylGroup, format_word
 
 
@@ -56,13 +59,24 @@ class CentreData:
 
 
 def centre_of(group, w):
-    """The stabiliser of a dominant weight is the standard parabolic
+    """The centre data of w, whose four orbit lists depend only on the
+    support masks of w and of w0 w (``_orbit_lists``)."""
+    return CentreData(w, *_orbit_lists(group, *group.supports()[w.idx]))
+
+
+@memo(lambda group, moved, flipped: (group.datum.label, moved, flipped))
+def _orbit_lists(group, moved, flipped):
+    """The contributing orbits on each side for an element whose support
+    is the mask ``moved`` and that of w0 w the mask ``flipped``, kept once
+    per type and pair of masks and shared by every ``CentreData`` with
+    those masks.
+
+    The stabiliser of a dominant weight is the standard parabolic
     subgroup of the simple reflections that fix it (Humphreys, 1.10-1.12),
     so w . omega_i = omega_i iff s_i is not in the support of w.  And
     w . omega_i = w0 . omega_i = -omega_theta(i) iff w0 w fixes omega_i."""
     theta = group.theta()
     n = group.rank
-    moved, flipped = group.supports()[w.idx]
     fixed = [i for i in range(n) if theta[i] == i]
     paired = [(i, theta[i]) for i in range(n) if theta[i] > i]
     minus_fixed = [i for i in fixed if not moved >> i & 1]
@@ -71,7 +85,7 @@ def centre_of(group, w):
     plus_fixed = [i for i in fixed if not flipped >> i & 1]
     plus_paired = [(i, j) for i, j in paired
                    if not (flipped >> i | flipped >> j) & 1]
-    return CentreData(w, minus_fixed, minus_paired, plus_fixed, plus_paired)
+    return minus_fixed, minus_paired, plus_fixed, plus_paired
 
 
 def centre_table(label):

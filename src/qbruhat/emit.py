@@ -52,21 +52,25 @@ def _extend_list(out, items):
         out.append("\n  ]")
 
 
-def strata_document(schema, label, anchor, pairs, edges):
+def strata_document(schema, label, anchor, texts, pairs, edges):
     """The bytes ``json_document`` gives the strata document
     ``{"schema", "type", "anchor", "pairs": [{"y", "z", "rank"}],
-    "edges": [[i, j]]}``, for ``pairs`` as (rank, y, z) triples, y and z
-    strings, ``edges`` as (i, j) pairs of ints and ``anchor`` a string or
-    None.  The top-level keys are written in sorted order.  Strings go
-    through ``encode_basestring_ascii``, json.dumps' own escaping under
-    its default ``ensure_ascii``, and ints through ``%d``, which spells
-    an int as json.dumps does.  The pieces are joined once."""
+    "edges": [[i, j]]}``, for ``texts`` a mapping from element keys to
+    their word strings, ``pairs`` as (rank, y, z) triples with y and z
+    keys of ``texts``, ``edges`` as (i, j) pairs of ints and ``anchor`` a
+    string or None; ``pairs`` and ``edges`` are read once, in order.
+    The top-level keys are written in sorted order.  Strings go through
+    ``encode_basestring_ascii``, json.dumps' own escaping under its
+    default ``ensure_ascii``, once per entry of ``texts``, and ints
+    through ``%d``, which spells an int as json.dumps does.  The pieces
+    are joined once."""
     string = encode_basestring_ascii
+    quoted = {key: string(text) for key, text in texts.items()}
     out = ['{\n  "anchor": ', "null" if anchor is None else string(anchor),
            ',\n  "edges": ']
     _extend_list(out, map(_EDGE.__mod__, edges))
     out.append(',\n  "pairs": ')
-    _extend_list(out, (_PAIR % (rank, string(y), string(z))
+    _extend_list(out, (_PAIR % (rank, quoted[y], quoted[z])
                        for rank, y, z in pairs))
     out.append(',\n  "schema": %s,\n  "type": %s\n}'
                % (string(schema), string(label)))

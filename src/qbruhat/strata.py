@@ -50,19 +50,26 @@ class DiamondPoset:
         # (y.length, y.word, z.length, z.word)
         if anchor is None:
             check_scope(group.datum, "poset")
-            pairs = [(y, z) for y in group.sorted_elements()
-                     for z in group.upper_set(y)]
+            ends = group.sorted_elements()
+            rows = [(y, group.upper_set(y)) for y in ends]
         else:
-            above = group.upper_set(anchor)
-            pairs = [(y, z) for y in group.lower_set(anchor) for z in above]
-        self.pairs = pairs
-        self._pos = {(y.idx, z.idx): k for k, (y, z) in enumerate(pairs)}
+            below, above = group.lower_set(anchor), group.upper_set(anchor)
+            ends = below + above
+            rows = [(y, above) for y in below]
+        self.pairs = [(y, z) for y, zs in rows for z in zs]
+        self._ends = ends
+        # y.idx -> {z.idx: position of (y, z)}, rows in position order
+        pos, k = {}, 0
+        for y, zs in rows:
+            pos[y.idx] = dict(zip([z.idx for z in zs], range(k, k + len(zs))))
+            k += len(zs)
+        self._rows = pos
 
     def __len__(self):
         return len(self.pairs)
 
     def index(self, y, z):
-        return self._pos[(y.idx, z.idx)]
+        return self._rows[y.idx][z.idx]
 
     def geq(self, i, j):
         """pairs[i] >= pairs[j] in the interval-reversal order."""
@@ -75,37 +82,56 @@ class DiamondPoset:
         pairs (u, v) of the set with u and v both in [y, z]."""
         y, z = self.pairs[i]
         inside = [w.idx for w in self.group.interval(y, z)]
-        pos = self._pos
-        return sorted(pos[key] for key in
-                      ((u, v) for u in inside for v in inside)
-                      if key in pos)
+        out = []
+        for u in inside:
+            row = self._rows.get(u)
+            if row:
+                out += [row[v] for v in inside if v in row]
+        return sorted(out)
 
-    def hasse_edges(self):
-        """Covering edges (i, j) with pairs[i] covering pairs[j], sorted.
+    def _edges(self):
+        """Covering edges (i, j) with pairs[i] covering pairs[j], in
+        sorted order, one at a time.
 
         By convexity (see the module docstring) pairs[i] = (y, z) covers
         exactly the pairs (y, z') with z' a lower Bruhat cover of z and
         (y', z) with y' an upper Bruhat cover of y that lie in the set.
-        Both are read off the group's cover lists.
+        Both are read off the group's cover lists in (length, word)
+        order: the first kind lie in the row of y in that order, and the
+        second in the later rows of the longer y', in the order of y'.
         """
-        lower, upper = self.group.cover_lists()
-        pos = self._pos
-        edges = []
-        for i, (y, z) in enumerate(self.pairs):
-            below = [(y.idx, u) for u in lower[z.idx]]
-            below += [(v, z.idx) for v in upper[y.idx]]
-            edges.extend((i, j) for j in sorted(pos[key] for key in below
-                                                if key in pos))
-        return edges
+        lower, upper = self.group.sorted_cover_lists()
+        rows = self._rows
+        for y, row in rows.items():
+            above = [r for r in map(rows.get, upper[y]) if r is not None]
+            for z, i in row.items():
+                for u in lower[z]:
+                    j = row.get(u)
+                    if j is not None:
+                        yield i, j
+                for r in above:
+                    j = r.get(z)
+                    if j is not None:
+                        yield i, j
+
+    def hasse_edges(self):
+        """Covering edges (i, j) with pairs[i] covering pairs[j], sorted."""
+        return list(self._edges())
 
     def stratum_rank(self, i):
         y, z = self.pairs[i]
-        return self.group.fixed_space_rank(y.inverse() * z)
+        return self.group.fixed_space_rank(self.group.left_quotient(y, z))
 
     def rank_table(self):
-        return [self.stratum_rank(i) for i in range(len(self.pairs))]
+        g = self.group
+        rank, quotient = g.fixed_space_rank, g.left_quotient
+        return [rank(quotient(y, z)) for y, z in self.pairs]
 
     # -- serialization ---------------------------------------------------
+
+    def _words(self):
+        """The word text of every element of a pair, by index."""
+        return {w.idx: format_word(w.word) for w in self._ends}
 
     def to_json(self):
         """The ``qbruhat/strata-v1`` document, written by template
@@ -114,26 +140,27 @@ class DiamondPoset:
         return strata_document(
             SCHEMA_STRATA, self.group.datum.label,
             format_word(anchor.word) if anchor is not None else None,
-            [(self.stratum_rank(k), format_word(y.word), format_word(z.word))
-             for k, (y, z) in enumerate(self.pairs)],
-            self.hasse_edges())
+            self._words(),
+            ((r, y.idx, z.idx)
+             for r, (y, z) in zip(self.rank_table(), self.pairs)),
+            self._edges())
 
     def to_dot(self):
+        words = self._words()
         lines = ["digraph strata {"]
-        for k, (y, z) in enumerate(self.pairs):
-            lines.append('  n%d [label="%s | %s (r=%d)"];'
-                         % (k, format_word(y.word), format_word(z.word),
-                            self.stratum_rank(k)))
-        for i, j in self.hasse_edges():
-            lines.append("  n%d -> n%d;" % (i, j))
+        lines += ['  n%d [label="%s | %s (r=%d)"];'
+                  % (k, words[y.idx], words[z.idx], r)
+                  for k, (r, (y, z))
+                  in enumerate(zip(self.rank_table(), self.pairs))]
+        lines += ["  n%d -> n%d;" % edge for edge in self._edges()]
         lines.append("}")
         return "\n".join(lines) + "\n"
 
     def to_csv(self):
+        words = self._words()
         return csv_text(["y", "z", "rank"],
-                        ([format_word(y.word), format_word(z.word),
-                          self.stratum_rank(k)]
-                         for k, (y, z) in enumerate(self.pairs)))
+                        ([words[y.idx], words[z.idx], r]
+                         for r, (y, z) in zip(self.rank_table(), self.pairs)))
 
 
 def order_isomorphic(p1, p2):

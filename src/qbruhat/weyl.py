@@ -26,17 +26,19 @@ the first read of any element's ``word`` the group fills the word of
 every element in one pass in index order; breadth-first indices grow
 with length, so s_i w, one shorter, is already done.  After that a word
 is a slot on its element.  Bruhat order comes from Deodhar's descent
-recursion on the table.  The Bruhat covers of every element are filled
+recursion on the table, and y^-1 z (``left_quotient``) is one walk of
+y's word from z on it.  The Bruhat covers of every element are filled
 in once per group, on first use, by the lifting property; intervals,
 lower and upper sets are traversals of those cover lists.  One group is
-kept per type; the word pass, covers, supports, fundamental images,
-fixed-space ranks, the diagram involution and the sorted order are
-``memo`` tables on the group, word texts are a ``memo`` table on
-``format_word``, and Bruhat comparisons keep a table of every pair the
-descent recursion meets.  The matrix-keyed search, the recursive word
-memo, the subword test, a reflection-chain closure and the covers found
-by scanning neighbouring length levels live in the test suite as
-oracles.
+kept per type; the word pass, covers (by index and in (length, word)
+order), supports, fundamental images, fixed-space ranks, the diagram
+involution and the sorted order are ``memo`` tables on the group, word
+texts are a ``memo`` table on ``format_word``, and Bruhat comparisons
+keep a table of every pair the descent recursion meets.  The
+matrix-keyed search, the recursive word memo, the subword test, a
+reflection-chain closure, the covers found by scanning neighbouring
+length levels and y^-1 z as the inverse times z live in the test suite
+as oracles.
 """
 
 from __future__ import annotations
@@ -202,6 +204,12 @@ class WeylGroup:
         """Applying x's word in order to e spells the reversed word."""
         return self.elements[self._left_apply(x.word, 0)]
 
+    def left_quotient(self, y, z):
+        """y^-1 z, by one walk of y's word from z: for y = s_{a_1} ...
+        s_{a_k}, y^-1 z = s_{a_k} ... s_{a_1} z, so the letters
+        left-multiply z in the order they are written."""
+        return self.elements[self._left_apply(y.word, z.idx)]
+
     def from_word(self, word):
         return self.elements[self._left_apply(reversed(word), 0)]
 
@@ -293,6 +301,13 @@ class WeylGroup:
             for u in covers:
                 upper[u].append(w)
         return lower, upper
+
+    @memo()
+    def sorted_cover_lists(self):
+        """The lists of ``cover_lists``, each in (length, word) order."""
+        position = self._sorted()[1].__getitem__
+        return tuple([sorted(covers, key=position) for covers in lists]
+                     for lists in self.cover_lists())
 
     def _reach(self, start, covers, keep=None):
         """Elements reachable from index ``start`` through ``covers``,

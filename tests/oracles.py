@@ -10,7 +10,10 @@ Bruhat covers by scanning the neighbouring length level, canonical
 words by a recursion memoised per element
 (``recursive_canonical_word``), the pair poset by testing every pair of
 the group, its JSON document as a dict-of-dicts through ``json.dumps``
-(``dict_strata_json``), scalar sums and products
+(``dict_strata_json``), y^-1 z as the inverse times z
+(``inverse_product``), the centre's orbit lists element by element
+rather than once per pair of support masks (``per_element_centre``),
+scalar sums and products
 by the general loops and an uncached gcd on every product, the printed
 text of a ratio by Euclid's algorithm over Q on ``Fraction``
 coefficients, over a monic denominator (``monic_text``), canonical
@@ -269,12 +272,35 @@ def dict_strata_json(poset):
         "type": poset.group.datum.label,
         "anchor": word(poset.anchor) if poset.anchor is not None else None,
         "pairs": [
-            {"y": word(y), "z": word(z), "rank": poset.stratum_rank(k)}
-            for k, (y, z) in enumerate(poset.pairs)
+            {"y": word(y), "z": word(z),
+             "rank": poset.group.fixed_space_rank(inverse_product(y, z))}
+            for y, z in poset.pairs
         ],
         "edges": [[i, j] for i, j in poset.hasse_edges()],
     }
     return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def inverse_product(y, z):
+    """y^-1 z as the product of the inverse element and z: two walks of
+    y's word, the road stratum ranks took before ``left_quotient``."""
+    return y.inverse() * z
+
+
+def per_element_centre(group, w):
+    """The four contributing orbit lists of w's centre (minus fixed,
+    minus paired, plus fixed, plus paired), worked out for w alone from
+    its two support masks."""
+    theta = group.theta()
+    n = group.rank
+    moved, flipped = group.supports()[w.idx]
+    fixed = [i for i in range(n) if theta[i] == i]
+    paired = [(i, theta[i]) for i in range(n) if theta[i] > i]
+    return ([i for i in fixed if not moved >> i & 1],
+            [(i, j) for i, j in paired if not (moved >> i | moved >> j) & 1],
+            [i for i in fixed if not flipped >> i & 1],
+            [(i, j) for i, j in paired
+             if not (flipped >> i | flipped >> j) & 1])
 
 
 def all_pairs_filter(group, anchor=None):

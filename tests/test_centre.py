@@ -9,6 +9,7 @@ from qbruhat.cartan import build_cartan
 from qbruhat.centre import (centrality_exponent, centre_of, centre_table,
                             distinguishing_scan, full_centre_rank)
 from qbruhat.weyl import WeylElem, WeylGroup, format_word
+from oracles import per_element_centre
 
 A2_TABLE = {
     "e": (1, ["z[w1+w2]"]),
@@ -92,6 +93,19 @@ def test_centre_of_against_action(label):
         got = (data.minus_fixed, data.minus_paired, data.plus_fixed,
                data.plus_paired)
         assert got == centre_by_action(group, w), format_word(w.word)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3",
+                                   "B4", "C3", "D4", "G2", "F4"])
+def test_centre_of_matches_per_element_oracle(label):
+    """The orbit lists kept once per pair of support masks are those
+    worked out for each element alone."""
+    group = WeylGroup.build(label)
+    for w in group.elements:
+        data = centre_of(group, w)
+        got = (data.minus_fixed, data.minus_paired, data.plus_fixed,
+               data.plus_paired)
+        assert got == per_element_centre(group, w), format_word(w.word)
 
 
 def test_centre_of_does_not_act(monkeypatch):

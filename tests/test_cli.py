@@ -173,6 +173,16 @@ PINNED_STDOUT = {
         "d44066a5c2d8aa3f411b7c056e22e0fd583a1c4d5f08bab2a4026a6bfc95c2be",
     "centre dim --type E6":
         "fcaf7501384cb4e17acd56aa2e796abb718b17775797a58f8329960d2dfb8c0a",
+    "strata build --type B3 --format csv":
+        "0124a83d2a19afaa1e3fdfeb995927abeb2d91bd0995bc04e00bb62e24efa40d",
+    "strata build --type B3 --format dot":
+        "82aee053d2b60191f03cbefd74d38628c999d00b13a32c17d93252ac4a816e01",
+    "strata build --type D4":
+        "3db8f6cd605a63601b907b9c21a80b365b543c55e183032736e7e55680e2215f",
+    "strata build --type D4 --anchor s2 --format csv":
+        "1dbad873c26c1ddfb96a291ed019c72f4426022b895b74ddc41d7b06be3c3956",
+    "strata build --type D4 --anchor s2 --format dot":
+        "141be91e102d4dd0cb91122186c1f488001b612d4b34ca28e0093a15647a0b17",
 }
 
 

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from qbruhat import cartan, characters, coordring, exactalg, uqmodules, weyl
+from qbruhat import (cartan, centre, characters, coordring, exactalg,
+                     uqmodules, weyl)
 from qbruhat.cartan import build_cartan
 from qbruhat.characters import weyl_character
 from qbruhat.coordring import CoordinateModel
@@ -31,6 +32,12 @@ def _word_case():
     return (lambda: group.longest.word,
             lambda: group.elements[group.longest.idx].word, WeylGroup,
             "_first_descent")
+
+
+def _orbit_case():
+    a, b = WeylGroup(build_cartan("B3")), WeylGroup(build_cartan("b3"))
+    return (lambda: centre._orbit_lists(a, 1, 4),
+            lambda: centre._orbit_lists(b, 1, 4), WeylGroup, "theta")
 
 
 def _model_case(call_a, call_b, owner, attr):
@@ -66,6 +73,9 @@ MEMOS = {
         lambda g: g.fixed_space_rank(g.longest), weyl, "_integer_rank"),
     "cover_lists": lambda: _group_case(
         lambda g: g.cover_lists(), WeylGroup, "_first_descent"),
+    "sorted_cover_lists": lambda: _group_case(
+        lambda g: g.sorted_cover_lists(), WeylGroup, "cover_lists"),
+    "_orbit_lists": _orbit_case,
     "sorted_elements": lambda: _group_case(
         lambda g: g.sorted_elements(), WeylElem, "word"),
     "weyl_character": lambda: (

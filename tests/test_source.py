@@ -96,6 +96,41 @@ def test_only_cartan_reads_the_cartan_matrix():
     assert found == []
 
 
+def _foreign_private_calls(tree):
+    """(line, name) of every call ``x._name(...)`` of an underscore name,
+    dunders aside, that no function or class of the same module defines:
+    a call into the private part of another module's objects."""
+    own = {node.name for node in ast.walk(tree)
+           if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                ast.ClassDef))}
+    return [(node.lineno, node.func.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr.startswith("_")
+            and not node.func.attr.endswith("__")
+            and node.func.attr not in own]
+
+
+def test_no_private_calls_across_modules():
+    """A package module calls an underscore method only where it defines
+    it, such as ``weyl.py`` calling ``group._fill_words()``; other
+    modules go through public methods, so the rank walk of ``strata.py``
+    reaches ``WeylGroup._left_apply`` only through
+    ``WeylGroup.left_quotient``."""
+    found = []
+    for path in sorted(pathlib.Path(qbruhat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += ["%s:%d %s" % (path.name, line, name)
+                  for line, name in _foreign_private_calls(tree)]
+    assert found == []
+    # the check sees a foreign call, and passes an own one and a dunder
+    assert _foreign_private_calls(ast.parse(
+        "group._left_apply(y.word, z.idx)")) == [(1, "_left_apply")]
+    assert _foreign_private_calls(ast.parse(
+        "def _fill(self):\n    pass\nself.group._fill()\n"
+        "super().__init__()")) == []
+
+
 def test_every_traced_target_resolves():
     """Each (layer, name, attr) of the bench tracer's ``TARGETS`` names
     an attribute of ``qbruhat.<layer>``, so ``--trace 1`` can wrap it.

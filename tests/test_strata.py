@@ -9,7 +9,8 @@ from qbruhat.cartan import build_cartan
 from qbruhat.emit import json_document, strata_document
 from qbruhat.strata import DiamondPoset, order_isomorphic
 from qbruhat.weyl import WeylGroup, format_word
-from oracles import all_pairs_filter, dict_strata_json, level_scan_covers
+from oracles import (all_pairs_filter, dict_strata_json, inverse_product,
+                     level_scan_covers)
 
 
 def build_poset(label, anchor_text=None):
@@ -89,7 +90,7 @@ def test_pairs_match_all_pairs_filter(label, anchor):
 def level_scan_hasse_edges(poset):
     """The product-cover rule on covers found by scanning length levels."""
     lower, upper = level_scan_covers(poset.group)
-    pos = poset._pos
+    pos = {(y.idx, z.idx): k for k, (y, z) in enumerate(poset.pairs)}
     edges = []
     for i, (y, z) in enumerate(poset.pairs):
         below = [(y.idx, u) for u in lower[z.idx]]
@@ -219,6 +220,19 @@ def test_rank_table_against_formula(label, a2_group, b2_group):
         assert table[i] == group.fixed_space_rank(u)
 
 
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3",
+                                   "B4", "C3", "D4", "G2", "F4"])
+def test_left_quotient_matches_inverse_product(label):
+    """On every comparable pair, the one walk of y's word from z lands on
+    y^-1 z as the inverse times z, and the rank table reads its fixed
+    space."""
+    group = WeylGroup.build(label)
+    poset = DiamondPoset(group)
+    oracle = [inverse_product(y, z) for y, z in poset.pairs]
+    assert [group.left_quotient(y, z) for y, z in poset.pairs] == oracle
+    assert poset.rank_table() == [group.fixed_space_rank(u) for u in oracle]
+
+
 def test_json_document(a2_group):
     poset = DiamondPoset(a2_group)
     doc = json.loads(poset.to_json())
@@ -254,15 +268,23 @@ def test_f4_document_pinned():
 @pytest.mark.parametrize("pairs,edges", [
     ([], []), ([(2, "e", "e")], []), ([], [(0, 1)]),
     ([(2, "e", "s1"), (1, "s1", "s1 s2")], [(0, 1), (10, 200)]),
-], ids=["empty", "no-edges", "no-pairs", "both"])
+    ([(0, "caf\u00e9", "\"q\"\\"), (1, "\"q\"\\", "caf\u00e9")], [(1, 0)]),
+], ids=["empty", "no-edges", "no-pairs", "both", "escaped-words"])
 def test_strata_document_matches_json_dumps(anchor, pairs, edges):
     """Empty lists, a null anchor and strings that need escaping come
     out as json.dumps writes them."""
     doc = {"schema": "qbruhat/strata-v1", "type": "\u00c96", "anchor": anchor,
            "pairs": [{"y": y, "z": z, "rank": r} for r, y, z in pairs],
            "edges": [[i, j] for i, j in edges]}
-    assert strata_document(doc["schema"], doc["type"], anchor, pairs,
-                           edges) == json_document(doc)
+    # each word once under an int key, as DiamondPoset passes them
+    keys = {}
+    for _, y, z in pairs:
+        keys.setdefault(y, len(keys))
+        keys.setdefault(z, len(keys))
+    texts = {k: text for text, k in keys.items()}
+    assert strata_document(doc["schema"], doc["type"], anchor, texts,
+                           ((r, keys[y], keys[z]) for r, y, z in pairs),
+                           iter(edges)) == json_document(doc)
 
 
 def test_dot_output(a2_group):
