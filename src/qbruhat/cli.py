@@ -10,7 +10,8 @@ Exit codes: 0 on success, 1 when a computation violates an invariant,
 against the rows of ``cartan.SCOPE`` for the layers it uses, in the order
 data, group, unanchored poset, modules, before it builds anything;
 ``ideal stratum`` also checks the dimension of its largest module, and
-``char sw`` the size of its depth ball.
+``char sw`` the size of its depth ball.  Element words are read against
+the rank of the type, also before any group is built.
 Output for a fixed invocation is byte-identical across runs.
 """
 
@@ -30,7 +31,7 @@ from .exactalg import format_scalar
 from .strata import DiamondPoset
 from .uqmodules import check_module_dim
 from .verify import SUITES, run_suites
-from .weyl import WeylGroup, format_word
+from .weyl import WeylGroup, format_word, parse_word
 
 SCHEMA_IDEAL = "qbruhat/ideal-v1"
 SCHEMA_STRATUM = "qbruhat/stratum-v1"
@@ -50,14 +51,11 @@ def _in_scope(label, *layers):
         raise click.BadParameter(str(err), param_hint="--type")
 
 
-def _load_group(label, *layers):
-    _in_scope(label, "group", *layers)
-    return WeylGroup.build(label)
-
-
-def _parse_element(group, text, hint):
+def _parse_word(label, text, hint):
+    """The letters of an element's word, read against the rank of the
+    type before any group is built."""
     try:
-        return group.parse(text)
+        return parse_word(text, build_cartan(label).rank)
     except ValueError as err:
         raise click.BadParameter(str(err), param_hint=hint)
 
@@ -97,8 +95,10 @@ def weyl():
 @click.option("--w", "wtext", default="e", help="Element as a word in s1..sn.")
 def weyl_info(label, wtext):
     """Length, word, rank data and descents of one element."""
-    group = _load_group(label)
-    w = _parse_element(group, wtext, "--w")
+    _in_scope(label, "group")
+    word = _parse_word(label, wtext, "--w")
+    group = WeylGroup.build(label)
+    w = group.from_word(word)
     doc = {
         "schema": SCHEMA_WEYL,
         "type": label,
@@ -118,7 +118,8 @@ def weyl_info(label, wtext):
 @click.option("--type", "label", required=True, help="Cartan type, e.g. A2.")
 def weyl_elements(label):
     """All elements with lengths, in (length, word) order."""
-    group = _load_group(label)
+    _in_scope(label, "group")
+    group = WeylGroup.build(label)
     for w in group.sorted_elements():
         click.echo("%s\t%d" % (format_word(w.word), w.length))
 
@@ -141,10 +142,11 @@ def strata():
               type=click.Choice(["json", "dot", "csv"]))
 def strata_build(label, anchor, fmt):
     """Emit the pair poset with stratum ranks and covering edges."""
-    group = _load_group(label, *(() if anchor else ("poset",)))
-    anchor_elem = (_parse_element(group, anchor, "--anchor")
-                   if anchor else None)
-    poset = DiamondPoset(group, anchor=anchor_elem)
+    _in_scope(label, "group", *(() if anchor else ("poset",)))
+    word = _parse_word(label, anchor, "--anchor") if anchor else None
+    group = WeylGroup.build(label)
+    poset = DiamondPoset(group,
+                         anchor=group.from_word(word) if anchor else None)
     if fmt == "json":
         click.echo(poset.to_json())
     elif fmt == "dot":
@@ -175,8 +177,9 @@ def char_sw(label, wtext, depth, fmt):
         check_depth(build_cartan(label).rank, depth)
     except ValueError as err:
         raise click.BadParameter(str(err), param_hint="--depth")
+    word = _parse_word(label, wtext, "--w")
     group = WeylGroup.build(label)
-    w = _parse_element(group, wtext, "--w")
+    w = group.from_word(word)
     ch = cell_translate_character(group, w, depth)
     if fmt == "json":
         click.echo(character_to_json(ch, label, format_word(w.word), depth))
@@ -207,9 +210,10 @@ def ideal():
 def ideal_demazure(label, lamtext, ytext, sign, fmt):
     """One graded piece: dual rows vanishing on the extreme closure."""
     _in_scope(label, "group", "modules")
+    lam = _parse_dominant(build_cartan(label), lamtext, "--lambda", "weight")
+    yword = _parse_word(label, ytext, "--y")
     model = CoordinateModel.get(label)
-    lam = _parse_dominant(model.datum, lamtext, "--lambda", "weight")
-    y = _parse_element(model.group, ytext, "--y")
+    y = model.group.from_word(yword)
     piece = model.demazure_orth(y, sign, lam)
     module = piece.module
     basis = []
@@ -259,12 +263,14 @@ def ideal_stratum(label, ytext, ztext, nutext, bound, fmt):
         raise click.BadParameter("bound must be at least 1",
                                  param_hint="--bound")
     _in_scope(label, "group", "modules")
-    model = CoordinateModel.get(label)
-    nu = _parse_dominant(model.datum, nutext, "--nu", "degree")
+    datum = build_cartan(label)
+    nu = _parse_dominant(datum, nutext, "--nu", "degree")
     # the saturation's largest module is V(nu + bound rho), rho = (1, ..., 1)
-    check_module_dim(model.datum, [c + bound for c in nu])
-    y = _parse_element(model.group, ytext, "--y")
-    z = _parse_element(model.group, ztext, "--z")
+    check_module_dim(datum, [c + bound for c in nu])
+    yword = _parse_word(label, ytext, "--y")
+    zword = _parse_word(label, ztext, "--z")
+    model = CoordinateModel.get(label)
+    y, z = model.group.from_word(yword), model.group.from_word(zword)
     if not model.group.bruhat_leq(y, z):
         raise click.BadParameter("need y <= z in Bruhat order",
                                  param_hint="--y/--z")

@@ -96,11 +96,12 @@ class DiamondPoset:
         By convexity (see the module docstring) pairs[i] = (y, z) covers
         exactly the pairs (y, z') with z' a lower Bruhat cover of z and
         (y', z) with y' an upper Bruhat cover of y that lie in the set.
-        Both are read off the group's cover lists in (length, word)
-        order: the first kind lie in the row of y in that order, and the
-        second in the later rows of the longer y', in the order of y'.
+        Both are read off the group's cover lists, which run in index
+        order, the (length, word) order of the pairs: the first kind lie
+        in the row of y in that order, and the second in the later rows
+        of the longer y', in the order of y'.
         """
-        lower, upper = self.group.sorted_cover_lists()
+        lower, upper = self.group.cover_lists()
         rows = self._rows
         for y, row in rows.items():
             above = [r for r in map(rows.get, upper[y]) if r is not None]

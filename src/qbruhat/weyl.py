@@ -3,15 +3,25 @@
 An element w is keyed by the vector w(rho) in fundamental coordinates:
 the orbit of rho is regular (Humphreys, *Reflection Groups and Coxeter
 Groups*, 1.12), so the vector determines w.  The whole group is one
-breadth-first search over these vectors from rho, after its known order
+search over these vectors from rho, after its known order
 (``group_order``) has been checked against the group row of
 ``cartan.SCOPE``; its step is the simple reflection of
 ``CartanDatum.reflect``, which changes only the coordinates k with
-a[k][i] != 0.  The search keeps, for each simple generator s_i, the
-table of left multiplication by s_i, an element's length (the depth at
-which the search first reaches it) and its left descents, read off the
-signs: s_i is a left descent of w iff (w rho)_i < 0.  The vectors are
-dropped after the search, and construction does nothing else.
+a[k][i] != 0.  The search runs one length level at a time and, within a
+level, one generator at a time over the level's elements, so each new
+element is first met from s_i w for its least left descent s_i, after
+every element of its length with a smaller least descent, or with the
+same one and an earlier s_i w.  Canonical words (below) are compared
+first letter first, so indices run in (length, word) order: the
+identity is index 0, w0 the last index, and an element's index is its
+position in every sorted list the group hands out (Bjorner-Brenti,
+*Combinatorics of Coxeter Groups*, ch. 3).  The search keeps, for each
+simple generator s_i, the table of left multiplication by s_i, an
+element's length (its level) and its left descents, read off the signs:
+s_i is a left descent of w iff (w rho)_i < 0, that is iff the step from
+w goes one level down, so the search holds only the vectors of the
+levels next to the one it walks.  No vector outlives the search, and
+construction does nothing else.
 
 No element keeps a matrix.  An element acts on a weight by its word,
 one ``reflect`` step per letter, right to left.  Fixed-space ranks read
@@ -23,18 +33,18 @@ the least left descent s_i, by one reflection each (Casselman,
 Canonical reduced words are the lexicographically least ones:
 word(w) = (i,) + word(s_i w) with s_i the least left descent of w.  On
 the first read of any element's ``word`` the group fills the word of
-every element in one pass in index order; breadth-first indices grow
-with length, so s_i w, one shorter, is already done.  After that a word
-is a slot on its element.  Bruhat order comes from Deodhar's descent
-recursion on the table, and y^-1 z (``left_quotient``) is one walk of
-y's word from z on it.  The Bruhat covers of every element are filled
-in once per group, on first use, by the lifting property; intervals,
-lower and upper sets are traversals of those cover lists.  One group is
-kept per type; the word pass, covers (by index and in (length, word)
-order), supports, fundamental images, fixed-space ranks, the diagram
-involution and the sorted order are ``memo`` tables on the group, word
-texts are a ``memo`` table on ``format_word``, and Bruhat comparisons
-keep a table of every pair the descent recursion meets.  The
+every element in one pass in index order; indices grow with length, so
+s_i w, one shorter, is already done.  After that a word is a slot on
+its element.  Bruhat order comes from Deodhar's descent recursion on
+the table, and y^-1 z (``left_quotient``) is one walk of y's word from
+z on it.  The Bruhat covers of every element are filled in once per
+group, on first use, by the lifting property; intervals, lower and
+upper sets are traversals of those cover lists, sorted by index.  One
+group is kept per type; the word pass, covers, supports, fundamental
+images, fixed-space ranks and the diagram involution are ``memo``
+tables on the group, word texts are a ``memo`` table on
+``format_word``, and Bruhat comparisons keep a table of every pair the
+descent recursion meets.  The
 matrix-keyed search, the recursive word memo, the subword test, a
 reflection-chain closure, the covers found by scanning neighbouring
 length levels and y^-1 z as the inverse times z live in the test suite
@@ -126,39 +136,46 @@ class WeylGroup:
         self.datum = datum
         self.rank = n = datum.rank
         expected = group_order(datum.family, datum.rank)
-        rho = (1,) * n
-        index = {rho: 0}
-        order = [rho]
+        below, level = {}, {(1,) * n: 0}
         lengths = [0]
         lmul = [[] for _ in range(n)]
         descents = []
-        # Breadth-first from rho: the depth at which w(rho) is first
-        # reached is the distance of w in the Cayley graph, i.e. its
-        # length, lmul[i][idx] is the index of s_i . elements[idx], and
-        # bit i of descents[idx] is set iff s_i is a left descent.  The
-        # loop writes out the step of ``datum.reflect`` on the datum's
-        # table: one call per element and generator made the E6 search
-        # about 20 % slower (0.22 s -> 0.27 s, 2-core VM, Python 3.11).
-        for idx, v in enumerate(order):
-            d = 0
+        # One length level at a time from rho, generator by generator,
+        # so indices run in (length, word) order (see the module
+        # docstring): lmul[i][idx] is the index of s_i . elements[idx],
+        # and bit i of descents[idx] is set iff s_i is a left descent.
+        # Level maps keep w(rho) -> index: a step from w(rho) goes one
+        # level down when (w rho)_i < 0 and one level up otherwise, so
+        # only the levels below and above are kept (building A8: a 74 MB
+        # tracemalloc peak, against 131 MB with one map of the whole
+        # group).  The loop writes out the step of ``datum.reflect`` on
+        # the datum's table: one call per element and generator made the
+        # E6 search about 20 % slower (0.22 s -> 0.27 s).  Both on a
+        # 2-core VM, Python 3.11.
+        while level:
+            above, base = {}, len(lengths)
             for i, col in enumerate(datum.reflection_steps):
-                vi = v[i]
-                if vi < 0:
-                    d |= 1 << i
-                u = list(v)
-                for k, aki in col:
-                    u[k] -= aki * vi
-                p = tuple(u)
-                j = index.get(p)
-                if j is None:
-                    j = index[p] = len(order)
-                    order.append(p)
-                    lengths.append(lengths[idx] + 1)
-                lmul[i].append(j)
-            descents.append(d)
-        if len(order) != expected:
+                row = lmul[i]
+                for v in level:
+                    vi = v[i]
+                    u = list(v)
+                    for k, aki in col:
+                        u[k] -= aki * vi
+                    p = tuple(u)
+                    if vi < 0:
+                        row.append(below[p])
+                        continue
+                    j = above.get(p)
+                    if j is None:
+                        j = above[p] = base + len(above)
+                    row.append(j)
+            descents += [sum(1 << i for i, vi in enumerate(v) if vi < 0)
+                         for v in level]
+            lengths += [lengths[-1] + 1] * len(above)
+            below, level = level, above
+        if len(lengths) != expected:
             raise AssertionError("enumerated %d elements, expected %d"
-                                 % (len(order), expected))
+                                 % (len(lengths), expected))
         self.elements = [WeylElem(self, idx, length)
                          for idx, length in enumerate(lengths)]
         self._descents = descents
@@ -169,8 +186,8 @@ class WeylGroup:
         # filled by bruhat_leq with every pair its descent loop meets,
         # so it is a path table rather than one memo entry per call
         self._bruhat = {}
-        # w0 rho = -rho
-        self.longest = self.elements[index[(-1,) * n]]
+        # the one element of the last level, of greatest length
+        self.longest = self.elements[-1]
         n_pos = len(datum.positive_roots)
         if self.longest.length != n_pos:
             raise AssertionError("longest element length %d != %d"
@@ -277,12 +294,14 @@ class WeylGroup:
     @memo()
     def cover_lists(self):
         """Lower and upper Bruhat covers of every element, as index lists
-        sorted by index; built once per group, on first use.
+        sorted by index, that is by (length, word); built once per group,
+        on first use.
 
         Lifting property (Bjorner-Brenti, Prop. 2.2.7): for a left
         descent s of w, the coatoms of w are sw and s.x for each coatom x
-        of sw with s.x > x.  Breadth-first indices grow with length, so
-        sw is done before w.  Upper covers are the transposed lists.
+        of sw with s.x > x.  Indices grow with length, so sw is done
+        before w.  Upper covers are the transposed lists, in index order
+        because w runs in index order.
         """
         length, lmul = self._length, self._lmul
         lower = [[]]
@@ -302,17 +321,10 @@ class WeylGroup:
                 upper[u].append(w)
         return lower, upper
 
-    @memo()
-    def sorted_cover_lists(self):
-        """The lists of ``cover_lists``, each in (length, word) order."""
-        position = self._sorted()[1].__getitem__
-        return tuple([sorted(covers, key=position) for covers in lists]
-                     for lists in self.cover_lists())
-
     def _reach(self, start, covers, keep=None):
         """Elements reachable from index ``start`` through ``covers``,
-        visiting only indices that pass ``keep``; sorted by
-        (length, word)."""
+        visiting only indices that pass ``keep``; sorted by index, that
+        is by (length, word)."""
         seen = {start}
         stack = [start]
         while stack:
@@ -320,8 +332,7 @@ class WeylGroup:
                 if v not in seen and (keep is None or keep(v)):
                     seen.add(v)
                     stack.append(v)
-        return [self.elements[u]
-                for u in sorted(seen, key=self._sorted()[1].__getitem__)]
+        return [self.elements[u] for u in sorted(seen)]
 
     def interval(self, y, z):
         """All w with y <= w <= z, sorted by (length, word); empty unless
@@ -411,19 +422,9 @@ class WeylGroup:
             opp.append(lmul[theta[i]][opp[v]])
         return [(s, supp[o]) for s, o in zip(supp, opp)]
 
-    @memo()
-    def _sorted(self):
-        """The elements in (length, word) order, and the position of each
-        element in it, by index."""
-        order = sorted(self.elements, key=lambda w: (w.length, w.word))
-        position = [0] * len(order)
-        for k, w in enumerate(order):
-            position[w.idx] = k
-        return order, position
-
     def sorted_elements(self):
-        """All elements in (length, word) order."""
-        return list(self._sorted()[0])
+        """All elements in (length, word) order, which is index order."""
+        return list(self.elements)
 
     def __repr__(self):
         return "WeylGroup(%s, order %d)" % (self.datum.label, len(self))

@@ -159,28 +159,34 @@ def mirror_module_from_edges(datum, lam, weights, edges):
 
 
 def matrix_keyed_search(datum):
-    """The Weyl group of a datum as (matrices, lengths, lmul): a
-    breadth-first search from the identity matrix, each product keyed by
-    its whole matrix, with lmul[i][idx] the index of s_i . matrices[idx].
-    g_i . m changes only the rows k with a[k][i] != 0:
-    row_k -= a[k][i] * row_i."""
+    """The Weyl group of a datum as (matrices, lengths, lmul): a search
+    from the identity matrix, one length level at a time and, within a
+    level, generator by generator, each product keyed by its whole
+    matrix, with lmul[i][idx] the index of s_i . matrices[idx].  A
+    product new to the search is one level up.  g_i . m changes only the
+    rows k with a[k][i] != 0: row_k -= a[k][i] * row_i."""
     n, a = datum.rank, datum.cartan
     columns = [[(k, a[k][i]) for k in range(n) if a[k][i]] for i in range(n)]
     ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     index, order, lengths = {ident: 0}, [ident], [0]
     lmul = [[] for _ in range(n)]
-    for idx, m in enumerate(order):
+    start, depth = 0, 0
+    while start < len(order):
+        level, start = order[start:], len(order)
+        depth += 1
         for i, col in enumerate(columns):
-            rows = list(m)
-            for k, aki in col:
-                rows[k] = tuple([x - aki * y for x, y in zip(m[k], m[i])])
-            p = tuple(rows)
-            j = index.get(p)
-            if j is None:
-                j = index[p] = len(order)
-                order.append(p)
-                lengths.append(lengths[idx] + 1)
-            lmul[i].append(j)
+            for m in level:
+                rows = list(m)
+                for k, aki in col:
+                    rows[k] = tuple([x - aki * y
+                                     for x, y in zip(m[k], m[i])])
+                p = tuple(rows)
+                j = index.get(p)
+                if j is None:
+                    j = index[p] = len(order)
+                    order.append(p)
+                    lengths.append(depth)
+                lmul[i].append(j)
     return order, lengths, lmul
 
 

@@ -17,7 +17,7 @@ from qbruhat.coordring import CoordinateModel
 from qbruhat.exactalg import parse_laurent
 from qbruhat.obs import memo
 from qbruhat.uqmodules import GradedPiece, ModuleScopeError, build_irrep
-from qbruhat.weyl import WeylElem, WeylGroup
+from qbruhat.weyl import WeylGroup
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qbruhat"
 
@@ -73,11 +73,7 @@ MEMOS = {
         lambda g: g.fixed_space_rank(g.longest), weyl, "_integer_rank"),
     "cover_lists": lambda: _group_case(
         lambda g: g.cover_lists(), WeylGroup, "_first_descent"),
-    "sorted_cover_lists": lambda: _group_case(
-        lambda g: g.sorted_cover_lists(), WeylGroup, "cover_lists"),
     "_orbit_lists": _orbit_case,
-    "sorted_elements": lambda: _group_case(
-        lambda g: g.sorted_elements(), WeylElem, "word"),
     "weyl_character": lambda: (
         lambda: weyl_character(*_a2(), [5, 4]),
         lambda: weyl_character(*_a2(), (5, 4)),
@@ -136,8 +132,8 @@ def test_each_memo_computes_once_per_key(name, monkeypatch):
         again = property(again)
     monkeypatch.setattr(owner, attr, again)
     second = equal_call()
-    if name in ("sorted_elements", "twisted_decomposition"):
-        # these hand out a fresh list each call
+    if name == "twisted_decomposition":
+        # this hands out a fresh list each call
         assert second == first and second is not first
     else:
         assert second is first

@@ -51,6 +51,11 @@ def run_main(monkeypatch, args):
     "ideal demazure --type E6 --lambda 1,0,0,0,0,0 --y e --sign +",
     "strata build --type A6",
     "strata build --type E6",
+    "weyl info --type A8 --w s9",
+    "char sw --type A8 --w x1",
+    "strata build --type A8 --anchor s0",
+    "ideal demazure --type A2 --lambda 1,0 --y s3 --sign +",
+    "ideal stratum --type A2 --y e --z s1_2 --nu 1,0",
 ])
 def test_refusals_build_no_group(no_groups, monkeypatch, capsys, args):
     def refuse(cls, label):

@@ -79,6 +79,39 @@ def test_no_module_length_dense_rows():
     assert not _dense_row(ast.parse("[ZERO] * len(rng)").body[0].value)
 
 
+def _element_sort(node):
+    """Whether the node is a call of ``sorted`` or ``.sort`` whose
+    ``key=`` reads an attribute ``.word`` or ``.length``."""
+    if not (isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) == "sorted"
+                 or getattr(node.func, "attr", None) == "sort")):
+        return False
+    return any(isinstance(sub, ast.Attribute)
+               and sub.attr in ("word", "length")
+               for kw in node.keywords if kw.arg == "key"
+               for sub in ast.walk(kw.value))
+
+
+def test_no_second_element_order():
+    """A group's indices run in (length, word) order, the one element
+    order of the package: no package module sorts by a key that reads
+    an element's word or length."""
+    found = []
+    for path in sorted(pathlib.Path(qbruhat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += ["%s:%d" % (path.name, node.lineno)
+                  for node in ast.walk(tree) if _element_sort(node)]
+    assert found == []
+    # the check sees both spellings, and passes other keys
+    assert _element_sort(ast.parse(
+        "sorted(g.elements, key=lambda w: (w.length, w.word))").body[0].value)
+    assert _element_sort(ast.parse("ws.sort(key=lambda w: w.word)")
+                         .body[0].value)
+    assert not _element_sort(ast.parse("sorted(seen)").body[0].value)
+    assert not _element_sort(ast.parse("found.sort(key=lambda it: it[0])")
+                             .body[0].value)
+
+
 def test_only_cartan_reads_the_cartan_matrix():
     """The Cartan matrix is read only inside ``cartan.py``: other
     modules reflect weights with ``CartanDatum.reflect`` or read roots

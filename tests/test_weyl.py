@@ -406,6 +406,21 @@ def test_sorted_elements_against_word_sort(label):
     assert group.sorted_elements() == expect
 
 
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "A5", "A6",
+                                   "A7", "B2", "B3", "B4", "C2", "C3",
+                                   "C4", "D4", "D5", "G2", "F4", "E6"])
+def test_index_order_is_length_word_order(label):
+    """The search meets the elements in (length, word) order, so an
+    element's index is its sorted position: w0 comes last, and every
+    cover list, kept by index, is in that order too."""
+    group = group_of(label)
+    keys = [(w.length, w.word) for w in group.elements]
+    assert keys == sorted(keys)
+    assert group.longest is group.elements[-1]
+    lower, upper = group.cover_lists()
+    assert all(row == sorted(row) for row in lower + upper)
+
+
 @pytest.mark.parametrize("label", ["A2", "A3", "A4", "B3", "D4", "D5",
                                    "F4", "G2"])
 def test_theta_against_action(label):
